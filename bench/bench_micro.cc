@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the substrates every discovery
 // algorithm sits on: PLI construction and intersection, compressed-record
-// matching, FDTree operations, and the Validator's direct refinement check.
+// matching, one Sampler phase, FDTree operations, and the Validator's direct
+// refinement check.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
+#include "core/sampler.h"
 #include "data/csv.h"
 #include "data/datasets.h"
 #include "data/generators.h"
@@ -20,6 +23,7 @@
 #include "pli/pli_builder.h"
 #include "pli/pli_cache.h"
 #include "util/attribute_set.h"
+#include "util/thread_pool.h"
 
 namespace hyfd {
 namespace {
@@ -92,6 +96,31 @@ void BM_MatchInto(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cols);
 }
 BENCHMARK(BM_MatchInto)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
+
+/// One first sampling phase (cluster sortings, window runs, negative-cover
+/// probes) on fd-reduced 100k×12, domain 16, threshold 0.001 — the
+/// discover-long regime — at state.range(0) threads.
+void BM_SamplerRun(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  static const PreprocessedData data =
+      Preprocess(BenchRelation(100000, 12, 16));
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+  }
+  size_t comparisons = 0;
+  size_t non_fds = 0;
+  for (auto _ : state) {
+    Sampler sampler(&data, 0.001, SamplingStrategy::kClusterWindowing,
+                    pool.get());
+    benchmark::DoNotOptimize(sampler.Run({}));
+    comparisons = sampler.total_comparisons();
+    non_fds = sampler.num_non_fds();
+  }
+  state.counters["comparisons"] = static_cast<double>(comparisons);
+  state.counters["non_fds"] = static_cast<double>(non_fds);
+}
+BENCHMARK(BM_SamplerRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// Random ≤3-attribute sets over a fixed schema, shared by the cache
 /// benchmarks so cold and warm runs request the same partitions.

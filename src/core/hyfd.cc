@@ -114,13 +114,14 @@ FDSet HyFd::Discover(const Relation& relation) {
   std::vector<std::pair<RecordId, RecordId>> suggestions;
   while (true) {
     timer.Restart();
-    if (config_.enable_sampling) {
-      auto new_non_fds = sampler.Run(suggestions);
-      inductor.Update(std::move(new_non_fds));
-    } else {
-      inductor.Update({});  // ablation: start from ∅ -> R, Validator only
-    }
+    // Ablation (sampling off): an empty batch starts from ∅ -> R, so the
+    // Validator alone does the work.
+    std::vector<AttributeSet> new_non_fds;
+    if (config_.enable_sampling) new_non_fds = sampler.Run(suggestions);
     stats_.sampling_seconds += timer.ElapsedSeconds();
+    timer.Restart();
+    inductor.Update(std::move(new_non_fds));
+    stats_.induction_seconds += timer.ElapsedSeconds();
     // Audit seam: the Inductor just rewrote the positive cover.
     HYFD_AUDIT_ONLY(tree.CheckInvariants());
     guardian.Check(&tree, sampler.NegativeCoverBytes() + data.MemoryBytes());
@@ -177,6 +178,7 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.total_seconds = total_timer.ElapsedSeconds();
   report_.AddPhase("preprocess", stats_.preprocess_seconds);
   report_.AddPhase("sampling", stats_.sampling_seconds);
+  report_.AddPhase("induction", stats_.induction_seconds);
   report_.AddPhase("validation", stats_.validation_seconds);
   if (!stats_.complete) {
     report_.MarkIncomplete(

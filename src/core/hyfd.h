@@ -33,9 +33,9 @@ struct HyFdConfig {
   /// FDTree memory budget for the Guardian; 0 disables pruning.
   size_t memory_limit_bytes = 0;
   /// > 1 parallelizes both hybrid phases on one shared pool (paper §10.4):
-  /// the Sampler's cluster sortings, window runs, and negative-cover inserts
-  /// as well as the Validator's refinement checks. Results and stats are
-  /// bit-identical for any value.
+  /// the Sampler's cluster sortings and window runs as well as the
+  /// Validator's refinement checks. Results and stats are bit-identical for
+  /// any value.
   int num_threads = 1;
   /// If set, the run charges its data structures here (Table 3 accounting).
   MemoryTracker* memory_tracker = nullptr;
@@ -78,7 +78,8 @@ struct HyFdStats {
   /// levels_validated - 1 (level 0 is the empty LHS).
   int levels_validated = 0;
   double preprocess_seconds = 0;
-  double sampling_seconds = 0;  ///< includes induction
+  double sampling_seconds = 0;
+  double induction_seconds = 0;  ///< Inductor::Update, split from sampling
   double validation_seconds = 0;
   /// False iff the MemoryGuardian pruned the FDTree: the result is then a
   /// strict subset of the full answer (every FD whose minimal LHS exceeds

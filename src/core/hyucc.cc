@@ -100,7 +100,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   report_ = RunReport{};
   Timer total_timer;
   MetricsRegistry metrics;
+  Timer timer;
   PreprocessedData data = Preprocess(relation, config_.null_semantics);
+  stats_.preprocess_seconds = timer.ElapsedSeconds();
   const int m = data.num_attributes;
 
   std::unique_ptr<ThreadPool> pool;
@@ -116,7 +118,6 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   std::vector<std::pair<RecordId, RecordId>> suggestions;
   RefineArena arena;  // one reusable grouping scratch for the whole run
   int current_level = 0;
-  Timer timer;
   while (true) {
     // ---- Phase 1: sample violations, specialize the candidate tree. ------
     timer.Restart();
@@ -128,6 +129,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
                       suggestions.end());
     auto new_agree_sets = sampler.Run(suggestions);
     suggestions.clear();
+    stats_.sampling_seconds += timer.ElapsedSeconds();
+
+    timer.Restart();
     std::sort(new_agree_sets.begin(), new_agree_sets.end(),
               [](const AttributeSet& a, const AttributeSet& b) {
                 return a.Count() > b.Count();
@@ -137,7 +141,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
     }
     // Audit seam: the candidate tree was just specialized from samples.
     HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    stats_.sampling_seconds += timer.ElapsedSeconds();
+    stats_.induction_seconds += timer.ElapsedSeconds();
 
     // ---- Phase 2: validate level-wise until done or inefficient. ---------
     timer.Restart();
@@ -201,7 +205,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   report_.result_kind = "uccs";
   report_.result_count = uccs.size();
   report_.total_seconds = total_timer.ElapsedSeconds();
+  report_.AddPhase("preprocess", stats_.preprocess_seconds);
   report_.AddPhase("sampling", stats_.sampling_seconds);
+  report_.AddPhase("induction", stats_.induction_seconds);
   report_.AddPhase("validation", stats_.validation_seconds);
   report_.MergeMetrics(metrics);
   report_.SetCounter("hyucc.phase_switches",

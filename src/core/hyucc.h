@@ -33,7 +33,11 @@ struct HyUccStats {
   /// Lattice levels fully validated (deepest validated UCC size is
   /// levels_validated - 1, level 0 being the empty set).
   int levels_validated = 0;
+  double preprocess_seconds = 0;
   double sampling_seconds = 0;
+  /// Specializing the candidate tree against sampled agree sets
+  /// (SpecializeUcc), split from sampling.
+  double induction_seconds = 0;
   double validation_seconds = 0;
 };
 

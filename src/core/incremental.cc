@@ -19,6 +19,7 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
 
   Timer total_timer;
   data_ = Preprocess(relation_, config_.null_semantics);
+  stats_.preprocess_seconds = total_timer.ElapsedSeconds();
 
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
@@ -77,9 +78,12 @@ void IncrementalHyFd::Reseed() {
   stats_.comparisons = 0;
   stats_.phase_switches = 0;
   stats_.sampling_seconds = 0;
+  stats_.induction_seconds = 0;
   stats_.validation_seconds = 0;
 
+  Timer timer;
   data_ = Preprocess(relation_, config_.null_semantics);
+  stats_.preprocess_seconds = timer.ElapsedSeconds();
   tree_ = FDTree(relation_.num_columns());
   negative_cover_.clear();
   // A fresh Inductor re-seeds the most general FDs ∅ → A on its first
@@ -116,8 +120,10 @@ void IncrementalHyFd::RunInitialDiscovery() {
       negative_cover_.emplace(found.agree, std::make_pair(found.a, found.b));
       batch.push_back(std::move(found.agree));
     }
-    inductor_->Update(std::move(batch));
     stats_.sampling_seconds += timer.ElapsedSeconds();
+    timer.Restart();
+    inductor_->Update(std::move(batch));
+    stats_.induction_seconds += timer.ElapsedSeconds();
     HYFD_AUDIT_ONLY(tree_.CheckInvariants());
 
     timer.Restart();
@@ -439,6 +445,8 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   timer.Restart();
   const FDSet fds_before = dead.empty() ? FDSet{} : fds_;
   if (!dead.empty()) RepairCoverAfterDeletes();
+  stats_.induction_seconds += timer.ElapsedSeconds();
+  timer.Restart();
 
   // --- 3. Targeted sampling: only pairs involving a new row. ---------------
   // Within each touched cluster, every new member (ids ≥ old_n sort to the
@@ -463,10 +471,13 @@ const FDSet& IncrementalHyFd::ApplyCrud(
       }
     }
   }
-  size_t confirmed_before = tree_.CountConfirmedFds();
-  inductor_->Update(MatchPairs(std::move(pairs)));
-  stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
+  std::vector<AttributeSet> fresh = MatchPairs(std::move(pairs));
   stats_.sampling_seconds += timer.ElapsedSeconds();
+  timer.Restart();
+  size_t confirmed_before = tree_.CountConfirmedFds();
+  inductor_->Update(std::move(fresh));
+  stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
+  stats_.induction_seconds += timer.ElapsedSeconds();
   HYFD_AUDIT_ONLY(tree_.CheckInvariants());
 
   // --- 4. Hybrid loop seeded from the (repaired) tree. ---------------------
@@ -488,10 +499,13 @@ const FDSet& IncrementalHyFd::ApplyCrud(
     if (vr.done) break;
     ++stats_.phase_switches;
     timer.Restart();
-    confirmed_before = tree_.CountConfirmedFds();
-    inductor_->Update(MatchPairs(std::move(vr.comparison_suggestions)));
-    stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
+    fresh = MatchPairs(std::move(vr.comparison_suggestions));
     stats_.sampling_seconds += timer.ElapsedSeconds();
+    timer.Restart();
+    confirmed_before = tree_.CountConfirmedFds();
+    inductor_->Update(std::move(fresh));
+    stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
+    stats_.induction_seconds += timer.ElapsedSeconds();
     HYFD_AUDIT_ONLY(tree_.CheckInvariants());
   }
   stats_.fds_invalidated += validator.delta_invalidated();
@@ -691,7 +705,9 @@ void IncrementalHyFd::FillReport(double total_seconds,
   report_.result_count = fds_.size();
   report_.total_seconds = total_seconds;
   report_.AddPhase("append", stats_.append_seconds);
+  report_.AddPhase("preprocess", stats_.preprocess_seconds);
   report_.AddPhase("sampling", stats_.sampling_seconds);
+  report_.AddPhase("induction", stats_.induction_seconds);
   report_.AddPhase("validation", stats_.validation_seconds);
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).

@@ -82,7 +82,12 @@ struct IncrementalBatchStats {
   int phase_switches = 0;   ///< validation pauses back into sampling
   size_t num_fds = 0;       ///< minimal FDs after the batch
   double append_seconds = 0;
+  /// Preprocess() of the whole relation: the seeding run and reseeds only;
+  /// 0 for batches that grow the derived state in place.
+  double preprocess_seconds = 0;
   double sampling_seconds = 0;
+  /// Inductor updates, including the delete repair's tree rebuild.
+  double induction_seconds = 0;
   double validation_seconds = 0;
 };
 

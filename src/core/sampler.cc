@@ -1,6 +1,7 @@
 #include "core/sampler.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "util/check.h"
 
@@ -23,15 +24,15 @@ Sampler::Sampler(const PreprocessedData* data, double efficiency_threshold,
       strategy_(strategy),
       threshold_(efficiency_threshold),
       pool_(pool),
-      metrics_(metrics),
-      non_fds_(pool != nullptr ? pool->num_threads() * 4 : 1) {}
+      metrics_(metrics) {}
 
 void Sampler::MatchPair(RecordId a, RecordId b,
                         std::vector<SampledNonFd>* new_non_fds) {
   ++total_comparisons_;
   data_->records.MatchInto(a, b, &scratch_);
-  if (non_fds_.Contains(scratch_)) return;
-  if (non_fds_.Insert(scratch_)) new_non_fds->push_back({scratch_, a, b});
+  if (non_fds_.insert(scratch_).second) {
+    new_non_fds->push_back({scratch_, a, b});
+  }
 }
 
 void Sampler::SortClustersOfAttribute(int attr) {
@@ -114,16 +115,27 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
 
   first_pair.push_back(total_pairs);
 
-  // Parallel path: workers claim pair ranges, match into a per-worker
-  // scratch set, and probe the sharded negative cover — a shared-lock
-  // Contains for the common already-known case, then an exclusive Insert
-  // that exactly one worker wins per distinct agree set. Freshly discovered
-  // sets land in per-worker buffers merged below.
+  // Parallel path: nothing writes the negative cover while the pool runs,
+  // so workers probe it with a plain lock-free find. An agree set the cover
+  // lacks goes into the worker's own fresh map, which keeps the smallest
+  // global pair index per set — the pair the serial path matches first.
+  struct Witness {
+    size_t pair;
+    RecordId a;
+    RecordId b;
+  };
+  using FreshMap = std::unordered_map<AttributeSet, Witness>;
+  auto keep_first = [](FreshMap* fresh, const AttributeSet& agree,
+                       const Witness& found) {
+    auto [it, inserted] = fresh->try_emplace(agree, found);
+    if (!inserted && found.pair < it->second.pair) it->second = found;
+  };
   struct WorkerState {
-    std::vector<SampledNonFd> fresh;
+    FreshMap fresh;
     AttributeSet scratch;
   };
   std::vector<WorkerState> workers(pool_->num_threads());
+  const std::unordered_set<AttributeSet>& cover = non_fds_;
   pool_->ParallelForRanges(
       total_pairs, kPairGrain, [&](size_t begin, size_t end) {
         const int wid = ThreadPool::CurrentWorkerIndex();
@@ -142,29 +154,31 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
           for (; p < stop; ++p, ++i) {
             data_->records.MatchInto(cluster[i], cluster[i + w - 1],
                                      &state.scratch);
-            if (non_fds_.Contains(state.scratch)) continue;
-            if (non_fds_.Insert(state.scratch)) {
-              state.fresh.push_back(
-                  {state.scratch, cluster[i], cluster[i + w - 1]});
-            }
+            if (cover.find(state.scratch) != cover.end()) continue;
+            keep_first(&state.fresh, state.scratch,
+                       {p, cluster[i], cluster[i + w - 1]});
           }
           ++k;
         }
       });
 
-  // Deterministic merge: comparison and result counts are sums over the
-  // partition of the pair space, so they match the serial path exactly; the
-  // batch itself is canonically re-sorted in Run().
-  size_t results = 0;
-  for (WorkerState& state : workers) {
-    results += state.fresh.size();
-    for (SampledNonFd& found : state.fresh) {
-      new_non_fds->push_back(std::move(found));
+  // Merge on the calling thread: union the fresh maps (smallest pair index
+  // wins), then publish the union into the cover. Comparison and result
+  // counts equal the serial path's; the batch is canonically re-sorted in
+  // Run().
+  FreshMap& merged = workers[0].fresh;
+  for (size_t t = 1; t < workers.size(); ++t) {
+    for (const auto& [agree, found] : workers[t].fresh) {
+      keep_first(&merged, agree, found);
     }
+  }
+  for (const auto& [agree, found] : merged) {
+    non_fds_.insert(agree);
+    new_non_fds->push_back({agree, found.a, found.b});
   }
   total_comparisons_ += total_pairs;
   eff->comps += total_pairs;
-  eff->results += results;
+  eff->results += merged.size();
 }
 
 void Sampler::RunProgressive(std::vector<SampledNonFd>* new_non_fds) {
@@ -251,10 +265,8 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
   }
   // Canonical batch order: descending bit count (the Inductor specializes
   // longest-first anyway), ties lexicographic. Parallel window runs append
-  // in worker order, so this sort is what makes the returned agree-set batch
+  // in hash-map order, so this sort is what makes the returned agree-set batch
   // — and hence the induced FDTree — bit-identical for any thread count.
-  // (The *witnesses* riding along are not canonical: which pair first
-  // inserted a set into the sharded cover is a race; see SampledNonFd.)
   std::sort(new_non_fds.begin(), new_non_fds.end(),
             [](const SampledNonFd& a, const SampledNonFd& b) {
               const int ca = a.agree.Count();
@@ -266,13 +278,10 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
 }
 
 size_t Sampler::NegativeCoverBytes() const {
-  size_t bytes = 0;
-  non_fds_.ForEach([&bytes](const AttributeSet& s) {
-    bytes += sizeof(AttributeSet) + s.MemoryBytes();
-  });
+  const size_t per_set =
+      sizeof(AttributeSet) + AttributeSet(data_->num_attributes).MemoryBytes();
   // Rough accounting of the hash-set buckets.
-  bytes += non_fds_.BucketBytes();
-  return bytes;
+  return non_fds_.size() * per_set + non_fds_.bucket_count() * sizeof(void*);
 }
 
 }  // namespace hyfd

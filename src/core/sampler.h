@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <random>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/preprocessor.h"
 #include "util/attribute_set.h"
 #include "util/metrics.h"
-#include "util/sharded_set.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
@@ -25,11 +25,9 @@ enum class SamplingStrategy {
 /// A freshly discovered non-FD agree set together with the record pair that
 /// witnessed it. The incremental session keys its witnessed negative cover on
 /// these: when a witness row dies (DeleteRows/UpdateRows) the agree set can
-/// no longer be trusted and is dropped from the cover. With a thread pool the
-/// winning witness for an agree set is whichever worker inserts it first, so
-/// witnesses (unlike the agree-set batch itself) are not deterministic across
-/// thread counts — dropping a still-true set only costs re-validation work,
-/// never correctness.
+/// no longer be trusted and is dropped from the cover. The witness is the
+/// first pair in serial traversal order that produced the agree set, so
+/// witnesses are bit-identical for any thread count, like the batch itself.
 struct SampledNonFd {
   AttributeSet agree;
   RecordId a = 0;
@@ -47,12 +45,13 @@ struct SampledNonFd {
 ///
 /// With a ThreadPool attached, Phase 1 runs parallel end-to-end (paper
 /// §10.4): cluster sortings are built concurrently per attribute, each
-/// window run partitions its pair space across workers, and the negative
-/// cover is a hash-striped ShardedSet so discovering an agree set never
-/// serializes the other workers. The result is deterministic: the returned
-/// non-FD batch (canonically sorted), total_comparisons(), num_non_fds(),
-/// and every per-window efficiency value are bit-identical for any thread
-/// count, including none.
+/// window run partitions its pair space across workers. During a window run
+/// the negative cover is read-only, so workers probe it without locks and
+/// collect unknown agree sets in their own fresh maps; the calling thread
+/// merges those into the cover once the run returns. The result is
+/// deterministic: the returned non-FD batch (canonically sorted) and its
+/// witnesses, total_comparisons(), num_non_fds(), and every per-window
+/// efficiency value are bit-identical for any thread count, including none.
 class Sampler {
  public:
   /// A non-null `metrics` registry receives window/phase counters — updated
@@ -80,7 +79,8 @@ class Sampler {
   size_t num_non_fds() const { return non_fds_.size(); }
   double current_threshold() const { return threshold_; }
 
-  /// Bytes held by the negative cover (Table 3 accounting).
+  /// Bytes held by the negative cover (Table 3 accounting). Constant time:
+  /// every agree set spans all attributes, so all elements cost the same.
   size_t NegativeCoverBytes() const;
 
  private:
@@ -117,9 +117,9 @@ class Sampler {
   MetricsRegistry* metrics_;
   bool initialized_ = false;
 
-  /// The negative cover. One shard when serial; ~4 shards per worker when a
-  /// pool is attached, so concurrent inserts rarely collide on a lock.
-  ShardedSet<AttributeSet> non_fds_;
+  /// The negative cover. Written only by the calling thread, never during a
+  /// parallel window run.
+  std::unordered_set<AttributeSet> non_fds_;
   /// Per attribute: that PLI's clusters with records sorted by the
   /// neighbor-attribute keys (paper Figure 3.1).
   std::vector<std::vector<std::vector<RecordId>>> sorted_clusters_;

@@ -8,6 +8,7 @@
 #include "core/incremental.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -616,6 +617,40 @@ TEST(IncrementalCrudTest, CrudStatsAndReportCounters) {
   EXPECT_TRUE(saw_candidates);
   EXPECT_TRUE(saw_generalized);
   EXPECT_TRUE(RunReport::ValidateJsonSchema(session.report().ToJson()).empty());
+}
+
+TEST(IncrementalCrudTest, DeleteRepairIdenticalAcrossThreadCounts) {
+  // The seed run's witnesses decide which agree sets a delete drops, and so
+  // the repair's generalization candidates and validations. Witnesses are
+  // the first pair in serial order at any thread count, so every counter of
+  // the delete batch matches the serial session's. Domain 4 over 4000 rows
+  // makes the seed's window runs parallel.
+  Relation r = GenerateFdReduced(4000, 6, 4, /*seed=*/31);
+  std::vector<RecordId> dead;
+  for (RecordId id = 0; id < 1200; id += 3) dead.push_back(id);
+
+  auto run = [&](int threads) {
+    IncrementalConfig config;
+    config.num_threads = threads;
+    auto session = std::make_unique<IncrementalHyFd>(r, config);
+    session->DeleteRows(dead);
+    return session;
+  };
+  const auto serial = run(1);
+  const IncrementalBatchStats& want = serial->last_batch_stats();
+  EXPECT_GT(want.generalization_candidates, 0u);
+  for (int threads : {2, 8}) {
+    const auto parallel = run(threads);
+    const IncrementalBatchStats& got = parallel->last_batch_stats();
+    const std::string label = std::to_string(threads) + " threads";
+    testing::ExpectSameFds(serial->fds(), parallel->fds(), label);
+    EXPECT_EQ(want.generalization_candidates, got.generalization_candidates)
+        << label;
+    EXPECT_EQ(want.fds_generalized, got.fds_generalized) << label;
+    EXPECT_EQ(want.validations, got.validations) << label;
+    EXPECT_EQ(want.comparisons, got.comparisons) << label;
+    EXPECT_EQ(want.phase_switches, got.phase_switches) << label;
+  }
 }
 
 // ---------------------------------------------------------------------------

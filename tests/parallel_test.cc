@@ -1,10 +1,14 @@
 // Determinism and thread-safety tests for the parallel Phase-1 pipeline:
-// the same FDs, stats, and sampler batches must come out bit-identical for
-// every thread count, and the sharded negative cover must survive concurrent
-// hammering (run under TSan via the "concurrency" ctest label).
+// the same FDs, stats, sampler batches and witnesses must come out
+// bit-identical for every thread count, and parallel window runs must stay
+// race-free while many workers find the same agree sets (run under TSan via
+// the "concurrency" ctest label).
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hyfd.h"
@@ -16,128 +20,10 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/check.h"
-#include "util/sharded_set.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ShardedSet
-// ---------------------------------------------------------------------------
-
-TEST(ShardedSetTest, InsertContainsAndDeduplicates) {
-  ShardedSet<AttributeSet> set(4);
-  AttributeSet a(70, {1, 65});
-  AttributeSet b(70, {2});
-  EXPECT_FALSE(set.Contains(a));
-  EXPECT_TRUE(set.Insert(a));
-  EXPECT_FALSE(set.Insert(a));  // duplicate
-  EXPECT_TRUE(set.Insert(b));
-  EXPECT_TRUE(set.Contains(a));
-  EXPECT_TRUE(set.Contains(b));
-  EXPECT_EQ(set.size(), 2u);
-
-  size_t seen = 0;
-  set.ForEach([&](const AttributeSet& s) {
-    ++seen;
-    EXPECT_TRUE(s == a || s == b);
-  });
-  EXPECT_EQ(seen, 2u);
-}
-
-TEST(ShardedSetTest, ShardCountRoundsUpToPowerOfTwo) {
-  ShardedSet<int> set(5);
-  EXPECT_EQ(set.num_shards(), 8u);
-  ShardedSet<int> one(0);
-  EXPECT_EQ(one.num_shards(), 1u);
-}
-
-TEST(ShardedSetTest, ConcurrentInsertsCountEachValueOnce) {
-  // 8 workers race to insert the same 512 values; exactly 512 inserts may
-  // report success (the successful-insert count is what makes the parallel
-  // sampler's efficiency values order-independent).
-  constexpr size_t kValues = 512;
-  std::vector<AttributeSet> values;
-  values.reserve(kValues);
-  for (size_t v = 0; v < kValues; ++v) {
-    AttributeSet s(96);
-    for (int bit = 0; bit < 96; ++bit) {
-      if ((v >> (bit % 9)) & 1u) s.Set(bit);
-    }
-    s.Set(static_cast<int>(v % 96));
-    values.push_back(s);
-  }
-  // Some of the constructed sets collide; count the distinct ones.
-  std::vector<AttributeSet> distinct = values;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-
-  ShardedSet<AttributeSet> set(32);
-  ThreadPool pool(8);
-  std::atomic<size_t> successes{0};
-  pool.ParallelForDynamic(8 * kValues, 1, [&](size_t i) {
-    const AttributeSet& s = values[i % kValues];
-    const bool present = set.Contains(s);  // shared-lock fast path, racing
-    if (set.Insert(s)) {
-      EXPECT_FALSE(present);  // a value seen present can never insert
-      successes.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(successes.load(), distinct.size());
-  EXPECT_EQ(set.size(), distinct.size());
-}
-
-TEST(ShardedSetTest, SnapshotReadersSurviveConcurrentInserts) {
-  // ForEach/size/BucketBytes are shard-at-a-time snapshots
-  // (sharded_set.h): racing them against writers must be memory-safe (this
-  // test runs under TSan via the "concurrency" label) and every observed
-  // view must be *causally bounded* — at least everything inserted before
-  // the readers started, at most everything ever inserted, and only values
-  // from the inserted universe.
-  constexpr int kPreloaded = 256;
-  constexpr int kRacing = 2048;
-  ShardedSet<int> set(8);
-  for (int v = 0; v < kPreloaded; ++v) set.Insert(v);
-
-  ThreadPool pool(6);
-  std::atomic<bool> writers_done{false};
-  std::atomic<size_t> min_size_seen{static_cast<size_t>(-1)};
-  std::atomic<int> snapshots_taken{0};
-  pool.ParallelFor(6, [&](size_t worker) {
-    if (worker < 4) {  // writers: racing inserts of a disjoint tail
-      const int begin = kPreloaded + static_cast<int>(worker) * kRacing;
-      for (int v = begin; v < begin + kRacing; ++v) set.Insert(v);
-      return;
-    }
-    // Readers: hammer the snapshot calls until some snapshot observes the
-    // final size (size() is monotone here — inserts only — so "saw the full
-    // count" means every writer retired).
-    while (!writers_done.load(std::memory_order_acquire)) {
-      size_t seen = 0;
-      set.ForEach([&](int v) {
-        ++seen;
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, kPreloaded + 4 * kRacing);
-      });
-      const size_t counted = set.size();
-      const size_t floor = std::min(seen, counted);
-      size_t prev = min_size_seen.load();
-      while (prev > floor && !min_size_seen.compare_exchange_weak(prev, floor)) {
-      }
-      EXPECT_GT(set.BucketBytes(), 0u);
-      snapshots_taken.fetch_add(1, std::memory_order_relaxed);
-      if (counted == static_cast<size_t>(kPreloaded + 4 * kRacing)) {
-        writers_done.store(true, std::memory_order_release);
-      }
-    }
-  });
-  // Post-race (serial context): the view is exact again.
-  EXPECT_EQ(set.size(), static_cast<size_t>(kPreloaded + 4 * kRacing));
-  // Every mid-race snapshot was bounded below by the preloaded prefix.
-  EXPECT_GE(min_size_seen.load(), static_cast<size_t>(kPreloaded));
-  EXPECT_GT(snapshots_taken.load(), 0);
-}
 
 // ---------------------------------------------------------------------------
 // ThreadPool: the nested-blocking-call deadlock guard
@@ -220,13 +106,80 @@ TEST(ParallelStressTest, SamplerBatchIdenticalWithPool) {
   }
   EXPECT_EQ(serial.total_comparisons(), parallel.total_comparisons());
   EXPECT_EQ(serial.num_non_fds(), parallel.num_non_fds());
-  // NegativeCoverBytes is intentionally NOT compared: the sharded cover's
-  // bucket-array overhead depends on the shard count, not the contents.
+  EXPECT_EQ(serial.NegativeCoverBytes(), parallel.NegativeCoverBytes());
+}
+
+/// Every sampling phase of one Sampler, witnesses included, plus its final
+/// counters.
+struct SamplerTrace {
+  std::vector<std::vector<SampledNonFd>> phases;
+  size_t comparisons = 0;
+  size_t non_fds = 0;
+  size_t cover_bytes = 0;
+};
+
+/// Runs one Sampler for `suggestions.size()` phases on `threads` workers (no
+/// pool for 1). Phase p replays `suggestions[p]`; every re-entry halves the
+/// threshold, so later phases slide ever wider windows.
+SamplerTrace TraceSampler(
+    const PreprocessedData& data, double threshold, int threads,
+    const std::vector<std::vector<std::pair<RecordId, RecordId>>>&
+        suggestions) {
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
+  }
+  Sampler sampler(&data, threshold, SamplingStrategy::kClusterWindowing,
+                  pool.get());
+  SamplerTrace trace;
+  for (const auto& phase : suggestions) {
+    trace.phases.push_back(sampler.RunWithWitnesses(phase));
+  }
+  trace.comparisons = sampler.total_comparisons();
+  trace.non_fds = sampler.num_non_fds();
+  trace.cover_bytes = sampler.NegativeCoverBytes();
+  return trace;
+}
+
+void ExpectSameTrace(const SamplerTrace& expected, const SamplerTrace& actual,
+                     const std::string& label) {
+  EXPECT_EQ(expected.comparisons, actual.comparisons) << label;
+  EXPECT_EQ(expected.non_fds, actual.non_fds) << label;
+  EXPECT_EQ(expected.cover_bytes, actual.cover_bytes) << label;
+  ASSERT_EQ(expected.phases.size(), actual.phases.size()) << label;
+  for (size_t p = 0; p < expected.phases.size(); ++p) {
+    const auto& want = expected.phases[p];
+    const auto& got = actual.phases[p];
+    ASSERT_EQ(want.size(), got.size()) << label << ", phase " << p;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].agree, got[i].agree) << label << ", phase " << p;
+      EXPECT_EQ(want[i].a, got[i].a) << label << ", phase " << p << ", " << i;
+      EXPECT_EQ(want[i].b, got[i].b) << label << ", phase " << p << ", " << i;
+    }
+  }
+}
+
+TEST(ParallelStressTest, SharedFreshAndKnownAgreeSetsMatchSerial) {
+  // Domain 2 over 6 columns allows at most 64 agree sets, while every window
+  // run has thousands of pairs: all 8 workers find the same fresh sets in
+  // the first windows and then re-find the same known ones. The later
+  // phases mix serially replayed suggestions with the parallel windows.
+  Relation r = GenerateFdReduced(6000, 6, 2, /*seed=*/21);
+  PreprocessedData data = Preprocess(r);
+  const std::vector<std::vector<std::pair<RecordId, RecordId>>> suggestions = {
+      {}, {{0, 1}, {2, 3}}, {{4, 5}}, {}};
+
+  SamplerTrace serial = TraceSampler(data, 0.01, 1, suggestions);
+  ASSERT_FALSE(serial.phases.front().empty());
+  for (int round = 0; round < 3; ++round) {
+    ExpectSameTrace(serial, TraceSampler(data, 0.01, 8, suggestions),
+                    "8 threads, round " + std::to_string(round));
+  }
 }
 
 TEST(ParallelStressTest, SamplingHeavyDiscoveryMatchesSerial) {
   // A low threshold keeps the run in Phase 1 for many windows — the densest
-  // concurrent traffic on the sharded cover and the parallel window path.
+  // traffic on the parallel window path.
   Relation r = GenerateFdReduced(2500, 8, 12, /*seed=*/5);
   HyFdConfig serial_config;
   serial_config.efficiency_threshold = 0.0001;
@@ -271,6 +224,31 @@ TEST(ParallelDeterminismTest, RegistrySweepIdenticalAcrossThreadCounts) {
           << spec.name << " @ " << threads << " threads";
       EXPECT_EQ(baseline.stats().num_fds, parallel.stats().num_fds)
           << spec.name << " @ " << threads << " threads";
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, WitnessesIdenticalAcrossThreadCounts) {
+  // The witness of an agree set is the first pair in serial traversal order
+  // that produced it, whatever the thread count. 3000 rows make the window
+  // runs of low-cardinality columns large enough to run in parallel; the
+  // duplicate-heavy fd-reduced input makes every window run parallel.
+  std::vector<std::pair<std::string, Relation>> inputs;
+  for (const DatasetSpec& spec : PaperDatasets()) {
+    inputs.emplace_back(spec.name,
+                        MakeDataset(spec.name,
+                                    std::min<size_t>(spec.default_rows, 3000),
+                                    std::min(spec.columns, 12)));
+  }
+  inputs.emplace_back("fd-reduced domain 4",
+                      GenerateFdReduced(5000, 8, 4, /*seed=*/13));
+  const std::vector<std::vector<std::pair<RecordId, RecordId>>> phases(3);
+  for (const auto& [name, relation] : inputs) {
+    PreprocessedData data = Preprocess(relation);
+    SamplerTrace serial = TraceSampler(data, 0.01, 1, phases);
+    for (int threads : {2, 8}) {
+      ExpectSameTrace(serial, TraceSampler(data, 0.01, threads, phases),
+                      name + " @ " + std::to_string(threads) + " threads");
     }
   }
 }

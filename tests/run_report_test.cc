@@ -1,11 +1,16 @@
 #include "util/run_report.h"
 
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/registry.h"
+#include "core/hyfd.h"
 #include "core/hyucc.h"
+#include "core/incremental.h"
 #include "data/datasets.h"
 #include "util/metrics.h"
 
@@ -318,6 +323,45 @@ TEST(RunReportSweepTest, HyUccEmitsValidReport) {
   EXPECT_EQ(report.result_count, uccs.size());
   EXPECT_FALSE(report.phases.empty());
   EXPECT_TRUE(report.complete);
+}
+
+/// The hybrid loop's phases are reported separately — induction is no longer
+/// folded into sampling — and, as disjoint spans of one run, they sum to at
+/// most its wall time.
+void ExpectHybridPhases(const RunReport& report, const std::string& label) {
+  std::set<std::string> names;
+  double sum = 0;
+  for (const PhaseSpan& phase : report.phases) {
+    names.insert(phase.name);
+    sum += phase.seconds;
+  }
+  for (const char* name :
+       {"preprocess", "sampling", "induction", "validation"}) {
+    EXPECT_EQ(names.count(name), 1u) << label << ": no phase " << name;
+  }
+  // 1 ns of slack for the rounding of separately converted durations.
+  EXPECT_LE(sum, report.total_seconds + 1e-9) << label;
+  EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty()) << label;
+}
+
+TEST(RunReportSweepTest, HybridReportsSplitInductionFromSampling) {
+  Relation relation = MakeDataset("abalone", 600, 8);
+
+  HyFd hyfd;
+  hyfd.Discover(relation);
+  ExpectHybridPhases(hyfd.report(), "hyfd");
+  EXPECT_GT(hyfd.stats().induction_seconds, 0.0);
+
+  HyUcc hyucc;
+  hyucc.Discover(relation);
+  ExpectHybridPhases(hyucc.report(), "hyucc");
+
+  IncrementalHyFd session(relation);
+  ExpectHybridPhases(session.report(), "incremental seed");
+  std::vector<std::optional<std::string>> row;
+  for (int c = 0; c < relation.num_columns(); ++c) row.emplace_back("new");
+  session.ApplyMixed({row}, {0, 1}, {{2, row}});
+  ExpectHybridPhases(session.report(), "incremental mixed batch");
 }
 
 }  // namespace
