@@ -192,11 +192,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   stats_.comparisons = sampler.total_comparisons();
   std::vector<AttributeSet> uccs;
   for (const FD& fd : tree.ToFdSet()) uccs.push_back(fd.lhs);
-  std::sort(uccs.begin(), uccs.end(), [](const AttributeSet& a, const AttributeSet& b) {
-    int ca = a.Count(), cb = b.Count();
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
+  std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
   stats_.num_uccs = uccs.size();
 
   report_.algorithm = "hyucc";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 #include "core/sampler.h"
 #include "util/check.h"
@@ -344,6 +345,84 @@ Relation IncrementalHyFd::LiveRelation() const {
     }
   }
   return Relation::FromRows(relation_.schema(), rows);
+}
+
+uint64_t IncrementalHyFd::LiveContentFingerprint() const {
+  // Mirrors LiveRelation(): with nothing tombstoned it is relation() itself.
+  if (num_live_rows_ == relation_.num_rows()) {
+    return relation_.ContentFingerprint();
+  }
+  return relation_.LiveContentFingerprint(live_);
+}
+
+namespace {
+
+/// True iff two rows agree on every attribute: equal compressed records with
+/// no kUniqueCluster cell. Dead rows are all kUniqueCluster and a
+/// kNullUnequal NULL is a singleton, so this counts only live rows, under
+/// the session's null semantics.
+bool HasDuplicateRows(const CompressedRecords& records) {
+  const size_t row_bytes =
+      static_cast<size_t>(records.num_attributes()) * sizeof(ClusterId);
+  const auto bytes_of = [&](RecordId r) {
+    return std::string_view(reinterpret_cast<const char*>(records.Record(r)),
+                            row_bytes);
+  };
+  std::unordered_set<std::string_view> seen;
+  for (RecordId r = 0; r < records.num_records(); ++r) {
+    const ClusterId* cells = records.Record(r);
+    const ClusterId* end = cells + records.num_attributes();
+    // A kUniqueCluster cell agrees with no other row.
+    if (std::find(cells, end, kUniqueCluster) != end) continue;
+    if (!seen.insert(bytes_of(r)).second) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::vector<AttributeSet> IncrementalHyFd::MinimalUccs() const {
+  if (HasDuplicateRows(data_.records)) return {};
+  const int m = relation_.num_columns();
+  const auto is_superkey = [&](const AttributeSet& x) {
+    for (int a = 0; a < m; ++a) {
+      if (!x.Test(a) && !tree_.ContainsFdOrGeneralization(x, a)) return false;
+    }
+    return true;
+  };
+  // Apriori walk from ∅: a set is tested only when all of its one-smaller
+  // subsets are non-keys, so every key found is minimal.
+  std::vector<AttributeSet> uccs;
+  std::vector<AttributeSet> level{AttributeSet(m)};
+  while (!level.empty()) {
+    std::unordered_set<AttributeSet> non_keys;
+    for (AttributeSet& x : level) {
+      if (is_superkey(x)) {
+        uccs.push_back(std::move(x));
+      } else {
+        non_keys.insert(std::move(x));
+      }
+    }
+    std::vector<AttributeSet> next;
+    for (const AttributeSet& x : non_keys) {
+      int last = AttributeSet::kNpos;
+      for (int a = x.First(); a != AttributeSet::kNpos; a = x.NextAfter(a)) {
+        last = a;
+      }
+      for (int a = last + 1; a < m; ++a) {
+        AttributeSet candidate = x.With(a);
+        bool subsets_non_keys = true;
+        for (int b = x.First(); b != AttributeSet::kNpos && subsets_non_keys;
+             b = x.NextAfter(b)) {
+          subsets_non_keys = non_keys.count(candidate.Without(b)) > 0;
+        }
+        if (subsets_non_keys) next.push_back(std::move(candidate));
+      }
+    }
+    level = std::move(next);
+  }
+  std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
+  return uccs;
 }
 
 void IncrementalHyFd::set_pli_cache_budget_bytes(size_t budget_bytes) {

@@ -204,9 +204,22 @@ class IncrementalHyFd {
 
   /// Deep copy of the current *live* rows, tombstones compacted away and id
   /// order preserved — the bridge from a long-lived session to the one-shot
-  /// discoverers (the service layer hands this to HyUcc for UCC queries).
-  /// When nothing is tombstoned this is a plain copy of relation().
+  /// discoverers. When nothing is tombstoned this is a plain copy of
+  /// relation().
   Relation LiveRelation() const;
+
+  /// LiveRelation().ContentFingerprint(), folded over relation() in place
+  /// (Relation::LiveContentFingerprint) without copying the live rows.
+  uint64_t LiveContentFingerprint() const;
+
+  /// All minimal UCCs of the live rows — what HyUcc returns on
+  /// LiveRelation(), in its order (by size, then lexicographically) —
+  /// derived from the maintained FD tree with no pass over the data but a
+  /// duplicate-row check. The tree stores every minimal FD, so X is a
+  /// superkey iff every attribute outside X has a stored LHS ⊆ X; without
+  /// two identical live rows the minimal superkeys are exactly the minimal
+  /// UCCs, and with them no attribute set is unique.
+  std::vector<AttributeSet> MinimalUccs() const;
 
   /// Re-budgets the session-owned PliCache, evicting immediately if the new
   /// budget is lower; a no-op for sessions built with enable_pli_cache ==

@@ -497,6 +497,59 @@ uint64_t ColumnSegment::FoldFingerprint(uint64_t h) const {
   return h;
 }
 
+std::optional<uint64_t> ColumnSegment::FoldLiveFingerprint(
+    uint64_t h, const std::vector<uint8_t>& live) const {
+  // First-appearance remap of the live codes, as the rebuild's Append()s
+  // would number them; `order[new_code]` is the old code.
+  std::vector<uint32_t> remap(dictionary_.size(), kNullCode);
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> codes;
+  for (size_t row = 0; row < codes_.size(); ++row) {
+    if (live[row] == 0) continue;
+    uint32_t code = codes_[row];
+    if (code != kNullCode) {
+      if (remap[code] == kNullCode) {
+        remap[code] = static_cast<uint32_t>(order.size());
+        order.push_back(code);
+      }
+      code = remap[code];
+    }
+    codes.push_back(code);
+  }
+  std::vector<ColumnType> types;
+  types.reserve(order.size());
+  ColumnType joined = ColumnType::kString;  // the type of a value-less column
+  for (uint32_t code : order) {
+    types.push_back(LexemeType(dictionary_[code]));
+    joined = types.size() == 1 ? types.back() : WidenType(joined, types.back());
+  }
+  // A numeric entry that is canonical under kDouble is canonical under kInt
+  // too, so no append on the way to `joined` records a raw spelling, and
+  // distinct entries stay distinct values.
+  const ColumnType numeric =
+      joined == ColumnType::kInt ? ColumnType::kInt : ColumnType::kDouble;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (types[i] != ColumnType::kInt && types[i] != ColumnType::kDouble) {
+      continue;  // strings and dates are their own canonical form
+    }
+    const std::string& entry = dictionary_[order[i]];
+    if (CanonicalForm(numeric, entry) != entry) return std::nullopt;
+  }
+
+  h = FoldValue(h, static_cast<uint64_t>(joined));
+  h = FoldValue(h, order.size());
+  for (uint32_t code : order) {
+    const std::string& entry = dictionary_[code];
+    h = FoldValue(h, entry.size());
+    h = FoldBytes(h, entry.data(), entry.size());
+  }
+  h = FoldValue(h, codes.size());
+  h = FoldBytes(h, codes.data(), codes.size() * sizeof(uint32_t));
+  h = FoldValue(h, 0);  // no raw spellings
+  h = FoldValue(h, 0);  // no variant rows
+  return h;
+}
+
 size_t ColumnSegment::MemoryBytes() const {
   size_t bytes = codes_.capacity() * sizeof(uint32_t);
   for (const std::string& entry : dictionary_) {

@@ -108,7 +108,7 @@ void Relation::Normalize() {
   ++version_;
 }
 
-uint64_t Relation::ContentFingerprint() const {
+uint64_t Relation::FingerprintHeader(size_t num_rows) const {
   uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   auto fold = [&h](uint64_t v) {
     for (size_t i = 0; i < sizeof(v); ++i) {
@@ -125,10 +125,41 @@ uint64_t Relation::ContentFingerprint() const {
   };
   fold(kStorageFingerprintVersion);
   fold(static_cast<uint64_t>(num_columns()));
-  fold(num_rows());
+  fold(num_rows);
   for (const std::string& name : schema_.names()) fold_string(name);
+  return h;
+}
+
+uint64_t Relation::ContentFingerprint() const {
+  uint64_t h = FingerprintHeader(num_rows());
   for (const ColumnSegment& segment : segments_) {
     h = segment.FoldFingerprint(h);
+  }
+  return h;
+}
+
+uint64_t Relation::LiveContentFingerprint(
+    const std::vector<uint8_t>& live) const {
+  HYFD_CHECK(live.size() == num_rows(),
+             "Relation::LiveContentFingerprint: live mask size mismatch");
+  const size_t num_live = static_cast<size_t>(
+      std::count_if(live.begin(), live.end(), [](uint8_t l) { return l != 0; }));
+  uint64_t h = FingerprintHeader(num_live);
+  for (const ColumnSegment& segment : segments_) {
+    if (std::optional<uint64_t> folded = segment.FoldLiveFingerprint(h, live)) {
+      h = *folded;
+      continue;
+    }
+    ColumnSegment rebuilt;
+    for (size_t row = 0; row < live.size(); ++row) {
+      if (live[row] == 0) continue;
+      if (segment.IsNull(row)) {
+        rebuilt.AppendNull();
+      } else {
+        rebuilt.Append(segment.Value(row));
+      }
+    }
+    h = rebuilt.FoldFingerprint(h);
   }
   return h;
 }

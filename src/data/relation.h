@@ -114,6 +114,13 @@ class Relation {
   /// when the cluster structure happens to match (see PliCache::Rebind).
   uint64_t ContentFingerprint() const;
 
+  /// ContentFingerprint() of FromRows() over the rows with `live[row] != 0`
+  /// (their Value()s and NULLs, in row order), computed without building
+  /// it: each column is folded in place (ColumnSegment::FoldLiveFingerprint)
+  /// or, when that declines, from a scratch rebuild of that column alone.
+  /// `live` has one entry per row.
+  uint64_t LiveContentFingerprint(const std::vector<uint8_t>& live) const;
+
   /// Deep structural audit: schema/segment arity agreement, rectangular
   /// columns, and every segment's own invariants (codes in dictionary range
   /// or the NULL sentinel, canonical unique dictionaries, sorted layout
@@ -123,6 +130,9 @@ class Relation {
   void CheckInvariants() const;
 
  private:
+  /// The fingerprint's prefix: format version, shape and column names.
+  uint64_t FingerprintHeader(size_t num_rows) const;
+
   Schema schema_;
   std::vector<ColumnSegment> segments_;
   uint64_t version_ = 0;

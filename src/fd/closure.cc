@@ -1,7 +1,6 @@
 #include "fd/closure.h"
 
 #include <algorithm>
-#include <deque>
 
 namespace hyfd {
 
@@ -83,60 +82,85 @@ std::vector<AttributeSet> CandidateKeys(const FDSet& fds, int num_attributes,
   return CandidateKeysWithin(fds, AttributeSet::Full(num_attributes), max_results);
 }
 
+namespace {
+
+/// A cover of the FDs `fds` implies among the attributes of `universe`,
+/// by Gottlob's reduction by resolution: each outside attribute b that an
+/// FD mentions is eliminated by resolving every X → b with every Y → A,
+/// b ∈ Y, into (X ∪ Y \ {b}) → A, then dropping every FD that mentions b.
+/// A no-op scan when every FD already lies inside `universe`.
+std::vector<FD> ProjectOnto(const FDSet& fds, const AttributeSet& universe) {
+  std::vector<FD> cover;
+  for (const FD& fd : fds) {
+    if (!fd.IsTrivial()) cover.push_back(fd);
+  }
+  const AttributeSet outside = universe.Complement();
+  for (int b = outside.First(); b != AttributeSet::kNpos;
+       b = outside.NextAfter(b)) {
+    std::vector<FD> into_b;
+    std::vector<FD> from_b;
+    std::vector<FD> kept;
+    for (FD& fd : cover) {
+      if (fd.rhs == b) {
+        into_b.push_back(std::move(fd));
+      } else if (fd.lhs.Test(b)) {
+        from_b.push_back(std::move(fd));
+      } else {
+        kept.push_back(std::move(fd));
+      }
+    }
+    for (const FD& x : into_b) {
+      for (const FD& y : from_b) {
+        FD resolved(x.lhs | y.lhs.Without(b), y.rhs);
+        if (resolved.IsTrivial()) continue;
+        const bool implied = std::any_of(kept.begin(), kept.end(), [&](const FD& k) {
+          return k.rhs == resolved.rhs && k.lhs.IsSubsetOf(resolved.lhs);
+        });
+        if (!implied) kept.push_back(std::move(resolved));
+      }
+    }
+    cover = std::move(kept);
+  }
+  return cover;
+}
+
+}  // namespace
+
 std::vector<AttributeSet> CandidateKeysWithin(const FDSet& fds,
                                               const AttributeSet& universe,
                                               size_t max_results) {
-  // Lucchesi–Osborn style: start from one key, derive new key candidates by
-  // swapping in FD left-hand sides.
-  std::vector<AttributeSet> keys;
-  std::deque<AttributeSet> queue;
-
+  // Lucchesi–Osborn over a cover of the FDs within the universe: start from
+  // one key; for every key K and FD X → A with A ∈ K, the superkey
+  // X ∪ (K \ {A}) either contains a known key or minimizes to a new one.
+  // Seeds that contain a known key are skipped before any closure.
+  const std::vector<FD> cover = ProjectOnto(fds, universe);
+  const FDSet within(cover);
   auto is_key = [&](const AttributeSet& attrs) {
-    return universe.IsSubsetOf(Closure(attrs, fds));
+    return universe.IsSubsetOf(Closure(attrs, within));
   };
-
-  // Minimize the full universe into a first key.
   auto minimize = [&](AttributeSet key) {
-    bool shrunk = true;
-    while (shrunk) {
-      shrunk = false;
-      for (int attr = key.First(); attr != AttributeSet::kNpos;
-           attr = key.NextAfter(attr)) {
-        AttributeSet candidate = key.Without(attr);
-        if (is_key(candidate)) {
-          key = candidate;
-          shrunk = true;
-          break;
-        }
-      }
+    for (int attr = key.First(); attr != AttributeSet::kNpos;
+         attr = key.NextAfter(attr)) {
+      AttributeSet candidate = key.Without(attr);
+      if (is_key(candidate)) key = std::move(candidate);
     }
     return key;
   };
-
-  queue.push_back(minimize(universe));
-  while (!queue.empty()) {
-    AttributeSet key = queue.front();
-    queue.pop_front();
-    if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
-    keys.push_back(key);
-    if (max_results != 0 && keys.size() >= max_results) break;
-    for (const FD& fd : fds) {
+  std::vector<AttributeSet> keys{minimize(universe)};
+  auto full = [&] { return max_results != 0 && keys.size() >= max_results; };
+  for (size_t i = 0; i < keys.size() && !full(); ++i) {
+    const AttributeSet key = keys[i];
+    for (const FD& fd : cover) {
+      if (full()) break;
       if (!key.Test(fd.rhs) || fd.lhs.IsSubsetOf(key)) continue;
-      // S = lhs ∪ (key \ {rhs}) is a superkey; minimize it. Restrict the
-      // seed to the universe so sub-schema keys stay inside it.
-      AttributeSet super = (fd.lhs | key.Without(fd.rhs)) & universe;
-      if (!is_key(super)) continue;
-      AttributeSet candidate = minimize(super);
-      if (std::find(keys.begin(), keys.end(), candidate) == keys.end()) {
-        queue.push_back(candidate);
-      }
+      AttributeSet seed = fd.lhs | key.Without(fd.rhs);
+      const bool known = std::any_of(
+          keys.begin(), keys.end(),
+          [&](const AttributeSet& k) { return k.IsSubsetOf(seed); });
+      if (!known) keys.push_back(minimize(std::move(seed)));
     }
   }
-  std::sort(keys.begin(), keys.end(), [](const AttributeSet& a, const AttributeSet& b) {
-    int ca = a.Count(), cb = b.Count();
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
+  std::sort(keys.begin(), keys.end(), SmallerThenLess);
   return keys;
 }
 

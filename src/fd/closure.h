@@ -34,8 +34,10 @@ bool IsSuperKey(const AttributeSet& attrs, const FDSet& fds, int num_attributes)
 std::vector<AttributeSet> CandidateKeys(const FDSet& fds, int num_attributes,
                                         size_t max_results = 0);
 
-/// Candidate keys of the sub-relation over `universe` (a key must determine
-/// every attribute of `universe`; attributes outside it are ignored).
+/// Candidate keys of the sub-relation over `universe`: the minimal K ⊆
+/// `universe` whose closure under `fds` contains `universe`. Derivations
+/// through attributes outside `universe` count; the search runs on a cover
+/// of `fds` projected onto `universe`.
 std::vector<AttributeSet> CandidateKeysWithin(const FDSet& fds,
                                               const AttributeSet& universe,
                                               size_t max_results = 0);

@@ -68,11 +68,7 @@ std::vector<AttributeSet> DiscoverUccs(const Relation& relation,
     level = std::move(next);
   }
 
-  std::sort(uccs.begin(), uccs.end(), [](const AttributeSet& a, const AttributeSet& b) {
-    int ca = a.Count(), cb = b.Count();
-    if (ca != cb) return ca < cb;
-    return a < b;
-  });
+  std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
   return uccs;
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/guardian.h"
-#include "core/hyucc.h"
 #include "data/relation.h"
 #include "data/schema.h"
 #include "util/check.h"
@@ -188,7 +187,7 @@ ServiceResult FdService::CreateTable(const CreateTableRequest& req) {
     auto entry = std::make_shared<TableEntry>();
     ServiceResult r;
     {
-      MutexLock entry_lock(entry->mu);
+      WriterLock entry_lock(entry->mu);
       entry->session = std::make_unique<IncrementalHyFd>(
           Relation::FromRows(Schema(req.columns), {}), session_config);
       r.reply.status = StatusOf(*entry->session);
@@ -208,7 +207,7 @@ ServiceResult FdService::IngestBatch(const IngestBatchRequest& req) {
     }
     const size_t estimated = EstimateRowsBytes(req.rows);
 
-    MutexLock lock(entry->mu);
+    WriterLock lock(entry->mu);
     if (entry->dropped) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
@@ -263,7 +262,7 @@ ServiceResult FdService::ApplyMixed(const ApplyMixedRequest& req) {
       estimated += EstimateRowsBytes({row});
     }
 
-    MutexLock lock(entry->mu);
+    WriterLock lock(entry->mu);
     if (entry->dropped) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
@@ -298,11 +297,11 @@ ServiceResult FdService::QueryFds(const QueryFdsRequest& req) {
     if (entry == nullptr) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    MutexLock lock(entry->mu);
+    ReaderLock lock(entry->mu);
     if (entry->dropped) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    IncrementalHyFd& session = *entry->session;
+    const IncrementalHyFd& session = *entry->session;
     const int num_columns = session.relation().num_columns();
     AttributeSet filter(num_columns);
     if (req.has_lhs_filter) {
@@ -338,21 +337,15 @@ ServiceResult FdService::QueryUccs(const TableRequest& req) {
     if (entry == nullptr) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    MutexLock lock(entry->mu);
+    ReaderLock lock(entry->mu);
     if (entry->dropped) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    IncrementalHyFd& session = *entry->session;
-    HyUccConfig ucc_config;
-    ucc_config.null_semantics = config_.null_semantics;
-    ucc_config.efficiency_threshold = config_.efficiency_threshold;
-    ucc_config.num_threads = 1;  // running on a pool worker
-    HyUcc hyucc(ucc_config);
-    std::vector<AttributeSet> uccs = hyucc.Discover(session.LiveRelation());
+    const IncrementalHyFd& session = *entry->session;
     ServiceResult r;
     r.reply.request = MessageType::kQueryUccs;
     r.reply.status = StatusOf(session);
-    for (const AttributeSet& ucc : uccs) {
+    for (const AttributeSet& ucc : session.MinimalUccs()) {
       std::vector<uint32_t> wire;
       for (int attr : ucc.ToIndexes()) {
         wire.push_back(static_cast<uint32_t>(attr));
@@ -369,11 +362,11 @@ ServiceResult FdService::FetchReport(const TableRequest& req) {
     if (entry == nullptr) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    MutexLock lock(entry->mu);
+    ReaderLock lock(entry->mu);
     if (entry->dropped) {
       return Err(ServiceError::kUnknownTable, "no table '" + req.table + "'");
     }
-    IncrementalHyFd& session = *entry->session;
+    const IncrementalHyFd& session = *entry->session;
     ServiceResult r;
     r.reply.request = MessageType::kFetchReport;
     r.reply.status = StatusOf(session);
@@ -381,7 +374,7 @@ ServiceResult FdService::FetchReport(const TableRequest& req) {
     // Fingerprint of the *live* content: append-order independent of
     // tombstones, so a service table and an oracle session that applied the
     // same logical schedule agree on it.
-    r.reply.content_fingerprint = session.LiveRelation().ContentFingerprint();
+    r.reply.content_fingerprint = session.LiveContentFingerprint();
     return r;
   });
 }
@@ -403,7 +396,7 @@ ServiceResult FdService::DropTable(const TableRequest& req) {
     // under the entry lock, i.e. strictly after any in-flight request on
     // this table finished.
     {
-      MutexLock lock(entry->mu);
+      WriterLock lock(entry->mu);
       entry->dropped = true;
       entry->session.reset();
     }

@@ -35,7 +35,7 @@ struct ServiceConfig {
   size_t memory_limit_bytes = 0;
   /// Global PliCache budget, split evenly across live tables (the fair-share
   /// rule). Each create/drop recomputes every tenant's share; a session
-  /// picks up its new share on its next request.
+  /// picks up its new share on its next write.
   size_t pli_cache_total_budget_bytes = PliCache::kDefaultBudgetBytes;
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   double efficiency_threshold = 0.01;
@@ -64,7 +64,11 @@ struct ServiceResult {
 ///    Requests take it shared just long enough to grab a shared_ptr to the
 ///    entry; create/drop take it exclusively. It is never held while a
 ///    session runs.
-///  * Each entry's `mu` serializes that table's session. Lock order is
+///  * Each entry's `mu` (reader/writer) guards that table's session. Writes
+///    (ingest, mixed batches) and create/drop take it exclusively; the reads
+///    (QueryFds, QueryUccs, FetchReport) take it shared and see the session
+///    only as `const IncrementalHyFd&`, so reads of one table run in
+///    parallel and answer from the session's maintained state. Lock order is
 ///    registry_mu_ strictly before entry mu, and no path holds two entry
 ///    locks — so two tables never wait on each other.
 ///  * Dropping a table erases it from the registry first (new lookups miss)
@@ -104,11 +108,11 @@ class FdService {
   /// One tenant. The entry outlives its registry slot (shared_ptr), so a
   /// request racing a drop dies on `dropped`, never on a dangling session.
   struct TableEntry {
-    Mutex mu;
+    SharedMutex mu;
     std::unique_ptr<IncrementalHyFd> session HYFD_GUARDED_BY(mu);
     bool dropped HYFD_GUARDED_BY(mu) = false;
     /// Latest fair-share PliCache budget, written by create/drop under the
-    /// registry writer lock, applied lazily by the next request under `mu`.
+    /// registry writer lock, applied lazily by the next write under `mu`.
     std::atomic<size_t> cache_budget_bytes{0};
     /// Estimated bytes this table retains (admission bookkeeping).
     std::atomic<size_t> retained_bytes{0};

@@ -177,6 +177,15 @@ class AttributeSet {
   std::vector<uint64_t> words_;
 };
 
+/// Orders by size, then by operator< — the order UCC and key results are
+/// returned in.
+inline bool SmallerThenLess(const AttributeSet& a, const AttributeSet& b) {
+  const int ca = a.Count();
+  const int cb = b.Count();
+  if (ca != cb) return ca < cb;
+  return a < b;
+}
+
 /// Iterates the set bits of `s`, invoking `fn(int index)` for each.
 template <typename Fn>
 void ForEachBit(const AttributeSet& s, Fn&& fn) {

@@ -1,5 +1,9 @@
 #include "fd/closure.h"
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "fd/normalizer.h"
 #include "gtest/gtest.h"
 
@@ -88,6 +92,72 @@ TEST(ClosureTest, NoFdsMeansFullKey) {
   auto keys = CandidateKeys(fds, 4);
   ASSERT_EQ(keys.size(), 1u);
   EXPECT_EQ(keys[0], AttributeSet::Full(4));
+}
+
+/// Every minimal K ⊆ universe with universe ⊆ K+, by subset enumeration.
+std::vector<AttributeSet> BruteForceKeys(const FDSet& fds,
+                                         const AttributeSet& universe) {
+  const std::vector<int> attrs = universe.ToIndexes();
+  const auto is_key = [&](const AttributeSet& k) {
+    return universe.IsSubsetOf(Closure(k, fds));
+  };
+  std::vector<AttributeSet> keys;
+  for (uint32_t mask = 0; mask < (1u << attrs.size()); ++mask) {
+    AttributeSet k(universe.size());
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      if ((mask >> i) & 1u) k.Set(attrs[i]);
+    }
+    if (!is_key(k)) continue;
+    bool minimal = true;
+    for (int a = k.First(); a != AttributeSet::kNpos && minimal;
+         a = k.NextAfter(a)) {
+      minimal = !is_key(k.Without(a));
+    }
+    if (minimal) keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end(), SmallerThenLess);
+  return keys;
+}
+
+TEST(ClosureTest, CandidateKeysMatchBruteForceOnRandomFdSets) {
+  constexpr int kAttrs = 8;
+  std::mt19937_64 rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    FDSet fds;
+    const int num_fds = 1 + static_cast<int>(rng() % 10);
+    for (int i = 0; i < num_fds; ++i) {
+      AttributeSet lhs(kAttrs);
+      const int width = static_cast<int>(rng() % 4);
+      for (int j = 0; j < width; ++j) lhs.Set(static_cast<int>(rng() % kAttrs));
+      fds.Add(lhs, static_cast<int>(rng() % kAttrs));
+    }
+    fds.Canonicalize();
+    // The full schema, then a random sub-universe (derivations may pass
+    // through the attributes outside it).
+    AttributeSet sub(kAttrs);
+    for (int a = 0; a < kAttrs; ++a) {
+      if (rng() % 3 != 0) sub.Set(a);
+    }
+    for (const AttributeSet& universe : {AttributeSet::Full(kAttrs), sub}) {
+      EXPECT_EQ(CandidateKeysWithin(fds, universe), BruteForceKeys(fds, universe))
+          << "trial " << trial << " universe " << universe.ToString();
+    }
+  }
+}
+
+TEST(ClosureTest, SubUniverseKeysDerivedThroughOutsideAttributes) {
+  // A->X, X->B, B->Y, Y->A over (A,B,X,Y): both {A} and {B} key {A,B}, each
+  // only through an attribute outside it.
+  FDSet fds;
+  fds.Add(AttributeSet(4, {0}), 2);
+  fds.Add(AttributeSet(4, {2}), 1);
+  fds.Add(AttributeSet(4, {1}), 3);
+  fds.Add(AttributeSet(4, {3}), 0);
+  fds.Canonicalize();
+  const auto keys = CandidateKeysWithin(fds, AttributeSet(4, {0, 1}));
+  ASSERT_EQ(keys.size(), 2u);
+  EXPECT_EQ(keys[0], AttributeSet(4, {0}));
+  EXPECT_EQ(keys[1], AttributeSet(4, {1}));
 }
 
 TEST(NormalizerTest, DetectsBcnfViolations) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/hyfd.h"
+#include "core/hyucc.h"
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
@@ -53,6 +54,20 @@ std::vector<size_t> RandomSplit(size_t total, size_t k, std::mt19937_64& rng) {
   std::vector<size_t> sizes(k, 1);
   for (size_t left = total - k; left > 0; --left) ++sizes[rng() % k];
   return sizes;
+}
+
+/// The session's read-side answers from maintained state must equal the
+/// one-shot answers on a copy of the live rows: MinimalUccs() against HyUcc
+/// and the in-place live fingerprint against the copy's.
+void ExpectLiveReadsMatch(const IncrementalHyFd& session, NullSemantics nulls,
+                          const std::string& context) {
+  HyUccConfig ucc_config;
+  ucc_config.null_semantics = nulls;
+  const Relation live = session.LiveRelation();
+  EXPECT_EQ(session.MinimalUccs(), HyUcc(ucc_config).Discover(live))
+      << context << ": UCCs differ from HyUcc";
+  EXPECT_EQ(session.LiveContentFingerprint(), live.ContentFingerprint())
+      << context << ": live fingerprint differs";
 }
 
 /// The full differential schedule: seed a session from a prefix of `full`,
@@ -353,6 +368,7 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
     live.emplace_back(static_cast<RecordId>(r), RowOf(full, r));
   }
   size_t next_source = initial_rows;  // next unused row of `full`
+  ExpectLiveReadsMatch(session, config.null_semantics, context + " seed");
 
   const auto check = [&](const FDSet& got, const std::string& step_context) {
     std::vector<Row> rows;
@@ -366,6 +382,7 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
       testing::ExpectSameFds(brute, got, step_context + " vs oracle");
     }
     EXPECT_EQ(session.num_live_rows(), live.size()) << step_context;
+    ExpectLiveReadsMatch(session, config.null_semantics, step_context);
     for (const auto& [id, row] : live) {
       EXPECT_TRUE(session.IsRowLive(id)) << step_context;
     }
@@ -498,6 +515,156 @@ TEST_P(IncrementalCrudNullSemanticsTest, BothSemanticsMatchFromScratch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalCrudNullSemanticsTest,
                          ::testing::Range(uint64_t{810}, uint64_t{814}));
+
+// The ladders above mostly carry duplicate rows (no UCC at all). Domains of
+// up to 20 values keep the live rows distinct: every seed below has 4–11
+// minimal UCCs, so the FD-tree walk has keys to find.
+class IncrementalUccLadderTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IncrementalUccLadderTest, DerivedUccsMatchHyUccAfterEveryStep) {
+  const uint64_t seed = GetParam();
+  Relation full = testing::RandomRelation(6, 120, seed, 20, /*null_rate=*/0.1);
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    for (int threads : {1, 8}) {
+      IncrementalConfig config;
+      config.null_semantics = nulls;
+      config.num_threads = threads;
+      RunCrudSchedule(full, /*initial_rows=*/60, /*num_steps=*/8, config, seed,
+                      /*check_brute_force=*/false,
+                      std::string("ucc ladder ") +
+                          (nulls == NullSemantics::kNullEqualsNull
+                               ? "null==null"
+                               : "null!=null") +
+                          " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalUccLadderTest,
+                         ::testing::Range(uint64_t{830}, uint64_t{834}));
+
+TEST(IncrementalUccTest, TinyTablesAndDuplicatesMatchHyUcc) {
+  using Rows = std::vector<Row>;
+  const std::optional<std::string> null;
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    const std::string label =
+        nulls == NullSemantics::kNullEqualsNull ? "null==null" : "null!=null";
+    IncrementalConfig config;
+    config.null_semantics = nulls;
+    const AttributeSet none(3);
+
+    IncrementalHyFd session(Relation::FromRows(Schema::Generic(3), {}), config);
+    ExpectLiveReadsMatch(session, nulls, label + " 0 rows");
+    EXPECT_EQ(session.MinimalUccs(), std::vector<AttributeSet>{none});
+    session.ApplyBatchStrings({{"a", "b", "c"}});
+    ExpectLiveReadsMatch(session, nulls, label + " 1 row");
+    EXPECT_EQ(session.MinimalUccs(), std::vector<AttributeSet>{none});
+
+    session.ApplyBatchStrings({{"a", "x", "y"}, {"z", "b", "y"}});
+    ExpectLiveReadsMatch(session, nulls, label + " distinct rows");
+    EXPECT_FALSE(session.MinimalUccs().empty());
+
+    // An update that copies row 0 creates a duplicate: nothing is unique.
+    session.UpdateRows({{RecordId{2}, Row{"a", "b", "c"}}});
+    ExpectLiveReadsMatch(session, nulls, label + " update duplicate");
+    EXPECT_TRUE(session.MinimalUccs().empty());
+    // Deleting one twin removes it again.
+    session.DeleteRows({RecordId{0}});
+    ExpectLiveReadsMatch(session, nulls, label + " delete duplicate");
+    EXPECT_FALSE(session.MinimalUccs().empty());
+
+    // Rows equal only through their NULLs: duplicates iff NULL == NULL.
+    IncrementalHyFd nulled(
+        Relation::FromRows(Schema::Generic(3), Rows{{null, "p", null},
+                                                    {null, "p", null},
+                                                    {"q", "r", "s"},
+                                                    {null, null, null},
+                                                    {null, null, null}}),
+        config);
+    ExpectLiveReadsMatch(nulled, nulls, label + " NULL duplicates");
+    EXPECT_EQ(nulled.MinimalUccs().empty(),
+              nulls == NullSemantics::kNullEqualsNull);
+  }
+}
+
+// The in-place live fingerprint against LiveRelation()'s, over the type and
+// spelling corners of the rebuild it must reproduce. At least one step has
+// to decline the in-place fold and take the per-column rebuild.
+TEST(IncrementalFingerprintTest, LiveFingerprintMatchesCopyAcrossCorners) {
+  const std::optional<std::string> null;
+  for (NullSemantics nulls :
+       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+    IncrementalConfig config;
+    config.null_semantics = nulls;
+    size_t rebuilt_columns = 0;
+    // `same_identity` is false where the copy re-infers a column type that
+    // merges values the session keeps apart; only the fingerprint, which
+    // describes the copy, is compared there.
+    const auto check = [&](const IncrementalHyFd& session,
+                           const std::string& step, bool same_identity = true) {
+      if (same_identity) {
+        ExpectLiveReadsMatch(session, nulls, step);
+      } else {
+        EXPECT_EQ(session.LiveContentFingerprint(),
+                  session.LiveRelation().ContentFingerprint())
+            << step;
+      }
+      const Relation& relation = session.relation();
+      if (session.num_live_rows() == relation.num_rows()) return;
+      std::vector<uint8_t> live(relation.num_rows());
+      for (size_t r = 0; r < live.size(); ++r) {
+        live[r] = session.IsRowLive(static_cast<RecordId>(r)) ? 1 : 0;
+      }
+      for (int c = 0; c < relation.num_columns(); ++c) {
+        if (!relation.segment(c).FoldLiveFingerprint(0, live)) {
+          ++rebuilt_columns;
+        }
+      }
+    };
+
+    // Column a: "07"/"7" spellings of one int value; column c: NULL except
+    // in the row deleted below.
+    IncrementalHyFd session(
+        Relation::FromRows(Schema({"a", "b", "c"}),
+                           {{"07", "x", null},
+                            {"7", "y", null},
+                            {"8", "x", "5"},
+                            {"9", "y", null}}),
+        config);
+    check(session, "seed");
+    session.DeleteRows({RecordId{2}});
+    check(session, "all-NULL live column");
+    // A numeric column widened to string by a row deleted again: b stays
+    // canonical under the narrower type the rebuild infers.
+    session.ApplyBatch({{"10", "1.50", null}, {"11", "n/a", null}});
+    session.DeleteRows({RecordId{5}});
+    check(session, "widening row deleted");
+    // Widening a to string splits "07" from "7": the session reseeds and
+    // compacts. Deleting the widening row leaves an int-looking string
+    // column whose rebuild types it int again and merges the spellings
+    // (the session's string column keeps them apart).
+    session.ApplyBatch({{"n/a", "z", null}});
+    EXPECT_TRUE(session.last_batch_stats().reseeded);
+    check(session, "reseed");
+    // Compacted ids: 0 "07", 1 "7", 2 "9", 3 "10", 4 "n/a". A rebuild of
+    // the string column passes through int and splits "7" off "07" only when
+    // "n/a" arrives, so its codes are not in first-appearance order.
+    session.DeleteRows({RecordId{2}});
+    check(session, "int spellings in a string column");
+    session.DeleteRows({RecordId{4}});
+    check(session, "raw spellings", /*same_identity=*/false);
+    std::vector<RecordId> all;
+    for (RecordId r = 0; r < session.relation().num_rows(); ++r) {
+      if (session.IsRowLive(r)) all.push_back(r);
+    }
+    session.DeleteRows(all);
+    EXPECT_EQ(session.num_live_rows(), 0u);
+    check(session, "zero live rows");
+    EXPECT_GT(rebuilt_columns, 0u);
+  }
+}
 
 // Aggressive compaction (threshold 0): every delete batch immediately drops
 // emptied slots and renumbers cluster ids — the remap path must keep the

@@ -813,5 +813,88 @@ TEST(ServiceStress, ConcurrentCrudMatchesSingleThreadedOracle) {
   server.Stop();
 }
 
+// Reads take the table lock shared: same-table QueryFds, QueryUccs and
+// FetchReport run alongside each other and between ApplyMixed batches. Each
+// answer must equal the oracle at the batch count it reports (a read never
+// sees a half-applied batch), and the final state must equal the oracle's.
+TEST(ServiceStress, SharedReadsInterleaveWithWritesOnOneTable) {
+  constexpr int kCols = 4;
+  constexpr size_t kOps = 12;
+  constexpr int kReadersPerKind = 2;
+  const std::vector<std::string> columns = Schema::Generic(kCols).names();
+  const std::vector<Op> ops = MakeSchedule(kCols, kOps, /*seed=*/77);
+
+  // The oracle after every prefix of the schedule, by batch count.
+  struct Snapshot {
+    FDSet fds;
+    std::vector<AttributeSet> uccs;
+    uint64_t fingerprint = 0;
+  };
+  std::vector<Snapshot> snapshots;
+  for (size_t k = 0; k <= kOps; ++k) {
+    const std::unique_ptr<IncrementalHyFd> oracle = MakeOracle(
+        columns, std::vector<Op>(ops.begin(),
+                                 ops.begin() + static_cast<std::ptrdiff_t>(k)));
+    snapshots.push_back({oracle->fds(), OracleUccs(*oracle),
+                         oracle->LiveRelation().ContentFingerprint()});
+  }
+
+  ServiceConfig config;
+  config.num_workers = 4;
+  FdService svc(config);
+  ASSERT_TRUE(svc.CreateTable({"t", columns}).ok());
+
+  std::atomic<bool> writes_done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> divergences{0};
+  std::atomic<size_t> reads{0};
+  const auto snapshot_of = [&](const ReplyBody& reply) -> const Snapshot* {
+    const uint64_t batches = reply.status.num_batches;
+    return batches < snapshots.size() ? &snapshots[batches] : nullptr;
+  };
+  const auto reader = [&](int kind) {
+    // Keep reading until the writer finished, then once more.
+    bool last = false;
+    while (!last) {
+      last = writes_done.load();
+      ServiceResult r = kind == 0   ? svc.QueryFds({"t"})
+                        : kind == 1 ? svc.QueryUccs({"t"})
+                                    : svc.FetchReport({"t"});
+      if (!r.ok()) {
+        ++failures;
+        continue;
+      }
+      ++reads;
+      const Snapshot* want = snapshot_of(r.reply);
+      const bool same =
+          want != nullptr &&
+          (kind == 0   ? ToFdSet(r.reply, kCols) == want->fds
+           : kind == 1 ? ToUccs(r.reply, kCols) == want->uccs
+                       : r.reply.content_fingerprint == want->fingerprint);
+      if (!same) ++divergences;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int kind = 0; kind < 3; ++kind) {
+    for (int i = 0; i < kReadersPerKind; ++i) readers.emplace_back(reader, kind);
+  }
+  for (const Op& op : ops) {
+    ServiceResult r = svc.ApplyMixed({"t", op.inserts, op.deletes, op.updates});
+    if (!r.ok()) ++failures;
+  }
+  writes_done = true;
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(divergences.load(), 0);
+  EXPECT_GE(reads.load(), static_cast<size_t>(3 * kReadersPerKind));
+  const Snapshot& final_state = snapshots.back();
+  ExpectSameFds(final_state.fds, ToFdSet(svc.QueryFds({"t"}).reply, kCols),
+                "final state");
+  EXPECT_EQ(ToUccs(svc.QueryUccs({"t"}).reply, kCols), final_state.uccs);
+  EXPECT_EQ(svc.FetchReport({"t"}).reply.content_fingerprint,
+            final_state.fingerprint);
+}
+
 }  // namespace
 }  // namespace hyfd::service
