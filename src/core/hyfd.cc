@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/guardian.h"
+#include "core/hybrid_loop.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/validator.h"
@@ -109,41 +110,19 @@ FDSet HyFd::Discover(const Relation& relation) {
   Validator validator(&data, &tree, config_.efficiency_threshold, pool.get(),
                       cache, &metrics);
 
-  // The hybrid loop (paper Figure 2): Phase 1 = Sampler + Inductor,
-  // Phase 2 = Validator; alternate until the Validator exhausts the lattice.
-  std::vector<std::pair<RecordId, RecordId>> suggestions;
-  while (true) {
-    timer.Restart();
-    // Ablation (sampling off): an empty batch starts from ∅ -> R, so the
-    // Validator alone does the work.
-    std::vector<AttributeSet> new_non_fds;
-    if (config_.enable_sampling) new_non_fds = sampler.Run(suggestions);
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    timer.Restart();
-    inductor.Update(std::move(new_non_fds));
-    stats_.induction_seconds += timer.ElapsedSeconds();
-    // Audit seam: the Inductor just rewrote the positive cover.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    guardian.Check(&tree, sampler.NegativeCoverBytes() + data.MemoryBytes());
-    if (tracker != nullptr) {
-      tracker->SetComponent(MemoryTracker::kNegativeCover,
-                            sampler.NegativeCoverBytes());
-      tracker->SetComponent(MemoryTracker::kFdTree, tree.MemoryBytes());
-    }
-
-    timer.Restart();
-    ValidatorResult vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    // Audit seam: the Validator pruned invalid FDs and specialized them.
-    HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    guardian.Check(&tree, sampler.NegativeCoverBytes() + data.MemoryBytes());
-    if (tracker != nullptr) {
-      tracker->SetComponent(MemoryTracker::kFdTree, tree.MemoryBytes());
-    }
-    if (vr.done) break;
-    ++stats_.phase_switches;  // Phase 2 pausing and re-entering Phase 1
-    suggestions = std::move(vr.comparison_suggestions);
-  }
+  // The hybrid loop (paper Figure 2). Phase 1 is the Sampler; with sampling
+  // off (ablation) an empty batch starts from ∅ -> R, so the Validator alone
+  // does the work.
+  const LoopMemory memory{.guardian = &guardian,
+                          .tracker = tracker,
+                          .sampler = &sampler,
+                          .data_bytes = data.MemoryBytes()};
+  RunHybridLoop(
+      [&](RecordPairs suggestions) {
+        return config_.enable_sampling ? sampler.Run(suggestions)
+                                       : std::vector<AttributeSet>{};
+      },
+      &inductor, &validator, &tree, &stats_, memory);
 
   HYFD_AUDIT_ONLY(if (cache != nullptr) cache->CheckInvariants());
   if (cache != nullptr) {
@@ -154,7 +133,6 @@ FDSet HyFd::Discover(const Relation& relation) {
   }
   stats_.comparisons = sampler.total_comparisons();
   stats_.non_fds = sampler.num_non_fds();
-  stats_.validations = validator.total_validations();
   stats_.levels_validated = validator.levels_validated();
   // Guardian outcome: a pruned tree means FDs were dropped — the result is
   // a strict subset of the full answer and MUST be flagged as incomplete
@@ -170,16 +148,6 @@ FDSet HyFd::Discover(const Relation& relation) {
   stats_.num_fds = result.size();
 
   // --- Structured run report (the observability layer's output). ----------
-  report_.algorithm = "hyfd";
-  report_.rows = data.num_records;
-  report_.columns = data.num_attributes;
-  report_.result_kind = "fds";
-  report_.result_count = result.size();
-  report_.total_seconds = total_timer.ElapsedSeconds();
-  report_.AddPhase("preprocess", stats_.preprocess_seconds);
-  report_.AddPhase("sampling", stats_.sampling_seconds);
-  report_.AddPhase("induction", stats_.induction_seconds);
-  report_.AddPhase("validation", stats_.validation_seconds);
   if (!stats_.complete) {
     report_.MarkIncomplete(
         "memory guardian pruned FDs with LHS size > " +
@@ -212,21 +180,14 @@ FDSet HyFd::Discover(const Relation& relation) {
     std::sort(report_.memory_components.begin(),
               report_.memory_components.end());
   }
-  report_.MergeMetrics(metrics);
   report_.SetCounter("hyfd.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
   report_.SetCounter("hyfd.comparisons", stats_.comparisons);
   report_.SetCounter("hyfd.non_fds", stats_.non_fds);
   report_.SetCounter("hyfd.validations", stats_.validations);
-  report_.SetCounter("hyfd.levels_validated",
-                     static_cast<uint64_t>(stats_.levels_validated));
-  if (config_.run_report != nullptr) {
-    // Preserve harness-owned labeling (dataset name) across the overwrite.
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  FinishHybridReport("hyfd", "fds", result.size(), data, stats_,
+                     total_timer.ElapsedSeconds(), metrics, &report_,
+                     config_.run_report);
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/guardian.h"
+#include "core/hybrid_loop.h"
 #include "core/sampler.h"
 #include "data/relation.h"
 #include "fd/fd_set.h"
@@ -64,23 +65,15 @@ struct HyFdConfig {
   RunReport* run_report = nullptr;
 };
 
-/// Counters and timings of a completed run.
-struct HyFdStats {
-  /// Switches from Phase 2 (validation) back into Phase 1 (sampling). The
-  /// paper observes three to eight on typical data (§3) — Figure 8 measures
-  /// this number against the efficiency threshold.
-  int phase_switches = 0;
-  size_t comparisons = 0;       ///< record pairs matched by the Sampler
+/// Counters and timings of a completed run; the loop's share (phase
+/// switches, Sampler comparisons, Validator checks, phase times) comes from
+/// HybridLoopStats.
+struct HyFdStats : HybridLoopStats {
   size_t non_fds = 0;           ///< distinct agree sets in the negative cover
-  size_t validations = 0;       ///< FD candidates checked by the Validator
   size_t num_fds = 0;           ///< minimal FDs in the result
   /// Lattice levels fully validated; the deepest validated LHS size is
   /// levels_validated - 1 (level 0 is the empty LHS).
   int levels_validated = 0;
-  double preprocess_seconds = 0;
-  double sampling_seconds = 0;
-  double induction_seconds = 0;  ///< Inductor::Update, split from sampling
-  double validation_seconds = 0;
   /// False iff the MemoryGuardian pruned the FDTree: the result is then a
   /// strict subset of the full answer (every FD whose minimal LHS exceeds
   /// `pruned_lhs_cap` is missing). THE flag to check before trusting or

@@ -117,7 +117,6 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
 
   std::vector<std::pair<RecordId, RecordId>> suggestions;
   RefineArena arena;  // one reusable grouping scratch for the whole run
-  int current_level = 0;
   while (true) {
     // ---- Phase 1: sample violations, specialize the candidate tree. ------
     timer.Restart();
@@ -131,11 +130,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
     suggestions.clear();
     stats_.sampling_seconds += timer.ElapsedSeconds();
 
+    // Sampler::Run returns the agree sets longest first, the order that
+    // keeps the candidate tree small during specialization.
     timer.Restart();
-    std::sort(new_agree_sets.begin(), new_agree_sets.end(),
-              [](const AttributeSet& a, const AttributeSet& b) {
-                return a.Count() > b.Count();
-              });
     for (const AttributeSet& agree : new_agree_sets) {
       SpecializeUcc(&tree, agree);
     }
@@ -147,7 +144,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
     timer.Restart();
     bool done = false;
     while (true) {
-      auto level = tree.GetLevel(current_level);
+      auto level = tree.GetLevel(stats_.levels_validated);
       if (level.empty()) {
         done = true;
         break;
@@ -174,7 +171,6 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
           tree.AddFd(extended, kUccMarker);
         }
       }
-      ++current_level;
       ++stats_.levels_validated;
       metrics.GetCounter("validator.levels")->Add(1);
       if (static_cast<double>(invalid.size()) >
@@ -195,27 +191,13 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
   stats_.num_uccs = uccs.size();
 
-  report_.algorithm = "hyucc";
-  report_.rows = data.num_records;
-  report_.columns = data.num_attributes;
-  report_.result_kind = "uccs";
-  report_.result_count = uccs.size();
-  report_.total_seconds = total_timer.ElapsedSeconds();
-  report_.AddPhase("preprocess", stats_.preprocess_seconds);
-  report_.AddPhase("sampling", stats_.sampling_seconds);
-  report_.AddPhase("induction", stats_.induction_seconds);
-  report_.AddPhase("validation", stats_.validation_seconds);
-  report_.MergeMetrics(metrics);
   report_.SetCounter("hyucc.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
   report_.SetCounter("hyucc.comparisons", stats_.comparisons);
   report_.SetCounter("hyucc.validations", stats_.validations);
-  if (config_.run_report != nullptr) {
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  FinishHybridReport("hyucc", "uccs", uccs.size(), data, stats_,
+                     total_timer.ElapsedSeconds(), metrics, &report_,
+                     config_.run_report);
   return uccs;
 }
 

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/hybrid_loop.h"
 #include "core/sampler.h"
 #include "data/relation.h"
 #include "pli/pli_builder.h"
@@ -24,21 +25,13 @@ struct HyUccConfig {
   RunReport* run_report = nullptr;
 };
 
-/// Run counters, mirroring HyFdStats.
-struct HyUccStats {
-  int phase_switches = 0;
-  size_t comparisons = 0;
-  size_t validations = 0;
+/// Run counters, mirroring HyFdStats. Induction time is spent specializing
+/// the candidate tree against sampled agree sets (SpecializeUcc).
+struct HyUccStats : HybridLoopStats {
   size_t num_uccs = 0;
   /// Lattice levels fully validated (deepest validated UCC size is
   /// levels_validated - 1, level 0 being the empty set).
   int levels_validated = 0;
-  double preprocess_seconds = 0;
-  double sampling_seconds = 0;
-  /// Specializing the candidate tree against sampled agree sets
-  /// (SpecializeUcc), split from sampling.
-  double induction_seconds = 0;
-  double validation_seconds = 0;
 };
 
 /// Hybrid discovery of all minimal unique column combinations (candidate

@@ -19,13 +19,11 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
   HYFD_AUDIT_ONLY(relation_.CheckInvariants());
 
   Timer total_timer;
-  data_ = Preprocess(relation_, config_.null_semantics);
-  stats_.preprocess_seconds = total_timer.ElapsedSeconds();
-
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(config_.num_threads));
   }
+  PliCache::Counters cache_before;
   if (config_.enable_pli_cache) {
     PliCache::Config cache_config;
     cache_config.budget_bytes = config_.pli_cache_budget_bytes;
@@ -33,24 +31,12 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     // Singles-less shape (as HyFd's owned cache): only Validator-assembled
     // LHS partitions are stored, and — unlike a pinned-singles cache — it
     // can legally re-bind to the grown data after every batch.
-    cache_ = std::make_unique<PliCache>(data_.num_attributes,
-                                        data_.num_records, cache_config,
+    cache_ = std::make_unique<PliCache>(relation_.num_columns(),
+                                        relation_.num_rows(), cache_config,
                                         config_.null_semantics);
-    cache_->Rebind(DataFingerprint(relation_, data_.records),
-                   data_.num_records);
+    cache_before = cache_->counters();
   }
-  inductor_ = std::make_unique<Inductor>(&tree_);
-
-  PliCache::Counters cache_before;
-  if (cache_ != nullptr) cache_before = cache_->counters();
-  live_.assign(relation_.num_rows(), 1);
-  num_live_rows_ = relation_.num_rows();
-  RunInitialDiscovery();
-  BuildColumnStates();
-  identity_epoch_ = relation_.IdentityEpoch();
-
-  // stats_ keeps the seeding run's sampling/validation attribution (it was
-  // zeroed here once, which made the seed report claim zero work).
+  Seed();
   stats_.num_fds = fds_.size();
   FillReport(total_timer.ElapsedSeconds(), cache_before);
 }
@@ -63,90 +49,65 @@ void IncrementalHyFd::Reseed() {
     // relation.
     relation_ = LiveRelation();
   }
+  Seed();
+  stats_.reseeded = true;
+}
+
+void IncrementalHyFd::Seed() {
   live_.assign(relation_.num_rows(), 1);
   num_live_rows_ = relation_.num_rows();
-
-  // Discovery attribution restarts from zero: stats_ already carries this
-  // batch's identity (batch_rows, deleted_rows, append timing), and the full
-  // re-discovery below must not stack on top of in-flight counters.
-  stats_.reseeded = true;
-  stats_.touched_clusters = 0;
-  stats_.fds_invalidated = 0;
-  stats_.fds_revalidated = 0;
-  stats_.generalization_candidates = 0;
-  stats_.fds_generalized = 0;
-  stats_.validations = 0;
-  stats_.comparisons = 0;
-  stats_.phase_switches = 0;
-  stats_.sampling_seconds = 0;
-  stats_.induction_seconds = 0;
-  stats_.validation_seconds = 0;
+  // Discovery attribution restarts from zero. On a reseed stats_ already
+  // carries the batch's identity (batch_rows, deleted_rows, append timing),
+  // which survives; the batch reseeds before growing any derived state, so
+  // its delta counters (touched clusters, invalidations) are still zero.
+  static_cast<HybridLoopStats&>(stats_) = HybridLoopStats{};
+  metrics_.Reset();
 
   Timer timer;
   data_ = Preprocess(relation_, config_.null_semantics);
   stats_.preprocess_seconds = timer.ElapsedSeconds();
   tree_ = FDTree(relation_.num_columns());
   negative_cover_.clear();
-  // A fresh Inductor re-seeds the most general FDs ∅ → A on its first
-  // Update over the fresh tree.
-  inductor_ = std::make_unique<Inductor>(&tree_);
+  // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
+  // over the fresh tree.
+  inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
   if (cache_ != nullptr) {
     cache_->Rebind(DataFingerprint(relation_, data_.records),
                    data_.num_records);
   }
-  RunInitialDiscovery();
-  BuildColumnStates();
-  identity_epoch_ = relation_.IdentityEpoch();
-}
 
-void IncrementalHyFd::RunInitialDiscovery() {
   // The hybrid loop of HyFd::Discover, minus the memory guardian (a pruned
   // tree would silently break the incremental equivalence guarantee, so the
-  // session never prunes). The persistent Inductor seeds ∅ → A on its first
-  // Update; the Validator stamps `confirmed` on everything it proves, which
-  // is exactly the seed state ApplyBatch needs.
-  Timer timer;
+  // session never prunes). Phase 1 records every sampled agree set with its
+  // witnessing pair; the Validator stamps `confirmed` on everything it
+  // proves, which is exactly the seed state ApplyBatch needs.
   Sampler sampler(&data_, config_.efficiency_threshold,
-                  SamplingStrategy::kClusterWindowing, pool_.get());
+                  SamplingStrategy::kClusterWindowing, pool_.get(), &metrics_);
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get());
-  std::vector<std::pair<RecordId, RecordId>> suggestions;
-  ValidatorResult vr;
-  while (true) {
-    timer.Restart();
-    auto new_non_fds = sampler.RunWithWitnesses(suggestions);
+                      pool_.get(), cache_.get(), &metrics_);
+  const auto sample = [&](RecordPairs suggestions) {
     std::vector<AttributeSet> batch;
-    batch.reserve(new_non_fds.size());
-    for (SampledNonFd& found : new_non_fds) {
+    for (SampledNonFd& found : sampler.RunWithWitnesses(suggestions)) {
       negative_cover_.emplace(found.agree, std::make_pair(found.a, found.b));
       batch.push_back(std::move(found.agree));
     }
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    timer.Restart();
-    inductor_->Update(std::move(batch));
-    stats_.induction_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-
-    timer.Restart();
-    vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-    if (vr.done) break;
-    ++stats_.phase_switches;
-    suggestions = std::move(vr.comparison_suggestions);
-  }
+    return batch;
+  };
+  HybridLoopResult loop =
+      RunHybridLoop(sample, inductor_.get(), &validator, &tree_, &stats_);
   stats_.comparisons = sampler.total_comparisons();
-  stats_.validations = validator.total_validations();
   // Fold the final pass's violation suggestions into the witnessed cover.
   // The tree is already settled (any agree set these pairs produce can only
   // restate known constraints), but the extra witnesses keep more of the
   // cover alive across future deletes.
-  MatchPairs(std::move(vr.comparison_suggestions));
+  MatchPairs(std::move(loop.last.comparison_suggestions));
 
   // The Validator confirmed every node it settled; make the seed state
   // explicit (and audited) regardless of the path that produced it.
   tree_.ConfirmAll();
   fds_ = tree_.ToFdSet();
+  BuildColumnStates();
+  identity_epoch_ = relation_.IdentityEpoch();
 }
 
 void IncrementalHyFd::BuildColumnStates() {
@@ -297,27 +258,18 @@ std::vector<AttributeSet> IncrementalHyFd::MatchPairs(
 
 const FDSet& IncrementalHyFd::ApplyBatch(
     const std::vector<std::vector<std::optional<std::string>>>& rows) {
-  return ApplyCrud(rows, {}, {});
+  return ApplyMixed(rows, {}, {});
 }
 
 const FDSet& IncrementalHyFd::DeleteRows(const std::vector<RecordId>& ids) {
-  return ApplyCrud({}, ids, {});
+  return ApplyMixed({}, ids, {});
 }
 
 const FDSet& IncrementalHyFd::UpdateRows(
     const std::vector<
         std::pair<RecordId, std::vector<std::optional<std::string>>>>&
         updates) {
-  return ApplyCrud({}, {}, updates);
-}
-
-const FDSet& IncrementalHyFd::ApplyMixed(
-    const std::vector<std::vector<std::optional<std::string>>>& inserts,
-    const std::vector<RecordId>& deletes,
-    const std::vector<
-        std::pair<RecordId, std::vector<std::optional<std::string>>>>&
-        updates) {
-  return ApplyCrud(inserts, deletes, updates);
+  return ApplyMixed({}, {}, updates);
 }
 
 bool IncrementalHyFd::IsRowLive(RecordId id) const {
@@ -429,7 +381,7 @@ void IncrementalHyFd::set_pli_cache_budget_bytes(size_t budget_bytes) {
   if (cache_ != nullptr) cache_->set_budget_bytes(budget_bytes);
 }
 
-const FDSet& IncrementalHyFd::ApplyCrud(
+const FDSet& IncrementalHyFd::ApplyMixed(
     const std::vector<std::vector<std::optional<std::string>>>& inserts,
     const std::vector<RecordId>& deletes,
     const std::vector<
@@ -471,6 +423,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   Timer timer;
   ++num_batches_;
   stats_ = IncrementalBatchStats{};
+  metrics_.Reset();
   stats_.batch_rows = inserts.size() + updates.size();
   stats_.deleted_rows = dead.size();
   PliCache::Counters cache_before;
@@ -534,7 +487,7 @@ const FDSet& IncrementalHyFd::ApplyCrud(
   // restricted to windows that contain a new row. Completeness of the final
   // FD set never depends on this selection (the Validator settles every
   // candidate); it only seeds the negative cover cheaply.
-  std::vector<std::pair<RecordId, RecordId>> pairs;
+  RecordPairs pairs;
   for (int c = 0; c < data_.num_attributes; ++c) {
     const auto& clusters = data_.plis[static_cast<size_t>(c)].clusters();
     for (uint32_t ci : delta.touched[static_cast<size_t>(c)]) {
@@ -550,50 +503,31 @@ const FDSet& IncrementalHyFd::ApplyCrud(
       }
     }
   }
-  std::vector<AttributeSet> fresh = MatchPairs(std::move(pairs));
   stats_.sampling_seconds += timer.ElapsedSeconds();
-  timer.Restart();
-  size_t confirmed_before = tree_.CountConfirmedFds();
-  inductor_->Update(std::move(fresh));
-  stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
-  stats_.induction_seconds += timer.ElapsedSeconds();
-  HYFD_AUDIT_ONLY(tree_.CheckInvariants());
 
   // --- 4. Hybrid loop seeded from the (repaired) tree. ---------------------
-  // FDs with a surviving proof take the restricted touched-clusters check —
-  // on a pure-delete batch every touched list is empty, so they validate at
-  // zero scan cost; generalization candidates and freshly specialized
-  // candidates get the full check. Phase switches replay the Validator's
-  // violation suggestions through the Inductor instead of a fresh sampling
-  // sweep — the suggestions already pinpoint the disagreeing pairs.
+  // Phase 1 matches the targeted pairs, then the Validator's violation
+  // suggestions instead of a fresh sampling sweep — the suggestions already
+  // pinpoint the disagreeing pairs. FDs with a surviving proof take the
+  // restricted touched-clusters check — on a pure-delete batch every touched
+  // list is empty, so they validate at zero scan cost; generalization
+  // candidates and freshly specialized candidates get the full check.
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get());
+                      pool_.get(), cache_.get(), &metrics_);
   validator.set_delta(&delta);
-  ValidatorResult vr;
-  while (true) {
-    timer.Restart();
-    vr = validator.Run();
-    stats_.validation_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-    if (vr.done) break;
-    ++stats_.phase_switches;
-    timer.Restart();
-    fresh = MatchPairs(std::move(vr.comparison_suggestions));
-    stats_.sampling_seconds += timer.ElapsedSeconds();
-    timer.Restart();
-    confirmed_before = tree_.CountConfirmedFds();
-    inductor_->Update(std::move(fresh));
-    stats_.fds_invalidated += confirmed_before - tree_.CountConfirmedFds();
-    stats_.induction_seconds += timer.ElapsedSeconds();
-    HYFD_AUDIT_ONLY(tree_.CheckInvariants());
-  }
-  stats_.fds_invalidated += validator.delta_invalidated();
+  const auto match = [&](RecordPairs suggestions) {
+    return MatchPairs(std::move(suggestions));
+  };
+  HybridLoopResult loop =
+      RunHybridLoop(match, inductor_.get(), &validator, &tree_, &stats_,
+                    LoopMemory{}, std::move(pairs));
+  stats_.fds_invalidated =
+      loop.confirmed_removed + validator.delta_invalidated();
   stats_.fds_revalidated = validator.restricted_validations();
-  stats_.validations = validator.total_validations();
   // Fold the final pass's violation suggestions into the witnessed cover
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
-  MatchPairs(std::move(vr.comparison_suggestions));
+  MatchPairs(std::move(loop.last.comparison_suggestions));
   HYFD_AUDIT_ONLY(if (cache_ != nullptr) cache_->CheckInvariants());
 
   fds_ = tree_.ToFdSet();
@@ -738,7 +672,7 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   // any old one.
   FDTree old_tree = std::move(tree_);
   tree_ = FDTree(data_.num_attributes);
-  inductor_ = std::make_unique<Inductor>(&tree_);
+  inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
   std::vector<AttributeSet> kept;
   kept.reserve(negative_cover_.size());
   for (const auto& [agree, witness] : negative_cover_) kept.push_back(agree);
@@ -777,17 +711,7 @@ const FDSet& IncrementalHyFd::ApplyBatchStrings(
 void IncrementalHyFd::FillReport(double total_seconds,
                                  const PliCache::Counters& cache_before) {
   report_ = RunReport{};
-  report_.algorithm = "hyfd_incremental";
-  report_.rows = data_.num_records;
-  report_.columns = data_.num_attributes;
-  report_.result_kind = "fds";
-  report_.result_count = fds_.size();
-  report_.total_seconds = total_seconds;
   report_.AddPhase("append", stats_.append_seconds);
-  report_.AddPhase("preprocess", stats_.preprocess_seconds);
-  report_.AddPhase("sampling", stats_.sampling_seconds);
-  report_.AddPhase("induction", stats_.induction_seconds);
-  report_.AddPhase("validation", stats_.validation_seconds);
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).
   if (cache_ != nullptr) {
@@ -814,13 +738,8 @@ void IncrementalHyFd::FillReport(double total_seconds,
   report_.SetCounter("incremental.comparisons", stats_.comparisons);
   report_.SetCounter("incremental.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
-  if (config_.run_report != nullptr) {
-    // Preserve harness-owned labeling (dataset name) across the overwrite.
-    std::string dataset = std::move(config_.run_report->dataset);
-    *config_.run_report = report_;
-    config_.run_report->dataset = std::move(dataset);
-    report_.dataset = config_.run_report->dataset;
-  }
+  FinishHybridReport("hyfd_incremental", "fds", fds_.size(), data_, stats_,
+                     total_seconds, metrics_, &report_, config_.run_report);
 }
 
 }  // namespace hyfd

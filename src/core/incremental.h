@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hybrid_loop.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/validator.h"
@@ -20,6 +21,7 @@
 #include "pli/pli_builder.h"
 #include "pli/pli_cache.h"
 #include "util/attribute_set.h"
+#include "util/metrics.h"
 #include "util/run_report.h"
 #include "util/thread_pool.h"
 
@@ -49,15 +51,20 @@ struct IncrementalConfig {
 };
 
 /// Counters and timings of the last ApplyBatch()/DeleteRows()/UpdateRows()
-/// call (or of the seeding/reseeding discovery).
-struct IncrementalBatchStats {
+/// call (or of the seeding/reseeding discovery). The loop's share comes from
+/// HybridLoopStats: `comparisons` counts the record pairs matched by
+/// sampling, targeted pair matching and the final witness fold;
+/// `preprocess_seconds` is spent by the seeding run and reseeds only (0 for
+/// batches that grow the derived state in place); `induction_seconds`
+/// includes the delete repair's tree rebuild.
+struct IncrementalBatchStats : HybridLoopStats {
   size_t batch_rows = 0;
   /// Rows tombstoned by this batch (deletes plus the old versions of
   /// updates).
   size_t deleted_rows = 0;
   /// After a delete-driven cover rebuild: stored FDs with no surviving
   /// proof — the downward (generalization) candidates the repair loop
-  /// validates from scratch (FDTree::CollectGeneralizationCandidates).
+  /// validates from scratch.
   size_t generalization_candidates = 0;
   /// FDs in the post-batch cover that were not minimal FDs before it — on a
   /// delete/update batch these moved *down* the lattice (violating pairs
@@ -77,18 +84,8 @@ struct IncrementalBatchStats {
   /// rebuilt all derived state and re-ran discovery from scratch instead of
   /// growing in place.
   bool reseeded = false;
-  size_t validations = 0;   ///< candidate checks performed by the Validator
-  size_t comparisons = 0;   ///< record pairs matched by targeted sampling
-  int phase_switches = 0;   ///< validation pauses back into sampling
   size_t num_fds = 0;       ///< minimal FDs after the batch
   double append_seconds = 0;
-  /// Preprocess() of the whole relation: the seeding run and reseeds only;
-  /// 0 for batches that grow the derived state in place.
-  double preprocess_seconds = 0;
-  double sampling_seconds = 0;
-  /// Inductor updates, including the delete repair's tree rebuild.
-  double induction_seconds = 0;
-  double validation_seconds = 0;
 };
 
 /// EAIFD-style incremental FD discovery session (the direction reserved by
@@ -181,7 +178,8 @@ class IncrementalHyFd {
   /// (one cover repair, one state growth, one hybrid loop instead of
   /// three). A delete/update id must not name a row inserted by the same
   /// call. New physical ids: `inserts` first (in order), then the updates'
-  /// fresh versions (in order).
+  /// fresh versions (in order). ApplyBatch, DeleteRows and UpdateRows are
+  /// its special cases.
   const FDSet& ApplyMixed(
       const std::vector<std::vector<std::optional<std::string>>>& inserts,
       const std::vector<RecordId>& deletes,
@@ -259,27 +257,19 @@ class IncrementalHyFd {
     RecordId null_record = 0;
   };
 
-  void RunInitialDiscovery();
+  /// Builds every piece of derived state from relation() — PLIs, compressed
+  /// records, tree, witnessed negative cover, column indexes — and runs the
+  /// full hybrid discovery over it, restarting the loop's stats and the
+  /// registry.
+  void Seed();
   void BuildColumnStates();
-  /// Discards every piece of derived state (PLIs, compressed records, tree,
-  /// negative cover, column indexes) and re-runs discovery on the current
+  /// Discards every piece of derived state and re-runs Seed() on the current
   /// relation. The escape hatch for batches that change value identity
   /// retroactively (IdentityEpoch() moved): stale clusters cannot be grown,
   /// they must be rebuilt. If rows are tombstoned, the relation is first
-  /// compacted to its live rows (re-anchoring ids). Resets the discovery-
-  /// attribution stats fields and tags stats_.reseeded itself, so the
-  /// in-flight batch's append timing survives untouched.
+  /// compacted to its live rows (re-anchoring ids). Tags stats_.reseeded;
+  /// the in-flight batch's append timing survives untouched.
   void Reseed();
-  /// The shared CRUD path behind ApplyBatch/DeleteRows/UpdateRows: appends
-  /// `inserts` plus the new versions of `updates`, tombstones `deletes` plus
-  /// the old versions of `updates`, repairs the cover, and re-runs the
-  /// hybrid loop once over the combined delta.
-  const FDSet& ApplyCrud(
-      const std::vector<std::vector<std::optional<std::string>>>& inserts,
-      const std::vector<RecordId>& deletes,
-      const std::vector<
-          std::pair<RecordId, std::vector<std::optional<std::string>>>>&
-          updates);
   /// Shrinks PLIs + compressed records for the (live, distinct) `dead` rows:
   /// erases them from their clusters, demotes lone survivors, maintains the
   /// per-column value indexes, and compacts columns whose empty-slot
@@ -332,6 +322,9 @@ class IncrementalHyFd {
   uint64_t identity_epoch_ = 0;
 
   IncrementalBatchStats stats_;
+  /// Component counters (sampler.*, inductor.*, validator.*) of the current
+  /// seed, reseed or batch; reset at the start of each, merged into report_.
+  MetricsRegistry metrics_;
   RunReport report_;
   int num_batches_ = 0;
 };

@@ -7,7 +7,7 @@ namespace hyfd {
 Inductor::Inductor(FDTree* tree, MetricsRegistry* metrics)
     : tree_(tree), metrics_(metrics) {}
 
-void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
+size_t Inductor::Update(std::vector<AttributeSet> new_non_fds) {
   if (!initialized_) {
     tree_->AddMostGeneralFds();
     initialized_ = true;
@@ -22,19 +22,23 @@ void Inductor::Update(std::vector<AttributeSet> new_non_fds) {
             [](const AttributeSet& a, const AttributeSet& b) {
               return a.Count() > b.Count();
             });
+  size_t confirmed_removed = 0;
   for (const AttributeSet& lhs : new_non_fds) {
     // Every zero bit is the RHS of a violated FD lhs -> rhs.
     AttributeSet rhss = lhs.Complement();
-    ForEachBit(rhss, [&](int rhs) { Specialize(lhs, rhs); });
+    ForEachBit(rhss,
+               [&](int rhs) { confirmed_removed += Specialize(lhs, rhs); });
   }
+  return confirmed_removed;
 }
 
-void Inductor::Specialize(const AttributeSet& non_fd_lhs, int rhs) {
+size_t Inductor::Specialize(const AttributeSet& non_fd_lhs, int rhs) {
   // All stored FDs X -> rhs with X ⊆ non_fd_lhs are invalid.
   std::vector<AttributeSet> invalid_lhss =
       tree_->GetFdAndGeneralizations(non_fd_lhs, rhs);
+  size_t confirmed_removed = 0;
   for (const AttributeSet& invalid_lhs : invalid_lhss) {
-    tree_->RemoveFd(invalid_lhs, rhs);
+    if (tree_->RemoveFd(invalid_lhs, rhs)) ++confirmed_removed;
     // Extend by any attribute outside the non-FD's agree set (an attribute
     // inside it would leave the FD violated by the same record pair) and
     // different from the RHS.
@@ -46,6 +50,7 @@ void Inductor::Specialize(const AttributeSet& non_fd_lhs, int rhs) {
       tree_->AddFd(new_lhs, rhs);
     }
   }
+  return confirmed_removed;
 }
 
 }  // namespace hyfd

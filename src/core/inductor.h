@@ -1,6 +1,7 @@
 #ifndef HYFD_CORE_INDUCTOR_H_
 #define HYFD_CORE_INDUCTOR_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "fd/fd_tree.h"
@@ -25,11 +26,14 @@ class Inductor {
 
   /// Folds `new_non_fds` into the candidate tree. Sorting by descending
   /// cardinality (longest agree sets first) keeps the tree small during
-  /// specialization (paper §7).
-  void Update(std::vector<AttributeSet> new_non_fds);
+  /// specialization (paper §7). Returns how many confirmed FDs
+  /// (FDTree::Node::confirmed) the update removed — the proofs an
+  /// incremental batch broke.
+  size_t Update(std::vector<AttributeSet> new_non_fds);
 
  private:
-  void Specialize(const AttributeSet& non_fd_lhs, int rhs);
+  /// Returns the number of confirmed FDs removed.
+  size_t Specialize(const AttributeSet& non_fd_lhs, int rhs);
 
   FDTree* tree_;
   MetricsRegistry* metrics_;

@@ -233,6 +233,7 @@ std::vector<AttributeSet> Sampler::Run(
 std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     const std::vector<std::pair<RecordId, RecordId>>& suggestions) {
   std::vector<SampledNonFd> new_non_fds;
+  const size_t comparisons_before = total_comparisons_;
   if (!initialized_) {
     initialized_ = true;
     if (strategy_ == SamplingStrategy::kClusterWindowing) {
@@ -262,6 +263,10 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     RunProgressive(&new_non_fds);
   } else {
     RunRandom(&new_non_fds);
+  }
+  if (metrics_ != nullptr) {
+    metrics_->GetCounter("sampler.comparisons")
+        ->Add(total_comparisons_ - comparisons_before);
   }
   // Canonical batch order: descending bit count (the Inductor specializes
   // longest-first anyway), ties lexicographic. Parallel window runs append

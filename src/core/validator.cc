@@ -365,7 +365,7 @@ ValidatorResult Validator::Run() {
   };
 
   while (true) {
-    std::vector<FDTree::LevelEntry> level = tree_->GetLevel(current_level_number_);
+    std::vector<FDTree::LevelEntry> level = tree_->GetLevel(levels_validated_);
     if (level.empty()) {
       result.done = true;
       finalize_suggestions();
@@ -438,7 +438,6 @@ ValidatorResult Validator::Run() {
       }
     }
 
-    ++current_level_number_;
     ++levels_validated_;
     if (metrics_ != nullptr) {
       metrics_->GetCounter("validator.levels")->Add(1);

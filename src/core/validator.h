@@ -82,16 +82,10 @@ class Validator {
   size_t restricted_validations() const { return restricted_validations_; }
   /// Previously-confirmed FDs the current batch invalidated.
   size_t delta_invalidated() const { return delta_invalidated_; }
-  /// The lattice level the next Run() call would validate first — also the
-  /// count of levels fully validated so far, since validation starts at
-  /// level 0 (LHS size 0) and the cursor advances only after a level
-  /// completes. Audited: the two readings coincide; see levels_validated().
-  int current_level() const { return current_level_number_; }
   /// Number of lattice levels fully validated (LHS sizes 0 through
-  /// levels_validated() - 1). Maintained as its own counter so the stat
-  /// cannot drift from the traversal cursor if the traversal order ever
-  /// changes; the deepest validated LHS size is levels_validated() - 1,
-  /// NOT levels_validated() — the historical off-by-one misreading.
+  /// levels_validated() - 1) — also the level the next Run() call validates
+  /// first. The deepest validated LHS size is levels_validated() - 1, NOT
+  /// levels_validated() — the historical off-by-one misreading.
   int levels_validated() const { return levels_validated_; }
 
  private:
@@ -125,7 +119,6 @@ class Validator {
   /// Per-worker refinement scratch (last slot: the calling thread). Reused
   /// across every cluster, node, and level — the hot path never allocates.
   std::vector<RefineArena> arenas_;
-  int current_level_number_ = 0;
   int levels_validated_ = 0;
   size_t total_validations_ = 0;
   size_t restricted_validations_ = 0;

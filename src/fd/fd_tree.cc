@@ -123,21 +123,6 @@ void ConfirmFromRec(FDTree::Node* node, AttributeSet* path,
   }
 }
 
-void CollectUnconfirmedRec(const FDTree::Node* node, AttributeSet* path,
-                           std::vector<FD>* out) {
-  ForEachBit(node->fds, [&](int rhs) {
-    if (!node->confirmed.Test(rhs)) out->emplace_back(*path, rhs);
-  });
-  if (node->children.empty()) return;
-  for (size_t attr = 0; attr < node->children.size(); ++attr) {
-    const FDTree::Node* child = node->children[attr].get();
-    if (child == nullptr) continue;
-    path->Set(static_cast<int>(attr));
-    CollectUnconfirmedRec(child, path, out);
-    path->Reset(static_cast<int>(attr));
-  }
-}
-
 size_t CountNodesRec(const FDTree::Node* node) {
   size_t n = 1;
   for (const auto& child : node->children) {
@@ -264,17 +249,19 @@ FDTree::Node* FDTree::AddFdAndGetIfNewNode(const AttributeSet& lhs, int rhs,
   return created_node ? node : nullptr;
 }
 
-void FDTree::RemoveFd(const AttributeSet& lhs, int rhs) {
+bool FDTree::RemoveFd(const AttributeSet& lhs, int rhs) {
   Node* node = root_.get();
   for (int attr = lhs.First(); attr != AttributeSet::kNpos;
        attr = lhs.NextAfter(attr)) {
     node = node->Child(attr);
-    if (node == nullptr) return;
+    if (node == nullptr) return false;
   }
+  const bool was_confirmed = node->confirmed.Test(rhs);
   node->fds.Reset(rhs);
   node->confirmed.Reset(rhs);
   // rhs_attrs along the path may now over-approximate; that only costs lookup
   // time, never correctness, so we do not recompute it here.
+  return was_confirmed;
 }
 
 bool FDTree::ContainsFd(const AttributeSet& lhs, int rhs) const {
@@ -331,12 +318,6 @@ void FDTree::ConfirmFrom(const FDTree& proven) {
   ConfirmFromRec(root_.get(), &path, proven);
 }
 
-std::vector<FD> FDTree::CollectGeneralizationCandidates() const {
-  std::vector<FD> out;
-  AttributeSet path(num_attributes_);
-  CollectUnconfirmedRec(root_.get(), &path, &out);
-  return out;
-}
 size_t FDTree::CountNodes() const { return CountNodesRec(root_.get()); }
 int FDTree::Depth() const { return DepthRec(root_.get()); }
 size_t FDTree::MemoryBytes() const { return MemoryBytesRec(root_.get()); }

@@ -73,8 +73,9 @@ class FDTree {
   /// `added` says whether the FD itself was new.
   Node* AddFdAndGetIfNewNode(const AttributeSet& lhs, int rhs, bool* added);
 
-  /// Removes LHS → rhs if present (exact match).
-  void RemoveFd(const AttributeSet& lhs, int rhs);
+  /// Removes LHS → rhs if present (exact match). Returns true iff the removed
+  /// FD was confirmed.
+  bool RemoveFd(const AttributeSet& lhs, int rhs);
 
   bool ContainsFd(const AttributeSet& lhs, int rhs) const;
 
@@ -114,10 +115,6 @@ class FDTree {
   /// the Validator's restricted re-check over touched clusters.
   void ConfirmFrom(const FDTree& proven);
 
-  /// The stored-but-unconfirmed FDs — after ConfirmFrom() these are exactly
-  /// the downward (generalization) candidates the delete repair loop must
-  /// validate from scratch, since no surviving proof covers them.
-  std::vector<FD> CollectGeneralizationCandidates() const;
   size_t CountNodes() const;
   /// Depth of the deepest node (longest stored LHS).
   int Depth() const;

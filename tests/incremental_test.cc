@@ -16,6 +16,7 @@
 
 #include "core/hyfd.h"
 #include "core/hyucc.h"
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
@@ -260,6 +261,20 @@ TEST(IncrementalEdgeTest, AllDistinctBatchValues) {
   testing::ExpectSameFds(DiscoverFds(grown), got, "all-distinct batch");
 }
 
+TEST(IncrementalEdgeTest, SampledPairBreaksConfirmedFds) {
+  // a is a key, so a -> b and a -> c are proven. The new row repeats a = 1
+  // with other b and c values: targeted matching pairs it with row 0, and
+  // the Inductor — not the Validator — removes both proofs.
+  Relation r = Relation::FromStringRows(
+      Schema({"a", "b", "c"}), {{"1", "x", "p"}, {"2", "y", "q"},
+                                {"3", "z", "p"}});
+  IncrementalHyFd session(r);
+  const FDSet& got = session.ApplyBatchStrings({{"1", "w", "q"}});
+  EXPECT_EQ(session.last_batch_stats().fds_invalidated, 2u);
+  r.AppendRow({std::string("1"), std::string("w"), std::string("q")});
+  testing::ExpectSameFds(DiscoverFds(r), got, "sampled pair");
+}
+
 TEST(IncrementalEdgeTest, StringWideningBatchReseedsTheSession) {
   // Seed with an int column where "07" and "7" share one code; a batch cell
   // that widens the column to string splits them retroactively (the rows
@@ -340,6 +355,46 @@ TEST(IncrementalStatsTest, CountersAndReportTrackTheBatch) {
   EXPECT_EQ(report.result_count, session.fds().size());
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
   EXPECT_EQ(mirror.ToJson(), report.ToJson());
+}
+
+// HyFd::Discover and the session's seed run the same hybrid loop, so on the
+// same relation they report the same FDs and component counters.
+TEST(IncrementalStatsTest, SeedRunsTheSameLoopAsHyFd) {
+  for (const DatasetSpec& spec : PaperDatasets()) {
+    const Relation relation =
+        MakeDataset(spec.name, std::min<size_t>(spec.default_rows, 300),
+                    std::min(spec.columns, 10));
+    for (int threads : {1, 4}) {
+      const std::string context =
+          spec.name + " threads=" + std::to_string(threads);
+      HyFdConfig hyfd_config;
+      hyfd_config.num_threads = threads;
+      HyFd hyfd(hyfd_config);
+      const FDSet fds = hyfd.Discover(relation);
+      IncrementalConfig config;
+      config.num_threads = threads;
+      const IncrementalHyFd session(relation, config);
+      testing::ExpectSameFds(fds, session.fds(), context);
+
+      for (const char* name :
+           {"validator.candidates", "validator.levels",
+            "inductor.non_fds_folded", "sampler.comparisons"}) {
+        const std::optional<uint64_t> want = hyfd.report().FindCounter(name);
+        ASSERT_TRUE(want.has_value()) << context << " " << name;
+        EXPECT_EQ(session.report().FindCounter(name), want)
+            << context << " " << name;
+      }
+      const IncrementalBatchStats& stats = session.last_batch_stats();
+      EXPECT_EQ(stats.phase_switches, hyfd.stats().phase_switches) << context;
+      EXPECT_EQ(stats.validations, hyfd.stats().validations) << context;
+      // The session's count adds the pairs of its final witness fold to the
+      // Sampler's comparisons.
+      EXPECT_EQ(hyfd.report().FindCounter("sampler.comparisons"),
+                hyfd.stats().comparisons)
+          << context;
+      EXPECT_GE(stats.comparisons, hyfd.stats().comparisons) << context;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +509,7 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
       for (RecordId id : ids) {
         updates.emplace_back(id, RowOf(full, rng() % full.num_rows()));
       }
-      // ApplyCrud appends the new versions in update order, so the i-th
+      // ApplyMixed appends the new versions in update order, so the i-th
       // update's fresh row gets physical id base + i.
       const RecordId base = static_cast<RecordId>(session.relation().num_rows());
       for (size_t i = 0; i < k; ++i) {

@@ -53,6 +53,25 @@ TEST(InductorTest, PaperFigure4Sequence) {
   }
 }
 
+// Update() reports the confirmed FDs it removed — what an incremental batch
+// counts as broken proofs — without a tree walk.
+TEST(InductorTest, UpdateReturnsTheConfirmedFdsItRemoved) {
+  FDTree tree(5);
+  Inductor inductor(&tree);
+  inductor.Update({Agree({3}, 5)});
+  tree.ConfirmAll();
+  // A second batch adds unconfirmed specializations next to the proofs.
+  inductor.Update({Agree({0, 4}, 5)});
+  const size_t confirmed_before = tree.CountConfirmedFds();
+  ASSERT_GT(confirmed_before, 0u);
+  ASSERT_LT(confirmed_before, tree.CountFds());
+
+  const size_t removed =
+      inductor.Update({Agree({0, 1}, 5), Agree({2, 3}, 5), Agree({4}, 5)});
+  EXPECT_GT(removed, 0u);
+  EXPECT_EQ(removed, confirmed_before - tree.CountConfirmedFds());
+}
+
 TEST(InductorTest, InitializesWithMostGeneralFds) {
   FDTree tree(3);
   Inductor inductor(&tree);
