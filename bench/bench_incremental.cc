@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
       "non-zero.\n");
   // The speedup bar is meaningful at the default scale, where the scratch
   // baseline is large enough to amortize the per-batch fixed costs (cover
-  // repair, cache rebind). --smoke shrinks the baseline to a correctness
+  // repair, state growth). --smoke shrinks the baseline to a correctness
   // gate; its ratios are noise.
   if (!small_batch_speedup_ok && !smoke) {
     std::printf("WARNING: a <=1%% batch point fell below the 2x speedup bar.\n");

@@ -3,7 +3,10 @@
 // emit a schema-valid run report with non-empty phase timings. One extra
 // HyFD run under a 1-byte memory budget checks that a guardian-pruned
 // (truncated) result is machine-detectable as incomplete — the silent
-// truncation this observability layer exists to prevent.
+// truncation this observability layer exists to prevent. One incremental
+// session, seeded on half the relation, applies a mixed batch (inserts,
+// deletes, an update); its report must be schema-valid and show no PLI-cache
+// activity, since a session keeps no cache.
 //
 // Writes one REPORT_<algo>.json per run into --outdir (default ".") so CI
 // can archive them; exits non-zero on any schema violation or missing
@@ -12,12 +15,15 @@
 // Flags: --rows=N (default 300), --cols=N (default 8), --outdir=DIR.
 
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/hyfd.h"
 #include "core/hyucc.h"
+#include "core/incremental.h"
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "util/memory_tracker.h"
@@ -54,6 +60,18 @@ bool CheckReport(const RunReport& report, const char* label) {
     ok = false;
   }
   return ok;
+}
+
+std::vector<std::optional<std::string>> RowOf(const Relation& r, size_t row) {
+  std::vector<std::optional<std::string>> out;
+  for (int c = 0; c < r.num_columns(); ++c) {
+    if (r.IsNull(row, c)) {
+      out.emplace_back(std::nullopt);
+    } else {
+      out.emplace_back(r.Value(row, c));
+    }
+  }
+  return out;
 }
 
 bool WriteReport(const RunReport& report, const std::string& path) {
@@ -118,6 +136,43 @@ int main(int argc, char** argv) {
     algo.Discover(relation);
     ok = CheckReport(report, "hyucc") && ok;
     ok = WriteReport(report, outdir + "/REPORT_hyucc.json") && ok;
+  }
+
+  // Incremental session: seed on the first half, then one mixed batch of ten
+  // inserts from the second half, two deletes and one update.
+  {
+    const size_t half = relation.num_rows() / 2;
+    IncrementalHyFd session(relation.HeadRows(half));
+    std::vector<std::vector<std::optional<std::string>>> inserts;
+    for (size_t row = half; row < half + 10 && row < relation.num_rows();
+         ++row) {
+      inserts.push_back(RowOf(relation, row));
+    }
+    const std::vector<RecordId> deletes = {0, 1};
+    const std::vector<
+        std::pair<RecordId, std::vector<std::optional<std::string>>>>
+        updates = {{2, RowOf(relation, relation.num_rows() - 1)}};
+    session.ApplyMixed(inserts, deletes, updates);
+    RunReport report = session.report();
+    report.dataset = "bridges";
+    ok = CheckReport(report, "hyfd_incremental") && ok;
+    if (report.pli_cache_hits != 0 || report.pli_cache_misses != 0 ||
+        report.pli_cache_evictions != 0) {
+      std::fprintf(stderr,
+                   "FAIL hyfd_incremental: PLI-cache activity in a session "
+                   "(hits %zu, misses %zu, evictions %zu)\n",
+                   report.pli_cache_hits, report.pli_cache_misses,
+                   report.pli_cache_evictions);
+      ok = false;
+    }
+    for (const auto& [name, value] : report.counters) {
+      if (name == "incremental.cache_stale_drops") {
+        std::fprintf(stderr, "FAIL hyfd_incremental: counter %s present\n",
+                     name.c_str());
+        ok = false;
+      }
+    }
+    ok = WriteReport(report, outdir + "/REPORT_incremental.json") && ok;
   }
 
   // Guardian-pruned run: a 1-byte budget forces pruning on FD-reduced data;

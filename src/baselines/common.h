@@ -59,10 +59,12 @@ struct AlgoOptions {
   uint64_t seed = 1;
   /// If set, the run charges its dominant data structures here.
   MemoryTracker* memory_tracker = nullptr;
-  /// Shared PLI cache reused across algorithm runs on the *same* relation
-  /// (must match it in attribute count, record count, and null semantics;
-  /// mismatches throw std::invalid_argument). nullptr = each lattice
-  /// algorithm builds a private cache sized by `pli_cache_budget_bytes`.
+  /// Shared PLI cache reused across runs of the four lattice algorithms
+  /// (TANE, FUN, FD_Mine, DFD) on the *same* relation (must match it in
+  /// attribute count, record count, and null semantics; mismatches throw
+  /// std::invalid_argument). The other algorithms ignore it. nullptr = each
+  /// lattice algorithm builds a private cache sized by
+  /// `pli_cache_budget_bytes`.
   PliCache* pli_cache = nullptr;
   /// Byte budget for a privately built cache; 0 = unbounded.
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;

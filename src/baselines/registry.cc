@@ -16,11 +16,12 @@ namespace {
 
 FDSet RunHyFd(const Relation& relation, const AlgoOptions& options) {
   // HyFD has no cooperative deadline: the paper's point is that it finishes
-  // where the others do not, and the harness budgets accordingly.
+  // where the others do not, and the harness budgets accordingly. It takes
+  // no shared cache either (options.pli_cache is for the lattice
+  // algorithms); use_pli_cache and the budget govern its owned cache.
   HyFdConfig config;
   config.null_semantics = options.null_semantics;
   config.memory_tracker = options.memory_tracker;
-  config.pli_cache = CheckSharedPliCache(options.pli_cache, relation, options);
   config.enable_pli_cache = options.use_pli_cache;
   config.pli_cache_budget_bytes = options.pli_cache_budget_bytes;
   config.run_report = options.run_report;

@@ -39,36 +39,10 @@ FDSet HyFd::Discover(const Relation& relation) {
     tracker->SetComponent(MemoryTracker::kPlis, data.MemoryBytes());
   }
 
-  // --- PLI cache selection (external shared, owned-and-warm, or none). ----
+  // --- Owned PLI cache, kept warm across Discover() calls. -----------------
   const bool needs_thread_safety = config_.num_threads > 1;
-  PliCache* cache = config_.pli_cache;
-  if (cache != nullptr) {
-    // An incompatible external cache must not be used (wrong partitions or
-    // data races), but ignoring it silently hides a broken sharing setup —
-    // record exactly which compatibility check failed.
-    std::string reason;
-    if (cache->num_attributes() != data.num_attributes) {
-      reason = "attribute count mismatch (cache " +
-               std::to_string(cache->num_attributes()) + ", relation " +
-               std::to_string(data.num_attributes) + ")";
-    } else if (cache->num_records() != data.num_records) {
-      reason = "record count mismatch (cache " +
-               std::to_string(cache->num_records()) + ", relation " +
-               std::to_string(data.num_records) + ")";
-    } else if (cache->null_semantics() != config_.null_semantics) {
-      reason = "null-semantics mismatch";
-    } else if (needs_thread_safety && !cache->config().thread_safe) {
-      reason = "cache not thread-safe but num_threads = " +
-               std::to_string(config_.num_threads);
-    }
-    if (!reason.empty()) {
-      stats_.external_cache_rejected = true;
-      stats_.external_cache_rejection_reason = std::move(reason);
-      cache = nullptr;  // the owned-cache fallback below still needs
-                        // enable_pli_cache's explicit authorization
-    }
-  }
-  if (cache == nullptr && config_.enable_pli_cache) {
+  PliCache* cache = nullptr;
+  if (config_.enable_pli_cache) {
     // Same relation + same null semantics → same PLIs → same fingerprint, so
     // the owned PLI cache can be kept warm across Discover() calls and is
     // safely dropped when the data changed. The fingerprint covers the
@@ -163,8 +137,6 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.guardian_prunes = stats_.guardian_prunes;
   report_.guardian_give_ups = stats_.guardian_give_ups;
   report_.guardian_overrun_bytes = stats_.guardian_overrun_bytes;
-  report_.external_cache_rejected = stats_.external_cache_rejected;
-  report_.external_cache_rejection_reason = stats_.external_cache_rejection_reason;
   report_.pli_cache_hits = stats_.pli_cache_hits;
   report_.pli_cache_misses = stats_.pli_cache_misses;
   report_.pli_cache_evictions = stats_.pli_cache_evictions;

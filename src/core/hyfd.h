@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "core/guardian.h"
 #include "core/hybrid_loop.h"
@@ -40,23 +39,11 @@ struct HyFdConfig {
   int num_threads = 1;
   /// If set, the run charges its data structures here (Table 3 accounting).
   MemoryTracker* memory_tracker = nullptr;
-  /// External shared PLI cache probed (and kept warm) by the Validator —
-  /// hand the same cache to baseline runs via AlgoOptions::pli_cache to
-  /// share partitions across algorithms. Must be thread-safe when
-  /// num_threads > 1 (it is ignored otherwise, defensively). nullptr +
-  /// enable_pli_cache lets the HyFd object own a private cache instead.
-  PliCache* pli_cache = nullptr;
-  /// With pli_cache == nullptr: build a HyFd-owned cache so LHS partitions
-  /// assembled by the Validator stay warm across repeated Discover() calls
-  /// on the same relation (the EAIFD setting). The owned cache is dropped
-  /// automatically when Discover() sees different data (detected by a full
-  /// fingerprint of the compressed records).
-  ///
-  /// This flag is also what authorizes the owned-cache FALLBACK after an
-  /// incompatible external `pli_cache` was rejected: with it false, a
-  /// rejected external cache leaves the run cache-less (and reported as
-  /// such) instead of silently shadowing the rejection with a fresh
-  /// private cache.
+  /// Build a HyFd-owned PLI cache so LHS partitions assembled by the
+  /// Validator stay warm across repeated Discover() calls on the same
+  /// relation. Within one call each LHS is validated once, so only a repeat
+  /// call can hit. The owned cache is dropped automatically when Discover()
+  /// sees different data (detected by DataFingerprint).
   bool enable_pli_cache = true;
   /// Byte budget of the owned cache (0 = unbounded).
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
@@ -93,14 +80,8 @@ struct HyFdStats : HybridLoopStats {
   /// caller — in particular the service error path — never has to parse
   /// prose to learn why a result was degraded.
   GuardianReason guardian_reason = GuardianReason::kNone;
-  /// An external `HyFdConfig::pli_cache` was supplied but incompatible with
-  /// this run, so it was ignored (reason below). Performance-only: results
-  /// are unaffected, but a caller sharing one cache across algorithms wants
-  /// to know the sharing silently did not happen.
-  bool external_cache_rejected = false;
-  std::string external_cache_rejection_reason;
-  /// PLI-cache activity attributable to this run (deltas of the cache's
-  /// cumulative counters; zero when no cache is attached).
+  /// Owned-cache activity attributable to this run (deltas of the cache's
+  /// cumulative counters; zero with enable_pli_cache off).
   size_t pli_cache_hits = 0;
   size_t pli_cache_misses = 0;
   size_t pli_cache_evictions = 0;
@@ -123,8 +104,8 @@ class HyFd {
 
   const HyFdStats& stats() const { return stats_; }
   /// Structured report of the last Discover() call (phase spans, counters,
-  /// guardian/cache degradation, memory components). Also copied into
-  /// `HyFdConfig::run_report` when that is set.
+  /// guardian degradation, owned-cache activity, memory components). Also
+  /// copied into `HyFdConfig::run_report` when that is set.
   const RunReport& report() const { return report_; }
   const HyFdConfig& config() const { return config_; }
 

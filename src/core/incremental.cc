@@ -23,22 +23,9 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(config_.num_threads));
   }
-  PliCache::Counters cache_before;
-  if (config_.enable_pli_cache) {
-    PliCache::Config cache_config;
-    cache_config.budget_bytes = config_.pli_cache_budget_bytes;
-    cache_config.thread_safe = config_.num_threads > 1;
-    // Singles-less shape (as HyFd's owned cache): only Validator-assembled
-    // LHS partitions are stored, and — unlike a pinned-singles cache — it
-    // can legally re-bind to the grown data after every batch.
-    cache_ = std::make_unique<PliCache>(relation_.num_columns(),
-                                        relation_.num_rows(), cache_config,
-                                        config_.null_semantics);
-    cache_before = cache_->counters();
-  }
   Seed();
   stats_.num_fds = fds_.size();
-  FillReport(total_timer.ElapsedSeconds(), cache_before);
+  FillReport(total_timer.ElapsedSeconds());
 }
 
 void IncrementalHyFd::Reseed() {
@@ -71,10 +58,6 @@ void IncrementalHyFd::Seed() {
   // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
   // over the fresh tree.
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
-  if (cache_ != nullptr) {
-    cache_->Rebind(DataFingerprint(relation_, data_.records),
-                   data_.num_records);
-  }
 
   // The hybrid loop of HyFd::Discover, minus the memory guardian (a pruned
   // tree would silently break the incremental equivalence guarantee, so the
@@ -84,7 +67,7 @@ void IncrementalHyFd::Seed() {
   Sampler sampler(&data_, config_.efficiency_threshold,
                   SamplingStrategy::kClusterWindowing, pool_.get(), &metrics_);
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get(), &metrics_);
+                      pool_.get(), /*cache=*/nullptr, &metrics_);
   const auto sample = [&](RecordPairs suggestions) {
     std::vector<AttributeSet> batch;
     for (SampledNonFd& found : sampler.RunWithWitnesses(suggestions)) {
@@ -377,10 +360,6 @@ std::vector<AttributeSet> IncrementalHyFd::MinimalUccs() const {
   return uccs;
 }
 
-void IncrementalHyFd::set_pli_cache_budget_bytes(size_t budget_bytes) {
-  if (cache_ != nullptr) cache_->set_budget_bytes(budget_bytes);
-}
-
 const FDSet& IncrementalHyFd::ApplyMixed(
     const std::vector<std::vector<std::optional<std::string>>>& inserts,
     const std::vector<RecordId>& deletes,
@@ -426,12 +405,10 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   metrics_.Reset();
   stats_.batch_rows = inserts.size() + updates.size();
   stats_.deleted_rows = dead.size();
-  PliCache::Counters cache_before;
-  if (cache_ != nullptr) cache_before = cache_->counters();
 
   if (inserts.empty() && updates.empty() && dead.empty()) {
     stats_.num_fds = fds_.size();
-    FillReport(total_timer.ElapsedSeconds(), cache_before);
+    FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
 
@@ -458,7 +435,7 @@ const FDSet& IncrementalHyFd::ApplyMixed(
     stats_.append_seconds = timer.ElapsedSeconds();
     Reseed();
     stats_.num_fds = fds_.size();
-    FillReport(total_timer.ElapsedSeconds(), cache_before);
+    FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
 
@@ -466,11 +443,6 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   if (!dead.empty()) ShrinkDerivedState(dead);
   Validator::ClusterDelta delta;
   GrowDerivedState(old_n, new_n, &delta);
-  if (cache_ != nullptr) {
-    // Every cached partition describes the pre-batch rows; the fingerprint
-    // changed, so Rebind drops them all (Counters::stale_drops).
-    cache_->Rebind(DataFingerprint(relation_, data_.records), new_n);
-  }
   stats_.append_seconds = timer.ElapsedSeconds();
 
   // Deletes can make FDs valid: repair the cover downward before the loop.
@@ -513,7 +485,7 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   // list is empty, so they validate at zero scan cost; generalization
   // candidates and freshly specialized candidates get the full check.
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
-                      pool_.get(), cache_.get(), &metrics_);
+                      pool_.get(), /*cache=*/nullptr, &metrics_);
   validator.set_delta(&delta);
   const auto match = [&](RecordPairs suggestions) {
     return MatchPairs(std::move(suggestions));
@@ -528,7 +500,6 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
   MatchPairs(std::move(loop.last.comparison_suggestions));
-  HYFD_AUDIT_ONLY(if (cache_ != nullptr) cache_->CheckInvariants());
 
   fds_ = tree_.ToFdSet();
   if (!dead.empty()) {
@@ -537,7 +508,7 @@ const FDSet& IncrementalHyFd::ApplyMixed(
     }
   }
   stats_.num_fds = fds_.size();
-  FillReport(total_timer.ElapsedSeconds(), cache_before);
+  FillReport(total_timer.ElapsedSeconds());
   return fds_;
 }
 
@@ -708,20 +679,11 @@ const FDSet& IncrementalHyFd::ApplyBatchStrings(
   return ApplyBatch(converted);
 }
 
-void IncrementalHyFd::FillReport(double total_seconds,
-                                 const PliCache::Counters& cache_before) {
+void IncrementalHyFd::FillReport(double total_seconds) {
   report_ = RunReport{};
   report_.AddPhase("append", stats_.append_seconds);
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).
-  if (cache_ != nullptr) {
-    const PliCache::Counters after = cache_->counters();
-    report_.pli_cache_hits = after.hits - cache_before.hits;
-    report_.pli_cache_misses = after.misses - cache_before.misses;
-    report_.pli_cache_evictions = after.evictions - cache_before.evictions;
-    report_.SetCounter("incremental.cache_stale_drops",
-                       after.stale_drops - cache_before.stale_drops);
-  }
   report_.SetCounter("incremental.batches",
                      static_cast<uint64_t>(num_batches_));
   report_.SetCounter("incremental.batch_rows", stats_.batch_rows);

@@ -19,7 +19,6 @@
 #include "fd/fd_set.h"
 #include "fd/fd_tree.h"
 #include "pli/pli_builder.h"
-#include "pli/pli_cache.h"
 #include "util/attribute_set.h"
 #include "util/metrics.h"
 #include "util/run_report.h"
@@ -28,19 +27,15 @@
 namespace hyfd {
 
 /// Tuning knobs of an incremental discovery session. A deliberate subset of
-/// HyFdConfig: the session owns its relation and derived state, so the
-/// external-cache and memory-guardian channels do not apply.
+/// HyFdConfig: the session never prunes its tree (no memory guardian) and
+/// keeps no PLI cache — its Validator refines each candidate directly, and
+/// every batch changes the data a cached partition would describe.
 struct IncrementalConfig {
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   /// Phase-switch threshold, as in HyFdConfig (paper Figure 8).
   double efficiency_threshold = 0.01;
   /// > 1 parallelizes sampling and validation on one shared pool.
   int num_threads = 1;
-  /// Keep a session-owned budgeted PliCache warm across the phase switches
-  /// of each batch; it is re-bound (stale entries dropped) after every
-  /// append via the compressed-records fingerprint.
-  bool enable_pli_cache = true;
-  size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
   /// Deletes leave emptied cluster slots in place (slot indexes stay stable
   /// for the delta machinery); when a column's empty-slot fraction crosses
   /// this threshold its PLI is compacted and cluster ids renumbered.
@@ -88,13 +83,12 @@ struct IncrementalBatchStats : HybridLoopStats {
   double append_seconds = 0;
 };
 
-/// EAIFD-style incremental FD discovery session (the direction reserved by
-/// HyFdConfig::enable_pli_cache's documentation).
+/// EAIFD-style incremental FD discovery session.
 ///
 /// The session owns a Relation plus everything HyFD derives from it — the
-/// single-column PLIs, the compressed records, the candidate FDTree with its
-/// per-node `confirmed` proofs, and a budgeted PliCache — and keeps all of
-/// it consistent across row-batch inserts:
+/// single-column PLIs, the compressed records and the candidate FDTree with
+/// its per-node `confirmed` proofs — and keeps all of it consistent across
+/// row-batch inserts:
 ///
 ///   IncrementalHyFd session(initial_relation);
 ///   const FDSet& fds0 = session.fds();            // full HyFD discovery
@@ -219,14 +213,6 @@ class IncrementalHyFd {
   /// UCCs, and with them no attribute set is unique.
   std::vector<AttributeSet> MinimalUccs() const;
 
-  /// Re-budgets the session-owned PliCache, evicting immediately if the new
-  /// budget is lower; a no-op for sessions built with enable_pli_cache ==
-  /// false. The multi-tenant service calls this to apply per-tenant
-  /// fair-share partitioning of a global cache budget as tables come and
-  /// go. Like every other session call, callers must serialize it with the
-  /// session's other operations (the service's per-table lock does).
-  void set_pli_cache_budget_bytes(size_t budget_bytes);
-
   /// Rows the FD set is computed over: relation().num_rows() minus
   /// tombstones.
   size_t num_live_rows() const { return num_live_rows_; }
@@ -289,8 +275,7 @@ class IncrementalHyFd {
   /// ones are recorded in the cover with their witnessing pair.
   std::vector<AttributeSet> MatchPairs(
       std::vector<std::pair<RecordId, RecordId>> pairs);
-  void FillReport(double total_seconds,
-                  const PliCache::Counters& cache_before);
+  void FillReport(double total_seconds);
 
   IncrementalConfig config_;
   Relation relation_;
@@ -301,7 +286,6 @@ class IncrementalHyFd {
   /// batch Update() never re-adds the most general FDs over a seeded tree.
   std::unique_ptr<Inductor> inductor_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<PliCache> cache_;
   /// The witnessed negative cover: every agree set ever observed, mapped to
   /// the record pair that witnessed it. Duplicates are sound but wasted
   /// work, so batches only forward fresh sets to the Inductor. On deletes,

@@ -56,7 +56,8 @@ struct PreprocessedData {
 PreprocessedData Preprocess(const Relation& relation,
                             NullSemantics nulls = NullSemantics::kNullEqualsNull);
 
-/// Fingerprint used to bind PliCache entries to their source data. Combines
+/// Fingerprint that keys HyFd's owned PliCache to its source data, so
+/// the cache survives a repeat Discover() on the same data only. Combines
 /// the relation's storage-layer ContentFingerprint (format version, types,
 /// dictionaries, codes) with the compressed records' cluster-structure
 /// fingerprint: two datasets whose cluster structure coincides but whose

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 
+#include "pli/pli_cache.h"
 #include "util/check.h"
 
 namespace hyfd {
@@ -69,6 +70,10 @@ Validator::Validator(const PreprocessedData* data, FDTree* tree,
 
 void Validator::set_delta(const ClusterDelta* delta) {
   if (delta != nullptr) {
+    // A touched-only scan yields partial partitions, and cached partitions
+    // describe the whole relation: delta mode and a cache never mix.
+    HYFD_CHECK(cache_ == nullptr,
+               "Validator: delta mode takes no PLI cache");
     HYFD_CHECK(delta->touched.size() ==
                    static_cast<size_t>(data_->num_attributes),
                "Validator: delta touched-cluster lists do not cover every "
@@ -125,13 +130,9 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     u.rhs_attrs = rhss.ToIndexes();
 
     const bool multi_lhs = entry.lhs.Count() >= 2;
-    // A cached LHS partition (from an earlier discovery pass or a sibling
-    // algorithm sharing the cache) replaces the grouping pass entirely.
-    // Never in restricted mode: cached partitions describe the *whole*
-    // relation, which is correct but defeats the touched-only savings — and
-    // the restricted scan must never *create* cache entries either, so the
-    // cache is bypassed symmetrically.
-    if (cache_ != nullptr && multi_lhs && !restricted) {
+    // A cached LHS partition (from an earlier discovery pass) replaces the
+    // grouping pass entirely.
+    if (cache_ != nullptr && multi_lhs) {
       if (auto cached = cache_->Probe(entry.lhs)) {
         u.cached = std::move(cached);
         u.job.clusters = &u.cached->clusters();
@@ -180,7 +181,7 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     // π_lhs: every group that gains a second record becomes one of its
     // stripped clusters. Abandoned on early exit (partial partitions are
     // never cached).
-    u.job.collect = cache_ != nullptr && multi_lhs && !restricted;
+    u.job.collect = cache_ != nullptr && multi_lhs;
     units.push_back(std::move(u));
   };
 

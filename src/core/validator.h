@@ -7,12 +7,13 @@
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
 #include "fd/fd_tree.h"
-#include "pli/pli_cache.h"
 #include "util/attribute_set.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
+
+class PliCache;
 
 /// Outcome of one validation phase.
 struct ValidatorResult {
@@ -57,9 +58,9 @@ class Validator {
   /// parallelizes the per-node refinement checks (paper §10.4). A non-null
   /// `cache` is probed for each multi-attribute LHS partition — a hit skips
   /// the hash-grouping pass — and kept warm with the LHS partitions the
-  /// grouping pass assembles anyway, so repeated discovery passes and
-  /// sibling algorithms reuse them. The cache must be thread-safe when a
-  /// pool is given (probes run concurrently). A non-null `metrics` registry
+  /// grouping pass assembles anyway, so repeated discovery passes over the
+  /// same data reuse them. The cache must be thread-safe when a pool is
+  /// given (probes run concurrently). A non-null `metrics` registry
   /// receives per-level counters (levels, candidates, suggestion dedup).
   Validator(const PreprocessedData* data, FDTree* tree,
             double efficiency_threshold, ThreadPool* pool = nullptr,
@@ -69,8 +70,9 @@ class Validator {
   /// data (FDTree::Node::confirmed) are re-checked only over the delta's
   /// touched pivot clusters; fresh candidates still get the full check. The
   /// delta must outlive the Validator and describe the *current* grown
-  /// `data` (restricted-mode refinement never probes or fills the PliCache —
-  /// a touched-only scan yields partial partitions that must not be cached).
+  /// `data`. A non-null delta requires a Validator built without a cache
+  /// (ContractViolation otherwise): a touched-only scan yields partial
+  /// partitions that must not be cached.
   void set_delta(const ClusterDelta* delta);
 
   /// Continues the level-wise traversal from where it last stopped.

@@ -8,8 +8,8 @@ namespace hyfd {
 namespace {
 
 /// Storage format version folded into ContentFingerprint(): a format bump
-/// must invalidate every fingerprint-keyed consumer (PliCache bindings) even
-/// if the logical data is unchanged. Kept in lockstep with
+/// must invalidate every fingerprint-keyed consumer (HyFd's owned PLI cache,
+/// via DataFingerprint) even if the logical data is unchanged. Kept in lockstep with
 /// table_io.h's kTableFormatVersion by a static_assert there.
 constexpr uint64_t kStorageFingerprintVersion = 2;
 

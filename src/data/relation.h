@@ -111,7 +111,8 @@ class Relation {
   /// types, dictionaries, and code vectors. Two relations share a
   /// fingerprint only if they are byte-identical at the storage layer, so a
   /// binary-cache reload of a changed CSV can never alias the old data even
-  /// when the cluster structure happens to match (see PliCache::Rebind).
+  /// when the cluster structure happens to match (see DataFingerprint, which
+  /// keys HyFd's owned PLI cache).
   uint64_t ContentFingerprint() const;
 
   /// ContentFingerprint() of FromRows() over the rows with `live[row] != 0`

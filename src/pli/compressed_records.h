@@ -67,8 +67,8 @@ class CompressedRecords {
   }
 
   /// FNV-1a fingerprint over the matrix shape, the tombstone epoch, and
-  /// every cluster id. Keys the PliCache binding (HyFd's owned cross-run
-  /// cache, PliCache::Rebind): equal fingerprints ⇒ identical compressed
+  /// every cluster id. Half of DataFingerprint, which keys HyFd's owned
+  /// cross-run PLI cache: equal fingerprints ⇒ identical compressed
   /// input, so cached partitions remain valid; any append, edit, or delete
   /// changes the fingerprint (deletes through the epoch — wiping an
   /// all-unique row leaves the cells untouched).

@@ -20,8 +20,7 @@ PliCache::PliCache(std::vector<Pli> single_plis, size_t num_records,
     : config_(config),
       nulls_(nulls),
       num_attributes_(static_cast<int>(single_plis.size())),
-      num_records_(num_records),
-      budget_bytes_(config.budget_bytes) {
+      num_records_(num_records) {
   singles_.reserve(single_plis.size());
   probing_.reserve(single_plis.size());
   for (Pli& pli : single_plis) {
@@ -40,8 +39,7 @@ PliCache::PliCache(int num_attributes, size_t num_records, Config config,
     : config_(config),
       nulls_(nulls),
       num_attributes_(num_attributes),
-      num_records_(num_records),
-      budget_bytes_(config.budget_bytes) {}
+      num_records_(num_records) {}
 
 PliCache PliCache::FromRelation(const Relation& relation, Config config,
                                 NullSemantics nulls) {
@@ -170,9 +168,9 @@ void PliCache::Put(const AttributeSet& attrs, std::shared_ptr<const Pli> pli) {
   if (attrs.Count() == 0 || pli == nullptr) return;
   HYFD_CHECK(attrs.size() == num_attributes_,
              "PliCache::Put: key ranges over the wrong attribute count");
-  WriterLock lock(mu_);  // num_records_ is guarded: check under the lock
   HYFD_CHECK(pli->num_records() == num_records_,
              "PliCache::Put: partition built over a different record count");
+  WriterLock lock(mu_);
   InsertLocked(attrs, std::move(pli));
 }
 
@@ -204,13 +202,13 @@ std::shared_ptr<const Pli> PliCache::InsertLocked(
 }
 
 void PliCache::EvictLocked() {
-  if (budget_bytes_ == 0) {
+  if (config_.budget_bytes == 0) {
     ChargeTrackerLocked();
     return;
   }
   // Never evict the most recent entry: a budget smaller than one partition
   // degenerates to a one-entry cache instead of thrashing to empty.
-  while (bytes_ > budget_bytes_ && lru_.size() > 1) {
+  while (bytes_ > config_.budget_bytes && lru_.size() > 1) {
     Entry& victim = lru_.back();
     bytes_ -= victim.bytes;
     index_.erase(victim.key);
@@ -226,30 +224,6 @@ void PliCache::ChargeTrackerLocked() const {
     config_.memory_tracker->SetComponent(MemoryTracker::kPlis,
                                          singles_bytes_ + bytes_);
   }
-}
-
-void PliCache::Rebind(uint64_t data_fingerprint, size_t num_records) {
-  WriterLock lock(mu_);
-  if (data_fingerprint_ == data_fingerprint && num_records_ == num_records) {
-    return;  // same data: cached partitions stay warm
-  }
-  HYFD_CHECK(singles_.empty(),
-             "PliCache::Rebind: a cache with pinned singles cannot re-bind — "
-             "the pinned single-column PLIs would be stale");
-  stale_drops_.fetch_add(lru_.size(), std::memory_order_relaxed);
-  lru_.clear();
-  index_.clear();
-  bytes_ = 0;
-  data_fingerprint_ = data_fingerprint;
-  num_records_ = num_records;
-  ChargeTrackerLocked();
-  HYFD_AUDIT_ONLY(CheckInvariantsLocked());
-}
-
-void PliCache::set_budget_bytes(size_t budget_bytes) {
-  WriterLock lock(mu_);
-  budget_bytes_ = budget_bytes;
-  EvictLocked();
 }
 
 void PliCache::Clear() {
@@ -301,8 +275,8 @@ void PliCache::CheckInvariantsLocked() const {
   }
   HYFD_CHECK(bytes_ == derived_bytes,
              "PliCache: byte-budget accounting drifted from the entries");
-  HYFD_CHECK(!config_.enabled || budget_bytes_ == 0 ||
-                 bytes_ <= budget_bytes_ || lru_.size() <= 1,
+  HYFD_CHECK(!config_.enabled || config_.budget_bytes == 0 ||
+                 bytes_ <= config_.budget_bytes || lru_.size() <= 1,
              "PliCache: over budget with more than one evictable entry");
 }
 
@@ -314,7 +288,6 @@ PliCache::Counters PliCache::counters() const {
   c.evictions = evictions_.load(std::memory_order_relaxed);
   c.derivations = derivations_.load(std::memory_order_relaxed);
   c.inserts = inserts_.load(std::memory_order_relaxed);
-  c.stale_drops = stale_drops_.load(std::memory_order_relaxed);
   c.bytes = bytes_;
   c.entries = lru_.size();
   return c;
@@ -326,7 +299,6 @@ void PliCache::ResetCounters() {
   evictions_.store(0, std::memory_order_relaxed);
   derivations_.store(0, std::memory_order_relaxed);
   inserts_.store(0, std::memory_order_relaxed);
-  stale_drops_.store(0, std::memory_order_relaxed);
 }
 
 size_t PliCache::TotalBytes() const {

@@ -44,11 +44,11 @@ struct PliCacheConfig {
 /// `AttributeSet`.
 ///
 /// PLI intersection dominates the lattice-traversal cost of every level-wise
-/// discoverer in this library (TANE, FUN, FD_Mine, DFD) and of repeated
-/// discovery passes over the same relation (the EAIFD setting). One cache can
-/// be built per relation and handed to any number of algorithm runs through
-/// `AlgoOptions::pli_cache` / `HyFdConfig::pli_cache`, so π_X computed by one
-/// run is a hit for the next.
+/// discoverer in this library (TANE, FUN, FD_Mine, DFD). One cache can be
+/// built per relation and handed to any number of their runs through
+/// `AlgoOptions::pli_cache`, so π_X computed by one run is a hit for the
+/// next. HyFd owns one more, singles-less, which its Validator keeps warm
+/// across repeated Discover() calls on the same data.
 ///
 /// * **Eviction** is LRU under a byte budget (`Config::budget_bytes`;
 ///   0 = unbounded). Single-column PLIs and their probing tables are pinned —
@@ -88,7 +88,6 @@ class PliCache {
     size_t evictions = 0;
     size_t derivations = 0;  ///< PLI intersections performed on miss paths
     size_t inserts = 0;
-    size_t stale_drops = 0;  ///< entries dropped by Rebind() re-binding
     size_t bytes = 0;
     size_t entries = 0;
   };
@@ -121,14 +120,10 @@ class PliCache {
   PliCache& operator=(PliCache&&) = delete;
 
   int num_attributes() const { return num_attributes_; }
-  size_t num_records() const HYFD_EXCLUDES(mu_) {
-    ReaderLock lock(mu_);  // Rebind() may update the count
-    return num_records_;
-  }
+  size_t num_records() const { return num_records_; }
   NullSemantics null_semantics() const { return nulls_; }
-  /// The construction-time configuration. Immutable for the cache's
-  /// lifetime; the *live* byte budget moves with set_budget_bytes() and is
-  /// not reflected here.
+  /// The construction-time configuration, immutable for the cache's
+  /// lifetime.
   const Config& config() const { return config_; }
   bool has_singles() const { return !singles_.empty(); }
 
@@ -167,27 +162,6 @@ class PliCache {
   void Put(const AttributeSet& attrs, Pli pli) HYFD_EXCLUDES(mu_);
   void Put(const AttributeSet& attrs, std::shared_ptr<const Pli> pli)
       HYFD_EXCLUDES(mu_);
-
-  /// Fingerprint of the dataset the cached partitions were built from
-  /// (CompressedRecords::Fingerprint); 0 until the first Rebind().
-  uint64_t data_fingerprint() const HYFD_EXCLUDES(mu_) {
-    ReaderLock lock(mu_);
-    return data_fingerprint_;
-  }
-
-  /// Binds the cache to a dataset fingerprint + record count. A no-op when
-  /// both already match (the cached partitions stay warm — the cross-batch
-  /// reuse path of IncrementalHyFd). On any mismatch every derived entry is
-  /// dropped (counted under Counters::stale_drops, not evictions) and the
-  /// record count is updated, so a later Put()/Probe() can never serve a
-  /// partition computed over the old rows. Caches with pinned singles refuse
-  /// to re-bind to different data (the pinned inputs themselves would be
-  /// stale): ContractViolation.
-  void Rebind(uint64_t data_fingerprint, size_t num_records)
-      HYFD_EXCLUDES(mu_);
-
-  /// Re-budgets the cache, evicting immediately if the new budget is lower.
-  void set_budget_bytes(size_t budget_bytes) HYFD_EXCLUDES(mu_);
 
   /// Drops every derived entry (pinned singles stay). Not counted as
   /// evictions.
@@ -240,12 +214,12 @@ class PliCache {
   void CheckInvariantsLocked() const HYFD_REQUIRES_SHARED(mu_);
   static size_t EntryBytes(const AttributeSet& key, const Pli& pli);
 
-  /// Immutable after construction (set_budget_bytes updates budget_bytes_,
-  /// not config_), so the unguarded reads in hyfd.cc's cache-compatibility
-  /// checks and in ExclusiveLock-free accessors are race-free.
+  /// Immutable after construction, so the unguarded reads in accessors and
+  /// in the eviction budget are race-free.
   Config config_;
   NullSemantics nulls_;
   int num_attributes_ = 0;
+  size_t num_records_ = 0;
   size_t singles_bytes_ = 0;
 
   std::vector<std::shared_ptr<const Pli>> singles_;
@@ -255,9 +229,6 @@ class PliCache {
   /// LockPolicy::kElided: statically identical locking, runtime no-ops.
   mutable SharedMutex mu_{config_.thread_safe ? LockPolicy::kEnforced
                                               : LockPolicy::kElided};
-  size_t num_records_ HYFD_GUARDED_BY(mu_) = 0;
-  uint64_t data_fingerprint_ HYFD_GUARDED_BY(mu_) = 0;
-  size_t budget_bytes_ HYFD_GUARDED_BY(mu_) = 0;  ///< live value of the budget
   LruList lru_ HYFD_GUARDED_BY(mu_);  ///< front = most recently used
   std::unordered_map<AttributeSet, LruList::iterator> index_
       HYFD_GUARDED_BY(mu_);
@@ -268,7 +239,6 @@ class PliCache {
   std::atomic<size_t> evictions_{0};
   std::atomic<size_t> derivations_{0};
   std::atomic<size_t> inserts_{0};
-  std::atomic<size_t> stale_drops_{0};
 };
 
 }  // namespace hyfd

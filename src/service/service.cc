@@ -140,14 +140,6 @@ std::shared_ptr<FdService::TableEntry> FdService::FindTable(
   return it == tables_.end() ? nullptr : it->second;
 }
 
-void FdService::RebudgetLocked() {
-  const size_t n = std::max<size_t>(1, tables_.size());
-  const size_t share = config_.pli_cache_total_budget_bytes / n;
-  for (auto& [name, entry] : tables_) {
-    entry->cache_budget_bytes.store(share, std::memory_order_relaxed);
-  }
-}
-
 ServiceResult FdService::CreateTable(const CreateTableRequest& req) {
   return Execute([this, &req]() -> ServiceResult {
     if (req.table.empty()) {
@@ -181,8 +173,6 @@ ServiceResult FdService::CreateTable(const CreateTableRequest& req) {
     session_config.efficiency_threshold = config_.efficiency_threshold;
     // Sessions run on pool workers, where nested ParallelFor is forbidden.
     session_config.num_threads = 1;
-    session_config.pli_cache_budget_bytes =
-        config_.pli_cache_total_budget_bytes / (tables_.size() + 1);
 
     auto entry = std::make_shared<TableEntry>();
     ServiceResult r;
@@ -193,7 +183,6 @@ ServiceResult FdService::CreateTable(const CreateTableRequest& req) {
       r.reply.status = StatusOf(*entry->session);
     }
     tables_.emplace(req.table, std::move(entry));
-    RebudgetLocked();
     r.reply.request = MessageType::kCreateTable;
     return r;
   });
@@ -222,8 +211,6 @@ ServiceResult FdService::IngestBatch(const IngestBatchRequest& req) {
                  GuardianReasonCode(admit));
     }
     IncrementalHyFd& session = *entry->session;
-    session.set_pli_cache_budget_bytes(
-        entry->cache_budget_bytes.load(std::memory_order_relaxed));
     try {
       session.ApplyBatch(req.rows);
     } catch (const ContractViolation& e) {
@@ -275,8 +262,6 @@ ServiceResult FdService::ApplyMixed(const ApplyMixedRequest& req) {
                  GuardianReasonCode(admit));
     }
     IncrementalHyFd& session = *entry->session;
-    session.set_pli_cache_budget_bytes(
-        entry->cache_budget_bytes.load(std::memory_order_relaxed));
     try {
       session.ApplyMixed(req.inserts, deletes, updates);
     } catch (const ContractViolation& e) {
@@ -390,7 +375,6 @@ ServiceResult FdService::DropTable(const TableRequest& req) {
       }
       entry = std::move(it->second);
       tables_.erase(it);
-      RebudgetLocked();
     }
     // The registry slot is gone (new lookups miss); tear the session down
     // under the entry lock, i.e. strictly after any in-flight request on

@@ -10,7 +10,6 @@
 
 #include "core/incremental.h"
 #include "pli/pli_builder.h"
-#include "pli/pli_cache.h"
 #include "service/protocol.h"
 #include "util/sync.h"
 #include "util/thread_pool.h"
@@ -33,10 +32,6 @@ struct ServiceConfig {
   /// Enforced up-front by MemoryGuardian::AdmitWork — an over-budget batch
   /// is refused with kMemoryRejected before the session is touched.
   size_t memory_limit_bytes = 0;
-  /// Global PliCache budget, split evenly across live tables (the fair-share
-  /// rule). Each create/drop recomputes every tenant's share; a session
-  /// picks up its new share on its next write.
-  size_t pli_cache_total_budget_bytes = PliCache::kDefaultBudgetBytes;
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   double efficiency_threshold = 0.01;
 };
@@ -111,9 +106,6 @@ class FdService {
     SharedMutex mu;
     std::unique_ptr<IncrementalHyFd> session HYFD_GUARDED_BY(mu);
     bool dropped HYFD_GUARDED_BY(mu) = false;
-    /// Latest fair-share PliCache budget, written by create/drop under the
-    /// registry writer lock, applied lazily by the next write under `mu`.
-    std::atomic<size_t> cache_budget_bytes{0};
     /// Estimated bytes this table retains (admission bookkeeping).
     std::atomic<size_t> retained_bytes{0};
   };
@@ -122,8 +114,6 @@ class FdService {
   ServiceResult Execute(const std::function<ServiceResult()>& work);
   std::shared_ptr<TableEntry> FindTable(const std::string& name)
       HYFD_EXCLUDES(registry_mu_);
-  /// Recomputes every live table's fair PliCache share.
-  void RebudgetLocked() HYFD_REQUIRES(registry_mu_);
 
   const ServiceConfig config_;
 

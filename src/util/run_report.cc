@@ -379,9 +379,6 @@ std::string RunReport::ToJson() const {
   out += "    \"overrun_bytes\": " + std::to_string(guardian_overrun_bytes) + "\n";
   out += "  },\n";
   out += "  \"pli_cache\": {\n";
-  out += std::string("    \"external_rejected\": ") +
-         (external_cache_rejected ? "true" : "false") + ",\n";
-  out += "    \"rejection_reason\": " + JsonQuote(external_cache_rejection_reason) + ",\n";
   out += "    \"hits\": " + std::to_string(pli_cache_hits) + ",\n";
   out += "    \"misses\": " + std::to_string(pli_cache_misses) + ",\n";
   out += "    \"evictions\": " + std::to_string(pli_cache_evictions) + "\n";
@@ -472,8 +469,6 @@ std::vector<std::string> ValidateParsed(const JsonValue& root) {
       {"guardian.give_ups", JsonValue::Kind::kNumber},
       {"guardian.overrun_bytes", JsonValue::Kind::kNumber},
       {"pli_cache", JsonValue::Kind::kObject},
-      {"pli_cache.external_rejected", JsonValue::Kind::kBool},
-      {"pli_cache.rejection_reason", JsonValue::Kind::kString},
       {"pli_cache.hits", JsonValue::Kind::kNumber},
       {"pli_cache.misses", JsonValue::Kind::kNumber},
       {"pli_cache.evictions", JsonValue::Kind::kNumber},
@@ -483,6 +478,14 @@ std::vector<std::string> ValidateParsed(const JsonValue& root) {
       {"phases", JsonValue::Kind::kArray},
       {"counters", JsonValue::Kind::kObject},
   };
+  // The version first: a document of another version is refused for that,
+  // not for whichever field the versions disagree on.
+  if (const JsonValue* version = FindPath(root, "schema_version");
+      version != nullptr && version->IsNumber() &&
+      static_cast<int>(version->number) != RunReport::kSchemaVersion) {
+    problems.push_back("unsupported schema_version " +
+                       std::to_string(static_cast<int>(version->number)));
+  }
   for (const FieldCheck& check : kRequired) {
     const JsonValue* value = FindPath(root, check.path);
     if (value == nullptr) {
@@ -491,12 +494,6 @@ std::vector<std::string> ValidateParsed(const JsonValue& root) {
       problems.push_back(std::string("field ") + check.path + " must be " +
                          KindName(check.kind) + ", got " + KindName(value->kind));
     }
-  }
-  if (const JsonValue* version = FindPath(root, "schema_version");
-      version != nullptr && version->IsNumber() &&
-      static_cast<int>(version->number) != RunReport::kSchemaVersion) {
-    problems.push_back("unsupported schema_version " +
-                       std::to_string(static_cast<int>(version->number)));
   }
   if (const JsonValue* phases = FindPath(root, "phases");
       phases != nullptr && phases->IsArray()) {
@@ -559,8 +556,6 @@ std::optional<RunReport> RunReport::FromJson(std::string_view json,
   report.guardian_prunes = static_cast<int>(num("guardian.prunes"));
   report.guardian_give_ups = static_cast<int>(num("guardian.give_ups"));
   report.guardian_overrun_bytes = static_cast<size_t>(num("guardian.overrun_bytes"));
-  report.external_cache_rejected = FindPath(*root, "pli_cache.external_rejected")->boolean;
-  report.external_cache_rejection_reason = str("pli_cache.rejection_reason");
   report.pli_cache_hits = static_cast<size_t>(num("pli_cache.hits"));
   report.pli_cache_misses = static_cast<size_t>(num("pli_cache.misses"));
   report.pli_cache_evictions = static_cast<size_t>(num("pli_cache.evictions"));

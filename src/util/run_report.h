@@ -79,7 +79,7 @@ struct PhaseSpan {
 /// emitted report:
 ///
 ///   {
-///     "schema_version": 1,
+///     "schema_version": 2,
 ///     "algorithm": "hyfd",            // registry name, or "hyucc"
 ///     "dataset": "ncvoter",           // harness label, may be ""
 ///     "rows": 10000, "columns": 19,
@@ -94,9 +94,7 @@ struct PhaseSpan {
 ///       "give_ups": 0,                // over-budget checks with cap already at 1
 ///       "overrun_bytes": 0            // max bytes over the limit at a give-up
 ///     },
-///     "pli_cache": {
-///       "external_rejected": false,   // incompatible external cache ignored
-///       "rejection_reason": "",
+///     "pli_cache": {                  // the run's own cache (0 without)
 ///       "hits": 0, "misses": 0, "evictions": 0
 ///     },
 ///     "memory": {
@@ -107,7 +105,9 @@ struct PhaseSpan {
 ///     "counters": {"sampler.windows": 12, ...}   // MetricsRegistry export
 ///   }
 struct RunReport {
-  static constexpr int kSchemaVersion = 1;
+  /// 2: `pli_cache.external_rejected` and `pli_cache.rejection_reason`
+  /// removed (HyFD no longer takes an external cache).
+  static constexpr int kSchemaVersion = 2;
 
   std::string algorithm;
   std::string dataset;
@@ -125,8 +125,6 @@ struct RunReport {
   int guardian_give_ups = 0;
   size_t guardian_overrun_bytes = 0;
 
-  bool external_cache_rejected = false;
-  std::string external_cache_rejection_reason;
   size_t pli_cache_hits = 0;
   size_t pli_cache_misses = 0;
   size_t pli_cache_evictions = 0;

@@ -141,84 +141,6 @@ TEST(HyFdTest, GenerousMemoryLimitStaysComplete) {
   testing::ExpectSameFds(DiscoverFds(r), fds, "generous memory limit");
 }
 
-// Regression for the shadowed-cache bug: an external PliCache that does not
-// describe the relation was silently ignored; it must now be reported.
-TEST(HyFdTest, RejectsExternalCacheWithWrongShape) {
-  Relation r = testing::RandomRelation(5, 100, 11, 3);
-  Relation other = testing::RandomRelation(4, 100, 12, 3);  // wrong width
-  PliCache cache = PliCache::FromRelation(other);
-
-  RunReport report;
-  HyFdConfig config;
-  config.pli_cache = &cache;
-  config.run_report = &report;
-  HyFd algo(config);
-  FDSet fds = algo.Discover(r);
-
-  EXPECT_TRUE(algo.stats().external_cache_rejected);
-  EXPECT_NE(algo.stats().external_cache_rejection_reason.find("attribute"),
-            std::string::npos);
-  EXPECT_TRUE(report.external_cache_rejected);
-  EXPECT_EQ(report.external_cache_rejection_reason,
-            algo.stats().external_cache_rejection_reason);
-  // The run itself must still be correct and complete.
-  EXPECT_TRUE(algo.stats().complete);
-  testing::ExpectSameFds(DiscoverFdsBruteForce(r), fds, "rejected cache");
-}
-
-TEST(HyFdTest, RejectsExternalCacheWithWrongRowCountOrNulls) {
-  Relation r = testing::RandomRelation(4, 100, 13, 3);
-
-  Relation fewer = testing::RandomRelation(4, 60, 13, 3);  // wrong row count
-  PliCache short_cache = PliCache::FromRelation(fewer);
-  HyFdConfig config;
-  config.pli_cache = &short_cache;
-  HyFd algo(config);
-  testing::ExpectSameFds(DiscoverFdsBruteForce(r), algo.Discover(r),
-                         "short cache");
-  EXPECT_TRUE(algo.stats().external_cache_rejected);
-  EXPECT_NE(algo.stats().external_cache_rejection_reason.find("record"),
-            std::string::npos);
-
-  PliCache null_cache =
-      PliCache::FromRelation(r, {}, NullSemantics::kNullUnequal);
-  HyFdConfig null_config;  // defaults to kNullEqualsNull: mismatch
-  null_config.pli_cache = &null_cache;
-  HyFd null_algo(null_config);
-  testing::ExpectSameFds(DiscoverFdsBruteForce(r), null_algo.Discover(r),
-                         "null-semantics cache");
-  EXPECT_TRUE(null_algo.stats().external_cache_rejected);
-  EXPECT_NE(null_algo.stats().external_cache_rejection_reason.find("null"),
-            std::string::npos);
-}
-
-TEST(HyFdTest, RejectsNonThreadSafeCacheWhenParallel) {
-  Relation r = testing::RandomRelation(5, 120, 17, 3);
-  PliCache cache = PliCache::FromRelation(r);  // thread_safe = false
-  HyFdConfig config;
-  config.pli_cache = &cache;
-  config.num_threads = 4;
-  HyFd algo(config);
-  testing::ExpectSameFds(DiscoverFds(r), algo.Discover(r),
-                         "non-thread-safe cache, 4 threads");
-  EXPECT_TRUE(algo.stats().external_cache_rejected);
-  EXPECT_NE(algo.stats().external_cache_rejection_reason.find("thread"),
-            std::string::npos);
-}
-
-TEST(HyFdTest, CompatibleExternalCacheIsAccepted) {
-  Relation r = testing::RandomRelation(5, 120, 19, 3);
-  PliCache::Config cache_config;
-  cache_config.thread_safe = true;
-  PliCache cache = PliCache::FromRelation(r, cache_config);
-  HyFdConfig config;
-  config.pli_cache = &cache;
-  HyFd algo(config);
-  testing::ExpectSameFds(DiscoverFds(r), algo.Discover(r), "shared cache");
-  EXPECT_FALSE(algo.stats().external_cache_rejected);
-  EXPECT_TRUE(algo.stats().external_cache_rejection_reason.empty());
-}
-
 TEST(HyFdTest, MultiThreadedMatchesSingleThreaded) {
   Relation r = testing::RandomRelation(6, 150, 23, 3);
   HyFdConfig mt;

@@ -2,8 +2,8 @@
 // for seeded generated relations, apply k random row batches and assert the
 // incremental FD set is identical to a from-scratch HyFD run on the
 // concatenated relation — and to the brute-force oracle on small inputs —
-// after EVERY batch, under thread counts {1, 8} and with the session's PLI
-// cache on and off. This is the equivalence guarantee DESIGN.md §9 promises.
+// after EVERY batch, under thread counts {1, 8} and both NULL semantics.
+// This is the equivalence guarantee DESIGN.md §9 promises.
 
 #include "core/incremental.h"
 
@@ -115,7 +115,7 @@ void RunDifferentialSchedule(const Relation& full, size_t initial_rows,
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance-criteria matrix: seeds × threads {1, 8} × cache {on, off}.
+// The acceptance-criteria matrix: seeds × threads {1, 8}.
 // ---------------------------------------------------------------------------
 
 class IncrementalDifferentialTest : public ::testing::TestWithParam<uint64_t> {
@@ -125,16 +125,11 @@ TEST_P(IncrementalDifferentialTest, MatchesFromScratchAfterEveryBatch) {
   const uint64_t seed = GetParam();
   Relation full = testing::RandomRelation(5, 120, seed, 3);
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      IncrementalConfig config;
-      config.num_threads = threads;
-      config.enable_pli_cache = cache;
-      RunDifferentialSchedule(
-          full, /*initial_rows=*/60, /*num_batches=*/4, config, seed,
-          /*check_brute_force=*/true,
-          "threads=" + std::to_string(threads) +
-              " cache=" + (cache ? std::string("on") : std::string("off")));
-    }
+    IncrementalConfig config;
+    config.num_threads = threads;
+    RunDifferentialSchedule(full, /*initial_rows=*/60, /*num_batches=*/4,
+                            config, seed, /*check_brute_force=*/true,
+                            "threads=" + std::to_string(threads));
   }
 }
 
@@ -522,8 +517,8 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
   }
 }
 
-// The acceptance-criteria matrix: seeds × threads {1, 8} × cache {on, off},
-// brute-force checked after every step.
+// The acceptance-criteria matrix: seeds × threads {1, 8}, brute-force
+// checked after every step.
 class IncrementalCrudDifferentialTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -531,16 +526,11 @@ TEST_P(IncrementalCrudDifferentialTest, MatchesFromScratchAfterEveryStep) {
   const uint64_t seed = GetParam();
   Relation full = testing::RandomRelation(5, 140, seed, 3);
   for (int threads : {1, 8}) {
-    for (bool cache : {true, false}) {
-      IncrementalConfig config;
-      config.num_threads = threads;
-      config.enable_pli_cache = cache;
-      RunCrudSchedule(
-          full, /*initial_rows=*/70, /*num_steps=*/8, config, seed,
-          /*check_brute_force=*/true,
-          "crud threads=" + std::to_string(threads) +
-              " cache=" + (cache ? std::string("on") : std::string("off")));
-    }
+    IncrementalConfig config;
+    config.num_threads = threads;
+    RunCrudSchedule(full, /*initial_rows=*/70, /*num_steps=*/8, config, seed,
+                    /*check_brute_force=*/true,
+                    "crud threads=" + std::to_string(threads));
   }
 }
 
@@ -938,25 +928,6 @@ TEST(IncrementalCrudTest, ReseedAfterDeletesCompactsToLiveRows) {
       Schema({"a", "b"}), {{"07", "x"}, {"9", "y"}, {"n/a", "z"}});
   testing::ExpectSameFds(DiscoverFds(smaller), after,
                          "delete after reseed");
-}
-
-TEST(IncrementalStatsTest, CacheRebindsAcrossBatches) {
-  Relation full = testing::RandomRelation(5, 120, 19, 3);
-  IncrementalConfig config;
-  config.enable_pli_cache = true;
-  IncrementalHyFd session(full.HeadRows(100), config);
-  session.ApplyBatch(Slice(full, 100, 110));
-  session.ApplyBatch(Slice(full, 110, 120));
-  // Each batch re-binds the session cache to the grown fingerprint; the
-  // report carries the stale-drop delta (≥ 0 — zero only when the Validator
-  // never assembled a multi-attribute partition worth caching).
-  const RunReport& report = session.report();
-  bool found = false;
-  for (const auto& [name, value] : report.counters) {
-    if (name == "incremental.cache_stale_drops") found = true;
-  }
-  EXPECT_TRUE(found);
-  testing::ExpectSameFds(DiscoverFds(full), session.fds(), "two batches");
 }
 
 }  // namespace

@@ -34,8 +34,6 @@ RunReport FullyPopulatedReport() {
   report.guardian_prunes = 2;
   report.guardian_give_ups = 1;
   report.guardian_overrun_bytes = 4096;
-  report.external_cache_rejected = true;
-  report.external_cache_rejection_reason = "null-semantics mismatch";
   report.pli_cache_hits = 10;
   report.pli_cache_misses = 4;
   report.pli_cache_evictions = 1;
@@ -157,7 +155,7 @@ TEST(RunReportValidateTest, ReportsEveryMissingRequiredField) {
 TEST(RunReportValidateTest, ReportsMissingNestedField) {
   std::string json = FullyPopulatedReport().ToJson();
   for (const char* field : {"pruned_lhs_cap", "give_ups", "overrun_bytes",
-                            "external_rejected", "peak_bytes", "components"}) {
+                            "misses", "peak_bytes", "components"}) {
     auto problems = RunReport::ValidateJsonSchema(DropField(json, field));
     EXPECT_FALSE(problems.empty()) << "dropping " << field << " not detected";
   }
@@ -176,12 +174,31 @@ TEST(RunReportValidateTest, RejectsWrongFieldType) {
 
 TEST(RunReportValidateTest, RejectsWrongSchemaVersion) {
   std::string json = FullyPopulatedReport().ToJson();
-  size_t pos = json.find("\"schema_version\": 1");
+  size_t pos = json.find("\"schema_version\": 2");
   ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, std::string("\"schema_version\": 1").size(),
-               "\"schema_version\": 2");
+  json.replace(pos, std::string("\"schema_version\": 2").size(),
+               "\"schema_version\": 3");
   EXPECT_FALSE(RunReport::ValidateJsonSchema(json).empty());
   EXPECT_FALSE(RunReport::FromJson(json).has_value());
+}
+
+TEST(RunReportValidateTest, RefusesAVersionOneDocumentByItsVersion) {
+  // Version 1 carried pli_cache.external_rejected and rejection_reason. A v1
+  // document holds every v2 field, so its version is what refuses it.
+  std::string json = FullyPopulatedReport().ToJson();
+  const std::string v2 = "\"schema_version\": 2";
+  json.replace(json.find(v2), v2.size(), "\"schema_version\": 1");
+  const std::string hits = "\"hits\":";
+  json.insert(json.find(hits),
+              "\"external_rejected\": false,\n    "
+              "\"rejection_reason\": \"\",\n    ");
+  ASSERT_TRUE(ParseJson(json).has_value()) << json;
+  std::vector<std::string> problems = RunReport::ValidateJsonSchema(json);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems.front(), "unsupported schema_version 1");
+  std::string error;
+  EXPECT_FALSE(RunReport::FromJson(json, &error).has_value());
+  EXPECT_EQ(error, "unsupported schema_version 1");
 }
 
 TEST(JsonParserTest, ParsesEscapesAndStructure) {
@@ -255,8 +272,7 @@ TEST(RunReportTest, ControlCharactersRoundTripThroughEveryStringField) {
   report.dataset = "data" + hostile;
   report.result_kind = "fds" + hostile;
   report.MarkIncomplete("reason" + hostile);
-  report.external_cache_rejected = true;
-  report.external_cache_rejection_reason = "why" + hostile;
+  report.MarkIncomplete("why" + hostile);
   report.memory_components = {{"comp" + hostile, 17}};
   report.AddPhase("phase" + hostile, 0.5);
   report.SetCounter("counter" + hostile, 3);
@@ -267,9 +283,9 @@ TEST(RunReportTest, ControlCharactersRoundTripThroughEveryStringField) {
   EXPECT_EQ(parsed->algorithm, report.algorithm);
   EXPECT_EQ(parsed->dataset, report.dataset);
   EXPECT_EQ(parsed->result_kind, report.result_kind);
-  ASSERT_EQ(parsed->degradation_reasons.size(), 1u);
+  ASSERT_EQ(parsed->degradation_reasons.size(), 2u);
   EXPECT_EQ(parsed->degradation_reasons[0], "reason" + hostile);
-  EXPECT_EQ(parsed->external_cache_rejection_reason, "why" + hostile);
+  EXPECT_EQ(parsed->degradation_reasons[1], "why" + hostile);
   ASSERT_EQ(parsed->memory_components.size(), 1u);
   EXPECT_EQ(parsed->memory_components[0].first, "comp" + hostile);
   ASSERT_EQ(parsed->phases.size(), 1u);

@@ -5,7 +5,9 @@
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
+#include "pli/pli_cache.h"
 #include "test_util.h"
+#include "util/check.h"
 
 namespace hyfd {
 namespace {
@@ -200,6 +202,24 @@ TEST(ValidatorTest, NullSemanticsPropagate) {
     }
     EXPECT_TRUE(tree.ToFdSet().Contains(FD(AttributeSet(2, {0}), 1)));
   }
+}
+
+TEST(ValidatorTest, DeltaModeRejectsACache) {
+  // A touched-only scan assembles partial partitions; cached ones describe
+  // the whole relation. Delta mode therefore takes no cache at all.
+  Relation r = testing::RandomRelation(4, 60, 41, 3);
+  PreprocessedData data = Preprocess(r);
+  Validator::ClusterDelta delta;
+  delta.touched.resize(static_cast<size_t>(data.num_attributes));
+
+  FDTree tree(data.num_attributes);
+  PliCache cache(data.num_attributes, data.num_records);
+  Validator cached(&data, &tree, 0.01, nullptr, &cache);
+  EXPECT_THROW(cached.set_delta(&delta), ContractViolation);
+  EXPECT_NO_THROW(cached.set_delta(nullptr));
+
+  Validator plain(&data, &tree, 0.01);
+  EXPECT_NO_THROW(plain.set_delta(&delta));
 }
 
 }  // namespace
