@@ -59,14 +59,12 @@ int main(int argc, char** argv) {
   size_t reference_fds = 0;
   int variant_index = 0;
   for (const Variant& v : variants) {
-    RunReport report;
-    report.dataset = "ncvoter-statewide";
-    HyFdConfig config = v.config;
-    config.run_report = &report;
-    HyFd algo(config);
+    HyFd algo(v.config);
     Timer timer;
     FDSet fds = algo.Discover(relation);
     const HyFdStats& s = algo.stats();
+    RunReport report = algo.report();
+    report.dataset = "ncvoter-statewide";
     report.SetCounter("bench.variant", static_cast<uint64_t>(variant_index++));
     sink.Add(report);
     if (reference_fds == 0) reference_fds = fds.size();

@@ -33,11 +33,8 @@ int main(int argc, char** argv) {
   const std::vector<double> thresholds = {0.0001, 0.0003, 0.001, 0.003, 0.01,
                                           0.03,   0.1,    0.3,   1.0};
   for (double threshold : thresholds) {
-    RunReport report;
-    report.dataset = "ncvoter-statewide";
     HyFdConfig config;
     config.efficiency_threshold = threshold;
-    config.run_report = &report;
     HyFd algo(config);
     Timer timer;
     FDSet fds = algo.Discover(relation);
@@ -45,6 +42,8 @@ int main(int argc, char** argv) {
                 timer.ElapsedSeconds(), algo.stats().phase_switches, fds.size(),
                 algo.stats().comparisons);
     std::fflush(stdout);
+    RunReport report = algo.report();
+    report.dataset = "ncvoter-statewide";
     // The swept parameter, as parts-per-million (counters are integral).
     report.SetCounter("bench.threshold_ppm",
                       static_cast<uint64_t>(threshold * 1e6));

@@ -73,16 +73,15 @@ int main(int argc, char** argv) {
 
   ReportSink sink("fig9_threads");
   for (int threads : ladder) {
-    RunReport report;
-    report.dataset = "fd-reduced (generated)";
     HyFdConfig config;
     config.efficiency_threshold = threshold;
     config.num_threads = threads;
-    config.run_report = &report;
     HyFd algo(config);
     Timer timer;
     FDSet fds = algo.Discover(relation);
     double seconds = timer.ElapsedSeconds();
+    RunReport report = algo.report();
+    report.dataset = "fd-reduced (generated)";
 
     bool identical = true;
     if (threads == 1) {

@@ -128,12 +128,10 @@ int main(int argc, char** argv) {
 
   // HyUCC (not in the FD registry, same report schema).
   {
-    RunReport report;
-    report.dataset = "bridges";
-    HyUccConfig config;
-    config.run_report = &report;
-    HyUcc algo(config);
+    HyUcc algo;
     algo.Discover(relation);
+    RunReport report = algo.report();
+    report.dataset = "bridges";
     ok = CheckReport(report, "hyucc") && ok;
     ok = WriteReport(report, outdir + "/REPORT_hyucc.json") && ok;
   }
@@ -179,13 +177,12 @@ int main(int argc, char** argv) {
   // the report MUST say the result is incomplete and name the cap.
   {
     Relation dense = GenerateFdReduced(150, 8, 4, /*seed=*/19);
-    RunReport report;
-    report.dataset = "fd-reduced (generated)";
     HyFdConfig config;
     config.memory_limit_bytes = 1;
-    config.run_report = &report;
     HyFd algo(config);
     algo.Discover(dense);
+    RunReport report = algo.report();
+    report.dataset = "fd-reduced (generated)";
     ok = CheckReport(report, "hyfd-pruned") && ok;
     if (report.complete) {
       std::fprintf(stderr,

@@ -41,24 +41,22 @@ int main(int argc, char** argv) {
     int cols = (!full && spec.columns > 24) ? 24 : spec.columns;
     Relation relation = MakeDataset(name, rows, cols);
 
-    RunReport report_single, report_multi;
-    report_single.dataset = name;
-    report_multi.dataset = name;
-
-    HyFdConfig single;
-    single.run_report = &report_single;
-    HyFd algo_single(single);
+    HyFd algo_single;
     Timer t1;
     FDSet fds = algo_single.Discover(relation);
     double s1 = t1.ElapsedSeconds();
 
     HyFdConfig multi;
     multi.num_threads = threads;
-    multi.run_report = &report_multi;
     HyFd algo_multi(multi);
     Timer t2;
     FDSet fds_multi = algo_multi.Discover(relation);
     double s2 = t2.ElapsedSeconds();
+
+    RunReport report_single = algo_single.report();
+    RunReport report_multi = algo_multi.report();
+    report_single.dataset = name;
+    report_multi.dataset = name;
 
     report_single.SetCounter("bench.threads", 1);
     report_multi.SetCounter("bench.threads", static_cast<uint64_t>(threads));

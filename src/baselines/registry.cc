@@ -1,6 +1,8 @@
 #include "baselines/registry.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "baselines/depminer.h"
 #include "baselines/dfd.h"
@@ -24,8 +26,15 @@ FDSet RunHyFd(const Relation& relation, const AlgoOptions& options) {
   config.memory_tracker = options.memory_tracker;
   config.enable_pli_cache = options.use_pli_cache;
   config.pli_cache_budget_bytes = options.pli_cache_budget_bytes;
-  config.run_report = options.run_report;
-  return DiscoverFds(relation, config);
+  HyFd algo(config);
+  FDSet fds = algo.Discover(relation);
+  if (options.run_report != nullptr) {
+    // Keep the harness-owned label (dataset name) across the copy.
+    std::string dataset = std::move(options.run_report->dataset);
+    *options.run_report = algo.report();
+    options.run_report->dataset = std::move(dataset);
+  }
+  return fds;
 }
 
 }  // namespace

@@ -58,8 +58,7 @@ HybridLoopResult RunHybridLoop(const PhaseOne& phase_one, Inductor* inductor,
 void FinishHybridReport(std::string algorithm, std::string result_kind,
                         size_t result_count, const PreprocessedData& data,
                         const HybridLoopStats& stats, double total_seconds,
-                        const MetricsRegistry& metrics, RunReport* report,
-                        RunReport* mirror) {
+                        const MetricsRegistry& metrics, RunReport* report) {
   report->algorithm = std::move(algorithm);
   report->rows = data.num_records;
   report->columns = data.num_attributes;
@@ -71,13 +70,6 @@ void FinishHybridReport(std::string algorithm, std::string result_kind,
   report->AddPhase("induction", stats.induction_seconds);
   report->AddPhase("validation", stats.validation_seconds);
   report->MergeMetrics(metrics);
-  if (mirror != nullptr) {
-    // Preserve harness-owned labeling (dataset name) across the overwrite.
-    std::string dataset = std::move(mirror->dataset);
-    *mirror = *report;
-    mirror->dataset = std::move(dataset);
-    report->dataset = mirror->dataset;
-  }
 }
 
 }  // namespace hyfd

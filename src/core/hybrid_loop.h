@@ -70,13 +70,11 @@ HybridLoopResult RunHybridLoop(const PhaseOne& phase_one, Inductor* inductor,
 
 /// Fills the report fields HyFd, IncrementalHyFd and HyUcc share — header,
 /// preprocess/sampling/induction/validation phases (after any phase already
-/// added), merged registry — then copies the report into `mirror`, if set,
-/// keeping the mirror's `dataset` label. Call after every other field is set.
+/// added) and the merged registry. Call after every other field is set.
 void FinishHybridReport(std::string algorithm, std::string result_kind,
                         size_t result_count, const PreprocessedData& data,
                         const HybridLoopStats& stats, double total_seconds,
-                        const MetricsRegistry& metrics, RunReport* report,
-                        RunReport* mirror);
+                        const MetricsRegistry& metrics, RunReport* report);
 
 }  // namespace hyfd
 

@@ -158,8 +158,7 @@ FDSet HyFd::Discover(const Relation& relation) {
   report_.SetCounter("hyfd.non_fds", stats_.non_fds);
   report_.SetCounter("hyfd.validations", stats_.validations);
   FinishHybridReport("hyfd", "fds", result.size(), data, stats_,
-                     total_timer.ElapsedSeconds(), metrics, &report_,
-                     config_.run_report);
+                     total_timer.ElapsedSeconds(), metrics, &report_);
   return result;
 }
 

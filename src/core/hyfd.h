@@ -47,9 +47,6 @@ struct HyFdConfig {
   bool enable_pli_cache = true;
   /// Byte budget of the owned cache (0 = unbounded).
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
-  /// If set, Discover() writes its structured run report here (the same
-  /// document `HyFd::report()` exposes) — the bench harness's channel.
-  RunReport* run_report = nullptr;
 };
 
 /// Counters and timings of a completed run; the loop's share (phase
@@ -104,8 +101,7 @@ class HyFd {
 
   const HyFdStats& stats() const { return stats_; }
   /// Structured report of the last Discover() call (phase spans, counters,
-  /// guardian degradation, owned-cache activity, memory components). Also
-  /// copied into `HyFdConfig::run_report` when that is set.
+  /// guardian degradation, owned-cache activity, memory components).
   const RunReport& report() const { return report_; }
   const HyFdConfig& config() const { return config_; }
 

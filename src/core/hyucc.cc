@@ -196,8 +196,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
   report_.SetCounter("hyucc.comparisons", stats_.comparisons);
   report_.SetCounter("hyucc.validations", stats_.validations);
   FinishHybridReport("hyucc", "uccs", uccs.size(), data, stats_,
-                     total_timer.ElapsedSeconds(), metrics, &report_,
-                     config_.run_report);
+                     total_timer.ElapsedSeconds(), metrics, &report_);
   return uccs;
 }
 

@@ -20,9 +20,6 @@ struct HyUccConfig {
   /// > 1 parallelizes Phase 1 (the shared Sampler) exactly as in HyFD;
   /// results are bit-identical for any value.
   int num_threads = 1;
-  /// If set, Discover() writes its structured run report here (the same
-  /// document `HyUcc::report()` exposes).
-  RunReport* run_report = nullptr;
 };
 
 /// Run counters, mirroring HyFdStats. Induction time is spent specializing
@@ -52,8 +49,7 @@ class HyUcc {
   std::vector<AttributeSet> Discover(const Relation& relation);
 
   const HyUccStats& stats() const { return stats_; }
-  /// Structured report of the last Discover() call. Also copied into
-  /// `HyUccConfig::run_report` when that is set.
+  /// Structured report of the last Discover() call.
   const RunReport& report() const { return report_; }
 
  private:

@@ -10,6 +10,15 @@
 
 namespace hyfd {
 
+namespace {
+
+/// A column's PLI is compacted (emptied slots dropped, cluster ids
+/// renumbered) once more than this fraction of its slots are empty; below
+/// it, emptied slots linger so slot indexes stay stable.
+constexpr double kCompactThreshold = 0.3;
+
+}  // namespace
+
 IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     : config_(config),
       relation_(std::move(relation)),
@@ -89,40 +98,55 @@ void IncrementalHyFd::Seed() {
   // explicit (and audited) regardless of the path that produced it.
   tree_.ConfirmAll();
   fds_ = tree_.ToFdSet();
-  BuildColumnStates();
+  const size_t m = static_cast<size_t>(relation_.num_columns());
+  value_rows_.resize(m);
+  null_rows_.assign(m, kNoRow);
+  for (int c = 0; c < relation_.num_columns(); ++c) {
+    value_rows_[static_cast<size_t>(c)].assign(
+        relation_.segment(c).dictionary().size(), kNoRow);
+    const std::vector<uint32_t>& codes = relation_.segment(c).codes();
+    for (size_t r = 0; r < codes.size(); ++r) {
+      if (RecordId* row = ValueRow(c, codes[r])) *row = static_cast<RecordId>(r);
+    }
+  }
+  HYFD_AUDIT_ONLY(CheckValueRows());
   identity_epoch_ = relation_.IdentityEpoch();
 }
 
-void IncrementalHyFd::BuildColumnStates() {
-  const int m = data_.num_attributes;
+RecordId* IncrementalHyFd::ValueRow(int c, uint32_t code) {
+  if (code != kNullCode) return &value_rows_[static_cast<size_t>(c)][code];
+  if (config_.null_semantics == NullSemantics::kNullUnequal) return nullptr;
+  return &null_rows_[static_cast<size_t>(c)];
+}
+
+void IncrementalHyFd::CheckValueRows() const {
   const size_t n = data_.num_records;
-  column_states_.assign(static_cast<size_t>(m), ColumnState{});
-  for (int c = 0; c < m; ++c) {
-    ColumnState& state = column_states_[static_cast<size_t>(c)];
+  const bool nulls_equal =
+      config_.null_semantics == NullSemantics::kNullEqualsNull;
+  for (int c = 0; c < data_.num_attributes; ++c) {
     const std::vector<uint32_t>& codes = relation_.segment(c).codes();
-    const std::vector<ClusterId> probing =
-        data_.plis[static_cast<size_t>(c)].BuildProbingTable();
-    for (size_t r = 0; r < n; ++r) {
-      const ClusterId cid = probing[r];
+    const std::vector<RecordId>& rows = value_rows_[static_cast<size_t>(c)];
+    const RecordId null_row = null_rows_[static_cast<size_t>(c)];
+    HYFD_CHECK(nulls_equal || null_row == kNoRow,
+               "IncrementalHyFd: NULL row indexed under kNullUnequal");
+    const auto check_entry = [&](RecordId row, uint32_t code) {
+      HYFD_CHECK(row == kNoRow || (row < n && live_[row] != 0 &&
+                                   codes[row] == code),
+                 "IncrementalHyFd: value row dead or carrying another code");
+    };
+    for (uint32_t code = 0; code < rows.size(); ++code) {
+      check_entry(rows[code], code);
+    }
+    check_entry(null_row, kNullCode);
+    for (RecordId r = 0; r < n; ++r) {
       const uint32_t code = codes[r];
-      if (code == kNullCode) {
-        // Under kNullUnequal every NULL stays a stripped singleton forever:
-        // no future row can join it, so it needs no index entry.
-        if (config_.null_semantics == NullSemantics::kNullUnequal) continue;
-        if (cid != kUniqueCluster) {
-          state.has_null_cluster = true;
-          state.null_cluster = static_cast<uint32_t>(cid);
-        } else {
-          state.has_null_singleton = true;
-          state.null_record = static_cast<RecordId>(r);
-        }
-        continue;
-      }
-      if (cid != kUniqueCluster) {
-        state.cluster_of[code] = static_cast<uint32_t>(cid);
-      } else {
-        state.singleton_of[code] = static_cast<RecordId>(r);
-      }
+      if (live_[r] == 0 || (code == kNullCode && !nulls_equal)) continue;
+      const RecordId row = code == kNullCode ? null_row : rows[code];
+      HYFD_CHECK(row != kNoRow, "IncrementalHyFd: live value without a row");
+      const ClusterId cid = data_.records.Cluster(r, c);
+      HYFD_CHECK(cid == kUniqueCluster ? row == r
+                                       : data_.records.Cluster(row, c) == cid,
+                 "IncrementalHyFd: value row outside the row's cluster");
     }
   }
 }
@@ -135,76 +159,42 @@ void IncrementalHyFd::GrowDerivedState(size_t old_n, size_t new_n,
   data_.records.Append(new_n);
 
   for (int c = 0; c < m; ++c) {
-    ColumnState& state = column_states_[static_cast<size_t>(c)];
     Pli& pli = data_.plis[static_cast<size_t>(c)];
-    const size_t old_cluster_count = pli.clusters().size();
-
+    const ClusterId old_cluster_count =
+        static_cast<ClusterId>(pli.clusters().size());
     std::vector<std::pair<uint32_t, RecordId>> appends;
     std::vector<std::vector<RecordId>> new_clusters;
     std::vector<uint32_t>& touched = delta->touched[static_cast<size_t>(c)];
+    value_rows_[static_cast<size_t>(c)].resize(
+        relation_.segment(c).dictionary().size(), kNoRow);
 
-    // Routes new record `r` into cluster `ci` — a pre-existing cluster goes
-    // through Pli::AppendRows' append list, a cluster created earlier in
-    // this same batch is still local and grows directly.
-    auto join = [&](uint32_t ci, RecordId r) {
-      if (ci < old_cluster_count) {
-        appends.emplace_back(ci, r);
-      } else {
-        new_clusters[ci - old_cluster_count].push_back(r);
-      }
-      touched.push_back(ci);
-    };
-    // Promotes `partner` (an old or in-batch singleton) and `r` into a brand
-    // new cluster; returns its index.
-    auto promote = [&](RecordId partner, RecordId r) {
-      const uint32_t ci =
-          static_cast<uint32_t>(old_cluster_count + new_clusters.size());
-      new_clusters.push_back({partner, r});
-      touched.push_back(ci);
-      return ci;
-    };
-
+    // Each new row reads its cluster from the cell of its value's row and is
+    // stamped as it joins, so clusters made earlier in this batch are found
+    // the same way: a pre-existing cluster grows through Pli::AppendRows'
+    // append list, an in-batch one is still local and grows directly.
     const std::vector<uint32_t>& codes = relation_.segment(c).codes();
     for (size_t r = old_n; r < new_n; ++r) {
       const RecordId rid = static_cast<RecordId>(r);
-      const uint32_t code = codes[r];
-      if (code == kNullCode) {
-        if (config_.null_semantics == NullSemantics::kNullUnequal) continue;
-        if (state.has_null_cluster) {
-          join(state.null_cluster, rid);
-        } else if (state.has_null_singleton) {
-          state.null_cluster = promote(state.null_record, rid);
-          state.has_null_cluster = true;
-          state.has_null_singleton = false;
-        } else {
-          state.has_null_singleton = true;
-          state.null_record = rid;
-        }
+      RecordId* value_row = ValueRow(c, codes[r]);
+      if (value_row == nullptr) continue;
+      if (*value_row == kNoRow) {
+        *value_row = rid;  // first live row of its value: a singleton
         continue;
       }
-      if (auto it = state.cluster_of.find(code); it != state.cluster_of.end()) {
-        join(it->second, rid);
-      } else if (auto single = state.singleton_of.find(code);
-                 single != state.singleton_of.end()) {
-        state.cluster_of.emplace(code, promote(single->second, rid));
-        state.singleton_of.erase(single);
+      ClusterId cid = data_.records.Cluster(*value_row, c);
+      if (cid == kUniqueCluster) {
+        // Promote the value's singleton and `rid` into a brand new cluster.
+        cid = old_cluster_count + static_cast<ClusterId>(new_clusters.size());
+        new_clusters.push_back({*value_row, rid});
+        data_.records.SetCluster(*value_row, c, cid);
+      } else if (cid < old_cluster_count) {
+        appends.emplace_back(static_cast<uint32_t>(cid), rid);
       } else {
-        state.singleton_of.emplace(code, rid);
+        new_clusters[static_cast<size_t>(cid - old_cluster_count)].push_back(
+            rid);
       }
-    }
-
-    // Stamp the compressed records before the clusters are moved out: new
-    // rows joining pre-existing clusters, plus every member of a new cluster
-    // (covering old singletons promoted by a matching new row, whose cell
-    // still reads kUniqueCluster).
-    for (const auto& [ci, rid] : appends) {
-      data_.records.SetCluster(rid, c, static_cast<ClusterId>(ci));
-    }
-    for (size_t i = 0; i < new_clusters.size(); ++i) {
-      const ClusterId ci = static_cast<ClusterId>(old_cluster_count + i);
-      for (RecordId member : new_clusters[i]) {
-        data_.records.SetCluster(member, c, ci);
-      }
+      data_.records.SetCluster(rid, c, cid);
+      touched.push_back(static_cast<uint32_t>(cid));
     }
     pli.AppendRows(new_n, appends, std::move(new_clusters));
 
@@ -220,6 +210,7 @@ void IncrementalHyFd::GrowDerivedState(size_t old_n, size_t new_n,
   HYFD_AUDIT_ONLY({
     for (const Pli& pli : data_.plis) pli.CheckInvariants();
     data_.records.CheckInvariants(data_.plis);
+    CheckValueRows();
   });
 }
 
@@ -516,79 +507,46 @@ void IncrementalHyFd::ShrinkDerivedState(const std::vector<RecordId>& dead) {
   const int m = data_.num_attributes;
   std::vector<std::pair<uint32_t, RecordId>> removals;
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
   std::vector<int32_t> remap;
   for (int c = 0; c < m; ++c) {
-    ColumnState& state = column_states_[static_cast<size_t>(c)];
     Pli& pli = data_.plis[static_cast<size_t>(c)];
     const std::vector<uint32_t>& codes = relation_.segment(c).codes();
 
-    // Classify each dead row in this column — cluster member vs implicit
-    // singleton — from its compressed cell (wiped only after all columns).
+    // Dead cluster members leave their slots; the compressed cells, wiped
+    // only after all columns, still name those slots.
     removals.clear();
     for (RecordId r : dead) {
       const ClusterId cid = data_.records.Cluster(r, c);
       if (cid != kUniqueCluster) {
         removals.emplace_back(static_cast<uint32_t>(cid), r);
-        continue;
-      }
-      // The dead row was an implicit singleton: drop its value-index entry
-      // so a future equal insert cannot resurrect it as a cluster partner.
-      const uint32_t code = codes[r];
-      if (code == kNullCode) {
-        if (config_.null_semantics == NullSemantics::kNullUnequal) continue;
-        if (state.has_null_singleton && state.null_record == r) {
-          state.has_null_singleton = false;
-        }
-      } else if (auto it = state.singleton_of.find(code);
-                 it != state.singleton_of.end() && it->second == r) {
-        state.singleton_of.erase(it);
       }
     }
+    pli.RemoveRows(removals, dead.size(), &demoted);
 
-    pli.RemoveRows(removals, dead.size(), &demoted, &emptied);
-
-    // Demoted survivors become implicit singletons: restamp their cell and
-    // migrate the value index from the cluster map to the singleton map.
+    // A demoted survivor is its value's only live row: it becomes an
+    // implicit singleton and its value's row.
     for (const auto& [slot, survivor] : demoted) {
       data_.records.SetCluster(survivor, c, kUniqueCluster);
-      const uint32_t code = codes[survivor];
-      if (code == kNullCode) {
-        state.has_null_cluster = false;
-        state.has_null_singleton = true;
-        state.null_record = survivor;
-      } else {
-        state.cluster_of.erase(code);
-        state.singleton_of.emplace(code, survivor);
-      }
+      *ValueRow(c, codes[survivor]) = survivor;
     }
-    // Slots whose members all died: the value itself is gone from the
-    // relation; unmap it (the slot index may be recycled by compaction).
-    for (uint32_t slot : emptied) {
-      uint32_t code = 0;
-      bool found = false;
-      for (const auto& [s, r] : removals) {
-        if (s == slot) {
-          code = codes[r];
-          found = true;
-          break;
-        }
-      }
-      HYFD_CHECK(found, "IncrementalHyFd: emptied slot without a removal");
-      if (code == kNullCode) {
-        state.has_null_cluster = false;
-      } else {
-        state.cluster_of.erase(code);
-      }
+    // A dead value row moves onto a survivor of its slot, or to kNoRow when
+    // its value is gone (a dead singleton or an emptied slot).
+    for (RecordId r : dead) {
+      RecordId* value_row = ValueRow(c, codes[r]);
+      if (value_row == nullptr || *value_row != r) continue;
+      const ClusterId cid = data_.records.Cluster(r, c);
+      const bool survived = cid != kUniqueCluster &&
+                            !pli.clusters()[static_cast<size_t>(cid)].empty();
+      *value_row =
+          survived ? pli.clusters()[static_cast<size_t>(cid)][0] : kNoRow;
     }
 
     // Compact when the empty-slot fraction crosses the threshold: drop the
-    // empties, renumber surviving slots, restamp moved members' cells, and
-    // renumber the value index.
+    // empties, renumber surviving slots and restamp moved members' cells.
+    // Row ids survive, so the value rows stay as they are.
     if (pli.num_empty_slots() > 0 &&
         static_cast<double>(pli.num_empty_slots()) >
-            config_.pli_compact_threshold *
-                static_cast<double>(pli.clusters().size())) {
+            kCompactThreshold * static_cast<double>(pli.clusters().size())) {
       pli.CompactSlots(&remap);
       const auto& clusters = pli.clusters();
       for (size_t old_slot = 0; old_slot < remap.size(); ++old_slot) {
@@ -600,24 +558,14 @@ void IncrementalHyFd::ShrinkDerivedState(const std::vector<RecordId>& dead) {
           data_.records.SetCluster(member, c, new_slot);
         }
       }
-      for (auto& [code, ci] : state.cluster_of) {
-        HYFD_CHECK(remap[ci] >= 0,
-                   "IncrementalHyFd: value index points at a dropped slot");
-        ci = static_cast<uint32_t>(remap[ci]);
-      }
-      if (state.has_null_cluster) {
-        HYFD_CHECK(remap[state.null_cluster] >= 0,
-                   "IncrementalHyFd: NULL index points at a dropped slot");
-        state.null_cluster = static_cast<uint32_t>(remap[state.null_cluster]);
-      }
     }
   }
-  // Wipe the dead rows' cells last: the per-column classification above
-  // reads them.
+  // Wipe the dead rows' cells last: the per-column passes above read them.
   data_.records.RemoveRows(dead);
   HYFD_AUDIT_ONLY({
     for (const Pli& pli : data_.plis) pli.CheckInvariants();
     data_.records.CheckInvariants(data_.plis);
+    CheckValueRows();
   });
 }
 
@@ -701,7 +649,7 @@ void IncrementalHyFd::FillReport(double total_seconds) {
   report_.SetCounter("incremental.phase_switches",
                      static_cast<uint64_t>(stats_.phase_switches));
   FinishHybridReport("hyfd_incremental", "fds", fds_.size(), data_, stats_,
-                     total_seconds, metrics_, &report_, config_.run_report);
+                     total_seconds, metrics_, &report_);
 }
 
 }  // namespace hyfd

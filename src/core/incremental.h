@@ -36,13 +36,6 @@ struct IncrementalConfig {
   double efficiency_threshold = 0.01;
   /// > 1 parallelizes sampling and validation on one shared pool.
   int num_threads = 1;
-  /// Deletes leave emptied cluster slots in place (slot indexes stay stable
-  /// for the delta machinery); when a column's empty-slot fraction crosses
-  /// this threshold its PLI is compacted and cluster ids renumbered.
-  double pli_compact_threshold = 0.3;
-  /// If set, every ApplyBatch() mirrors its structured report here (the
-  /// same document `report()` exposes).
-  RunReport* run_report = nullptr;
 };
 
 /// Counters and timings of the last ApplyBatch()/DeleteRows()/UpdateRows()
@@ -224,31 +217,20 @@ class IncrementalHyFd {
   int num_batches() const { return num_batches_; }
 
  private:
-  /// Per-column value index for classifying new rows in O(1): which stripped
-  /// cluster (by index) or singleton record currently holds each value.
-  /// Keyed by the column segment's dictionary code, not the lexeme — value
-  /// identity is code identity, and codes are stable under *numeric* type
-  /// widening while canonical lexemes are re-rendered (int "1000000000000000"
-  /// becomes double "1e+15" when a later batch widens the column). A widening
-  /// to string can split codes of existing rows; that bumps the relation's
-  /// IdentityEpoch(), which ApplyBatch answers with a full reseed instead of
-  /// in-place growth. NULLs (kNullCode) are tracked separately so they never
-  /// collide with a real code.
-  struct ColumnState {
-    std::unordered_map<uint32_t, uint32_t> cluster_of;
-    std::unordered_map<uint32_t, RecordId> singleton_of;
-    bool has_null_cluster = false;
-    uint32_t null_cluster = 0;
-    bool has_null_singleton = false;
-    RecordId null_record = 0;
-  };
+  /// Marks a value with no live row in value_rows_ / null_rows_.
+  static constexpr RecordId kNoRow = ~RecordId{0};
 
   /// Builds every piece of derived state from relation() — PLIs, compressed
-  /// records, tree, witnessed negative cover, column indexes — and runs the
+  /// records, tree, witnessed negative cover, value rows — and runs the
   /// full hybrid discovery over it, restarting the loop's stats and the
   /// registry.
   void Seed();
-  void BuildColumnStates();
+  /// The value_rows_ / null_rows_ entry of `code` in column `c`, or nullptr
+  /// for a NULL under kNullUnequal (every such NULL is a singleton forever).
+  RecordId* ValueRow(int c, uint32_t code);
+  /// Audit: every value_rows_ / null_rows_ entry is a live row carrying its
+  /// code, and every indexed row's value has an entry in the row's cluster.
+  void CheckValueRows() const;
   /// Discards every piece of derived state and re-runs Seed() on the current
   /// relation. The escape hatch for batches that change value identity
   /// retroactively (IdentityEpoch() moved): stale clusters cannot be grown,
@@ -257,9 +239,9 @@ class IncrementalHyFd {
   /// the in-flight batch's append timing survives untouched.
   void Reseed();
   /// Shrinks PLIs + compressed records for the (live, distinct) `dead` rows:
-  /// erases them from their clusters, demotes lone survivors, maintains the
-  /// per-column value indexes, and compacts columns whose empty-slot
-  /// fraction crossed config_.pli_compact_threshold.
+  /// erases them from their clusters, demotes lone survivors, moves dead
+  /// value rows onto survivors, and compacts columns whose empty-slot
+  /// fraction crossed kCompactThreshold.
   void ShrinkDerivedState(const std::vector<RecordId>& dead);
   /// Drops witnessed agree sets whose witness died, rebuilds the candidate
   /// tree from the survivors, and transfers proofs from the old tree
@@ -296,7 +278,18 @@ class IncrementalHyFd {
   /// witnesses stay valid verbatim.
   std::unordered_map<AttributeSet, std::pair<RecordId, RecordId>>
       negative_cover_;
-  std::vector<ColumnState> column_states_;
+  /// One live row per value, so a new row finds its cluster through that
+  /// row's compressed cell (kUniqueCluster: the value is a singleton so
+  /// far). value_rows_[c][code] is a live row carrying `code` in column c,
+  /// or kNoRow; null_rows_[c] is the same for NULL under kNullEqualsNull.
+  /// Keyed by the column segment's dictionary code, not the lexeme — value
+  /// identity is code identity, and codes are stable under *numeric* type
+  /// widening while canonical lexemes are re-rendered. A widening to string
+  /// can split codes of existing rows; that bumps the relation's
+  /// IdentityEpoch(), which ApplyBatch answers with a full reseed. Row ids
+  /// survive PLI compaction, so these entries never need renumbering.
+  std::vector<std::vector<RecordId>> value_rows_;
+  std::vector<RecordId> null_rows_;
   /// Liveness per physical row id; tombstones are never reused. Sized to
   /// relation().num_rows().
   std::vector<uint8_t> live_;

@@ -123,7 +123,11 @@ class ByteReader {
                "table_io: truncated table (read past end of payload)");
     std::vector<uint32_t> values(n);
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(values.data(), buffer_.data() + pos_, n * sizeof(uint32_t));
+      // An empty vector's data() may be null, which memcpy must not get.
+      if (n > 0) {
+        std::memcpy(values.data(), buffer_.data() + pos_,
+                    n * sizeof(uint32_t));
+      }
       pos_ += n * sizeof(uint32_t);
     } else {
       for (size_t i = 0; i < n; ++i) values[i] = ReadU32();

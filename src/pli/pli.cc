@@ -100,14 +100,12 @@ void Pli::AppendRows(size_t new_num_records,
 
 void Pli::RemoveRows(const std::vector<std::pair<uint32_t, RecordId>>& removals,
                      size_t num_dead_rows,
-                     std::vector<std::pair<uint32_t, RecordId>>* demoted,
-                     std::vector<uint32_t>* emptied) {
+                     std::vector<std::pair<uint32_t, RecordId>>* demoted) {
   HYFD_CHECK(num_dead_rows >= removals.size(),
              "Pli::RemoveRows: more cluster removals than dead rows");
   HYFD_CHECK(num_dead_rows <= num_live_,
              "Pli::RemoveRows: more dead rows than live records");
   demoted->clear();
-  emptied->clear();
   // Group removals by slot so each touched cluster is swept exactly once.
   std::vector<std::pair<uint32_t, RecordId>> sorted(removals);
   std::sort(sorted.begin(), sorted.end());
@@ -144,11 +142,8 @@ void Pli::RemoveRows(const std::vector<std::pair<uint32_t, RecordId>>& removals,
       demoted->emplace_back(slot, cluster[0]);
       cluster.clear();
       --size_;
-      ++num_empty_slots_;
-    } else if (write == 0) {
-      emptied->push_back(slot);
-      ++num_empty_slots_;
     }
+    if (cluster.empty()) ++num_empty_slots_;
     cluster.shrink_to_fit();
     begin = end;
   }

@@ -114,19 +114,17 @@ class Pli {
   /// A slot left with exactly one member is eagerly demoted: the survivor is
   /// erased as well (it becomes an implicit singleton) and reported through
   /// `demoted` as (slot, survivor) so the caller can restamp its compressed
-  /// cell; slots whose members all died are reported through `emptied`.
-  /// Demoted slots are NOT in `emptied`. Emptied slots stay in place (slot
-  /// indexes remain stable) until CompactSlots(). Throws ContractViolation if
-  /// a removal names a nonexistent slot or a record not in that slot.
+  /// cell. Demoted and emptied slots stay in place (slot indexes remain
+  /// stable) until CompactSlots(). Throws ContractViolation if a removal
+  /// names a nonexistent slot or a record not in that slot.
   void RemoveRows(const std::vector<std::pair<uint32_t, RecordId>>& removals,
                   size_t num_dead_rows,
-                  std::vector<std::pair<uint32_t, RecordId>>* demoted,
-                  std::vector<uint32_t>* emptied);
+                  std::vector<std::pair<uint32_t, RecordId>>* demoted);
 
   /// Drops empty slots and renumbers the survivors, preserving their order.
   /// `remap` receives one entry per old slot: the new slot index, or -1 for
-  /// dropped empties. The caller must restamp compressed cells / code maps of
-  /// every moved slot. No-op (remap = identity) when there are no empties.
+  /// dropped empties. The caller must restamp the compressed cells of every
+  /// moved slot. No-op (remap = identity) when there are no empties.
   void CompactSlots(std::vector<int32_t>* remap);
 
   /// Builds the probing table: record → cluster id, kUniqueCluster for

@@ -138,38 +138,32 @@ TEST(PliAuditTest, ValidPartitionPasses) {
 TEST(PliRemoveAuditTest, RemovalNotInTheStatedClusterFires) {
   Pli pli({{0, 1}, {2, 3}}, 4);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
   // Record 2 lives in slot 1, not slot 0.
-  EXPECT_THROW(pli.RemoveRows({{0, RecordId{2}}}, 1, &demoted, &emptied),
+  EXPECT_THROW(pli.RemoveRows({{0, RecordId{2}}}, 1, &demoted),
                ContractViolation);
 }
 
 TEST(PliRemoveAuditTest, NonexistentClusterFires) {
   Pli pli({{0, 1}}, 4);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
-  EXPECT_THROW(pli.RemoveRows({{7, RecordId{0}}}, 1, &demoted, &emptied),
+  EXPECT_THROW(pli.RemoveRows({{7, RecordId{0}}}, 1, &demoted),
                ContractViolation);
 }
 
 TEST(PliRemoveAuditTest, DuplicateRemovalFires) {
   Pli pli({{0, 1, 2}}, 4);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
   EXPECT_THROW(
-      pli.RemoveRows({{0, RecordId{1}}, {0, RecordId{1}}}, 2, &demoted,
-                     &emptied),
+      pli.RemoveRows({{0, RecordId{1}}, {0, RecordId{1}}}, 2, &demoted),
       ContractViolation);
 }
 
 TEST(PliRemoveAuditTest, DeadCountBelowRemovalsFires) {
   Pli pli({{0, 1, 2}}, 4);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
   // Two cluster removals cannot come from one dead row.
   EXPECT_THROW(
-      pli.RemoveRows({{0, RecordId{0}}, {0, RecordId{1}}}, 1, &demoted,
-                     &emptied),
+      pli.RemoveRows({{0, RecordId{0}}, {0, RecordId{1}}}, 1, &demoted),
       ContractViolation);
 }
 
@@ -179,13 +173,12 @@ TEST(PliRemoveAuditTest, TombstonedPliPassesAndAccessorsAreLiveAware) {
   Pli pli({{0, 1, 2}, {3, 4}}, 6);
   const size_t clusters_before = pli.NumClusters();
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
   pli.RemoveRows({{0, RecordId{1}}, {1, RecordId{3}}, {1, RecordId{4}}}, 3,
-                 &demoted, &emptied);
+                 &demoted);
   EXPECT_NO_THROW(pli.CheckInvariants());
   EXPECT_TRUE(pli.tombstoned());
   EXPECT_EQ(pli.num_empty_slots(), 1u);
-  EXPECT_EQ(emptied, std::vector<uint32_t>{1});
+  EXPECT_TRUE(pli.clusters()[1].empty());
   EXPECT_TRUE(demoted.empty());
   EXPECT_EQ(pli.num_live_records(), 3u);  // records 0, 2, 5
   // Live view: one real cluster {0,2} plus the implicit singleton 5. The
@@ -201,14 +194,13 @@ TEST(PliRemoveAuditTest, TombstonedPliPassesAndAccessorsAreLiveAware) {
 TEST(PliRemoveAuditTest, LoneSurvivorIsDemotedOut) {
   Pli pli({{0, 2}}, 4);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
-  pli.RemoveRows({{0, RecordId{2}}}, 1, &demoted, &emptied);
+  pli.RemoveRows({{0, RecordId{2}}}, 1, &demoted);
   // Record 0 cannot remain as a size-1 stripped cluster: it is handed back
   // for the caller to restamp as an implicit singleton, and the slot empties.
   ASSERT_EQ(demoted.size(), 1u);
   EXPECT_EQ(demoted[0].first, 0u);
   EXPECT_EQ(demoted[0].second, RecordId{0});
-  EXPECT_TRUE(emptied.empty());
+  EXPECT_TRUE(pli.clusters()[0].empty());
   EXPECT_EQ(pli.num_empty_slots(), 1u);
   EXPECT_NO_THROW(pli.CheckInvariants());
   EXPECT_TRUE(pli.IsUnique());  // every live record now a singleton
@@ -217,8 +209,7 @@ TEST(PliRemoveAuditTest, LoneSurvivorIsDemotedOut) {
 TEST(PliRemoveAuditTest, CompactSlotsDropsEmptiesAndClearsTombstone) {
   Pli pli({{0, 1}, {2, 3}, {4, 5}}, 6);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
-  pli.RemoveRows({{1, RecordId{2}}, {1, RecordId{3}}}, 2, &demoted, &emptied);
+  pli.RemoveRows({{1, RecordId{2}}, {1, RecordId{3}}}, 2, &demoted);
   ASSERT_EQ(pli.num_empty_slots(), 1u);
 
   std::vector<int32_t> remap;
@@ -245,8 +236,7 @@ TEST(PliRemoveAuditTest, StaleCompressedRecordsFire) {
   const std::vector<RecordId> cluster = data.plis[0].clusters()[slot];
   ASSERT_GE(cluster.size(), 2u);
   std::vector<std::pair<uint32_t, RecordId>> demoted;
-  std::vector<uint32_t> emptied;
-  data.plis[0].RemoveRows({{slot, cluster[0]}}, 1, &demoted, &emptied);
+  data.plis[0].RemoveRows({{slot, cluster[0]}}, 1, &demoted);
   EXPECT_THROW(data.records.CheckInvariants(data.plis), ContractViolation);
 }
 

@@ -99,12 +99,11 @@ TEST(HyFdTest, MemoryGuardianCapsLhsSize) {
 // machine-detectable through stats().complete and the run report.
 TEST(HyFdTest, GuardianTruncationIsReported) {
   Relation r = GenerateFdReduced(150, 8, 4, 19);
-  RunReport report;
   HyFdConfig config;
   config.memory_limit_bytes = 1;
-  config.run_report = &report;
   HyFd algo(config);
   FDSet pruned = algo.Discover(r);
+  const RunReport& report = algo.report();
 
   EXPECT_FALSE(algo.stats().complete);
   EXPECT_GE(algo.stats().guardian_prunes, 1);
@@ -126,12 +125,11 @@ TEST(HyFdTest, GuardianTruncationIsReported) {
 
 TEST(HyFdTest, GenerousMemoryLimitStaysComplete) {
   Relation r = GenerateFdReduced(150, 8, 4, 19);
-  RunReport report;
   HyFdConfig config;
   config.memory_limit_bytes = size_t{1} << 32;  // 4 GiB: never triggers
-  config.run_report = &report;
   HyFd algo(config);
   FDSet fds = algo.Discover(r);
+  const RunReport& report = algo.report();
 
   EXPECT_TRUE(algo.stats().complete);
   EXPECT_EQ(algo.stats().pruned_lhs_cap, -1);

@@ -327,12 +327,9 @@ TEST(RunReportSweepTest, EveryRegistryAlgorithmEmitsValidReport) {
 
 TEST(RunReportSweepTest, HyUccEmitsValidReport) {
   Relation relation = MakeDataset("iris", 100, 5);
-  RunReport report;
-  report.dataset = "iris";
-  HyUccConfig config;
-  config.run_report = &report;
-  HyUcc algo(config);
+  HyUcc algo;
   auto uccs = algo.Discover(relation);
+  const RunReport& report = algo.report();
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
   EXPECT_EQ(report.algorithm, "hyucc");
   EXPECT_EQ(report.result_kind, "uccs");
