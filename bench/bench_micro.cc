@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
 #include "core/sampler.h"
@@ -404,6 +405,64 @@ void BM_FdTreeGetLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FdTreeGetLevel);
+
+/// The agree sets of one first sampling phase (threshold 0.01) over the
+/// plista stand-in (kWideSparse recipe, 1,000 rows × 34 columns) — what the
+/// Inductor folds in discover-wide — widened to `cols` columns by appending
+/// always-agreeing attributes, as constant columns would. Wider stand-ins
+/// induce tens of millions of FDs; the widened sets induce the same tree
+/// plus one root FD per appended column, so a 130-column run times the heap
+/// path on the 34-column workload.
+std::vector<AttributeSet> WideAgreeSets(int cols) {
+  constexpr int kSampledCols = 34;
+  static const std::vector<AttributeSet> sampled = [] {
+    const PreprocessedData data =
+        Preprocess(MakeDataset("plista", 1000, kSampledCols));
+    Sampler sampler(&data, 0.01, SamplingStrategy::kClusterWindowing);
+    return sampler.Run({});
+  }();
+  std::vector<AttributeSet> sets;
+  sets.reserve(sampled.size());
+  for (const AttributeSet& agree : sampled) {
+    AttributeSet widened = AttributeSet::Full(cols);
+    for (int a = 0; a < kSampledCols; ++a) {
+      if (!agree.Test(a)) widened.Reset(a);
+    }
+    sets.push_back(widened);
+  }
+  return sets;
+}
+
+/// Algorithm 3 alone: folds the wide stand-in's agree sets into a fresh
+/// tree. 34 columns keep every bitset inline; 130 take the heap path.
+void BM_InductorUpdate(benchmark::State& state) {
+  const int cols = static_cast<int>(state.range(0));
+  const std::vector<AttributeSet> agree_sets = WideAgreeSets(cols);
+  size_t fds = 0;
+  for (auto _ : state) {
+    FDTree tree(cols);
+    Inductor inductor(&tree);
+    benchmark::DoNotOptimize(inductor.Update(agree_sets));
+    fds = tree.CountFds();
+  }
+  state.counters["agree_sets"] = static_cast<double>(agree_sets.size());
+  state.counters["fds"] = static_cast<double>(fds);
+}
+BENCHMARK(BM_InductorUpdate)->Arg(34)->Arg(130)->Unit(benchmark::kMillisecond);
+
+/// Materializes the tree BM_InductorUpdate induces as a canonical FDSet.
+void BM_FdTreeToFdSet(benchmark::State& state) {
+  const int cols = static_cast<int>(state.range(0));
+  FDTree tree(cols);
+  Inductor inductor(&tree);
+  inductor.Update(WideAgreeSets(cols));
+  for (auto _ : state) {
+    FDSet fds = tree.ToFdSet();
+    benchmark::DoNotOptimize(fds);
+  }
+  state.counters["fds"] = static_cast<double>(tree.CountFds());
+}
+BENCHMARK(BM_FdTreeToFdSet)->Arg(34)->Arg(130)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hyfd

@@ -25,8 +25,10 @@ constexpr int kUccMarker = 0;
 /// every candidate contained in it is not unique; extend minimally.
 void SpecializeUcc(FDTree* tree, const AttributeSet& agree) {
   const int m = tree->num_attributes();
-  std::vector<AttributeSet> invalid = tree->GetFdAndGeneralizations(agree, kUccMarker);
-  for (const AttributeSet& candidate : invalid) {
+  const AttributeSet marker(m, {kUccMarker});
+  for (const FDTree::FdGroup& invalid :
+       tree->GetFdAndGeneralizations(agree, marker)) {
+    const AttributeSet& candidate = invalid.lhs;
     tree->RemoveFd(candidate, kUccMarker);
     for (int attr = 0; attr < m; ++attr) {
       if (agree.Test(attr)) continue;  // still inside the agreeing pair

@@ -17,6 +17,13 @@ namespace hyfd {
 /// non-FD invalidates is removed and replaced by all minimal, non-trivial,
 /// still-plausible specializations. The tree persists across calls, so each
 /// sampling round only folds in the *new* non-FDs.
+///
+/// Each agree set is specialized for all of its violated RHSs at once: one
+/// tree descent collects the invalid LHSs with the RHS mask each stores, and
+/// one descent per (invalid LHS, extension attribute) tells which RHSs of
+/// that mask already have a generalization. Operations for different RHSs
+/// touch disjoint RHS bits and each RHS keeps its single-RHS operation
+/// order, so the tree equals the one a per-RHS loop builds.
 class Inductor {
  public:
   /// `tree` must outlive the Inductor; on first use it should be empty —
@@ -32,9 +39,6 @@ class Inductor {
   size_t Update(std::vector<AttributeSet> new_non_fds);
 
  private:
-  /// Returns the number of confirmed FDs removed.
-  size_t Specialize(const AttributeSet& non_fd_lhs, int rhs);
-
   FDTree* tree_;
   MetricsRegistry* metrics_;
   bool initialized_ = false;

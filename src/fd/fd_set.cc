@@ -4,6 +4,12 @@
 
 namespace hyfd {
 
+bool IsCanonicalOrder(const std::vector<FD>& fds) {
+  return std::adjacent_find(fds.begin(), fds.end(),
+                            [](const FD& a, const FD& b) { return !(a < b); }) ==
+         fds.end();
+}
+
 void FDSet::Canonicalize() {
   std::sort(fds_.begin(), fds_.end());
   fds_.erase(std::unique(fds_.begin(), fds_.end()), fds_.end());

@@ -8,6 +8,10 @@
 
 namespace hyfd {
 
+/// True iff `fds` is strictly increasing in canonical order, i.e. sorted
+/// and duplicate-free.
+bool IsCanonicalOrder(const std::vector<FD>& fds);
+
 /// The result of a discovery run: a set of FDs in canonical order.
 ///
 /// All eight algorithms in this library return an FDSet; equality between two
@@ -16,7 +20,11 @@ namespace hyfd {
 class FDSet {
  public:
   FDSet() = default;
-  explicit FDSet(std::vector<FD> fds) : fds_(std::move(fds)) { Canonicalize(); }
+  /// Takes `fds` as is when already canonical (a linear check), otherwise
+  /// canonicalizes.
+  explicit FDSet(std::vector<FD> fds) : fds_(std::move(fds)) {
+    if (!IsCanonicalOrder(fds_)) Canonicalize();
+  }
 
   void Add(FD fd) { fds_.push_back(std::move(fd)); }
   void Add(const AttributeSet& lhs, int rhs) { fds_.emplace_back(lhs, rhs); }

@@ -1,6 +1,9 @@
 #include "fd/fd_tree.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <numeric>
+#include <utility>
 
 #include "util/check.h"
 
@@ -23,17 +26,36 @@ bool FindGeneralization(const FDTree::Node* node, const AttributeSet& lhs,
   return false;
 }
 
-void CollectGeneralizations(const FDTree::Node* node, const AttributeSet& lhs,
-                            int rhs, int from, AttributeSet* path,
-                            std::vector<AttributeSet>* out) {
-  if (node->fds.Test(rhs)) out->push_back(*path);
-  if (!node->rhs_attrs.Test(rhs)) return;
+/// Recursive helper for GeneralizedRhss: drops from `pending` every RHS
+/// stored at `node` or below it along subsets of the remaining LHS bits (at
+/// or after `from`). Returns true once `pending` is empty.
+bool ResolveGeneralizedRhss(const FDTree::Node* node, const AttributeSet& lhs,
+                            int from, AttributeSet* pending) {
+  pending->AndNot(node->fds);
+  if (pending->Empty()) return true;
   for (int attr = from < 0 ? lhs.First() : lhs.NextAfter(from);
        attr != AttributeSet::kNpos; attr = lhs.NextAfter(attr)) {
     const FDTree::Node* child = node->Child(attr);
-    if (child == nullptr) continue;
+    if (child != nullptr && child->rhs_attrs.Intersects(*pending) &&
+        ResolveGeneralizedRhss(child, lhs, attr, pending)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void CollectGeneralizations(const FDTree::Node* node, const AttributeSet& lhs,
+                            const AttributeSet& rhss, int from,
+                            AttributeSet* path,
+                            std::vector<FDTree::FdGroup>* out) {
+  AttributeSet stored = node->fds & rhss;
+  if (!stored.Empty()) out->push_back({*path, std::move(stored)});
+  for (int attr = from < 0 ? lhs.First() : lhs.NextAfter(from);
+       attr != AttributeSet::kNpos; attr = lhs.NextAfter(attr)) {
+    const FDTree::Node* child = node->Child(attr);
+    if (child == nullptr || !child->rhs_attrs.Intersects(rhss)) continue;
     path->Set(attr);
-    CollectGeneralizations(child, lhs, rhs, attr, path, out);
+    CollectGeneralizations(child, lhs, rhss, attr, path, out);
     path->Reset(attr);
   }
 }
@@ -54,15 +76,33 @@ void CollectLevel(FDTree::Node* node, int remaining, AttributeSet* path,
   }
 }
 
-void CollectFds(const FDTree::Node* node, AttributeSet* path,
-                std::vector<FD>* out) {
-  ForEachBit(node->fds, [&](int rhs) { out->emplace_back(*path, rhs); });
+/// ToFdSet's first walk: ++(*slots)[rhs * depths + depth] per stored FD.
+void CountFdBuckets(const FDTree::Node* node, size_t depth, size_t depths,
+                    std::vector<size_t>* slots) {
+  ForEachBit(node->fds, [&](int rhs) {
+    ++(*slots)[static_cast<size_t>(rhs) * depths + depth];
+  });
+  for (const auto& child : node->children) {
+    if (child) CountFdBuckets(child.get(), depth + 1, depths, slots);
+  }
+}
+
+/// ToFdSet's second walk: fills each (rhs, depth) bucket backwards from its
+/// end, decrementing (*slots)[rhs * depths + depth] down to the bucket start.
+void PlaceFds(const FDTree::Node* node, size_t depth, size_t depths,
+              AttributeSet* path, std::vector<size_t>* slots,
+              std::vector<FD>* out) {
+  ForEachBit(node->fds, [&](int rhs) {
+    FD& fd = (*out)[--(*slots)[static_cast<size_t>(rhs) * depths + depth]];
+    fd.lhs = *path;
+    fd.rhs = rhs;
+  });
   if (node->children.empty()) return;
   for (size_t attr = 0; attr < node->children.size(); ++attr) {
     const FDTree::Node* child = node->children[attr].get();
     if (child == nullptr) continue;
     path->Set(static_cast<int>(attr));
-    CollectFds(child, path, out);
+    PlaceFds(child, depth + 1, depths, path, slots, out);
     path->Reset(static_cast<int>(attr));
   }
 }
@@ -149,12 +189,12 @@ size_t MemoryBytesRec(const FDTree::Node* node) {
   return bytes;
 }
 
-/// Recursive audit for FDTree::CheckInvariants. `ancestor_fds` is the union
-/// of `fds` along the path above `node` (by value: the tree is shallow and
-/// the audit is not a hot path).
-void CheckNodeInvariants(const FDTree::Node* node, int num_attributes,
-                         int depth, int max_lhs_size,
-                         AttributeSet ancestor_fds) {
+/// Recursive audit for FDTree::CheckInvariants; `path` is the LHS `node`
+/// spells.
+void CheckNodeInvariants(const FDTree& tree, const FDTree::Node* node,
+                         int depth, AttributeSet* path) {
+  const int num_attributes = tree.num_attributes();
+  const int max_lhs_size = tree.max_lhs_size();
   HYFD_CHECK(node->fds.size() == num_attributes,
              "FDTree: fds bitset ranges over the wrong attribute count");
   HYFD_CHECK(node->rhs_attrs.size() == num_attributes,
@@ -170,14 +210,20 @@ void CheckNodeInvariants(const FDTree::Node* node, int num_attributes,
              "FDTree: child slots outside the attribute range");
   HYFD_CHECK(max_lhs_size < 0 || depth <= max_lhs_size,
              "FDTree: node deeper than the Guardian's LHS cap");
-  HYFD_CHECK(!node->fds.Intersects(ancestor_fds),
-             "FDTree: FD stored below a stored generalization (non-minimal)");
-  ancestor_fds |= node->fds;
+  ForEachBit(node->fds, [&](int rhs) {
+    ForEachBit(*path, [&](int b) {
+      HYFD_CHECK(!tree.ContainsFdOrGeneralization(path->Without(b), rhs),
+                 "FDTree: FD stored beside a stored generalization "
+                 "(non-minimal)");
+    });
+  });
   AttributeSet child_union(num_attributes);
-  for (const auto& child : node->children) {
+  for (size_t attr = 0; attr < node->children.size(); ++attr) {
+    const FDTree::Node* child = node->children[attr].get();
     if (child == nullptr) continue;
-    CheckNodeInvariants(child.get(), num_attributes, depth + 1, max_lhs_size,
-                        ancestor_fds);
+    path->Set(static_cast<int>(attr));
+    CheckNodeInvariants(tree, child, depth + 1, path);
+    path->Reset(static_cast<int>(attr));
     child_union |= child->rhs_attrs;
   }
   HYFD_CHECK(child_union.IsSubsetOf(node->rhs_attrs),
@@ -278,11 +324,18 @@ bool FDTree::ContainsFdOrGeneralization(const AttributeSet& lhs, int rhs) const 
   return FindGeneralization(root_.get(), lhs, rhs, -1);
 }
 
-std::vector<AttributeSet> FDTree::GetFdAndGeneralizations(const AttributeSet& lhs,
-                                                          int rhs) const {
-  std::vector<AttributeSet> out;
+AttributeSet FDTree::GeneralizedRhss(const AttributeSet& lhs,
+                                     const AttributeSet& rhss) const {
+  AttributeSet pending = rhss;
+  ResolveGeneralizedRhss(root_.get(), lhs, -1, &pending);
+  return rhss ^ pending;
+}
+
+std::vector<FDTree::FdGroup> FDTree::GetFdAndGeneralizations(
+    const AttributeSet& lhs, const AttributeSet& rhss) const {
+  std::vector<FdGroup> out;
   AttributeSet path(num_attributes_);
-  CollectGeneralizations(root_.get(), lhs, rhs, -1, &path, &out);
+  CollectGeneralizations(root_.get(), lhs, rhss, -1, &path, &out);
   return out;
 }
 
@@ -294,9 +347,25 @@ std::vector<FDTree::LevelEntry> FDTree::GetLevel(int level) {
 }
 
 FDSet FDTree::ToFdSet() const {
-  std::vector<FD> fds;
+  // Canonical order is (RHS, |LHS|, LHS words), and a node's depth is its
+  // LHS size. So bucket rhs * depths + depth holds one (RHS, |LHS|) run of
+  // the result, buckets in ascending order: count them, turn the counts
+  // into bucket ends, fill, and sort each bucket on its LHS words alone.
+  const size_t depths = static_cast<size_t>(Depth()) + 1;
+  std::vector<size_t> slots(static_cast<size_t>(num_attributes_) * depths, 0);
+  CountFdBuckets(root_.get(), 0, depths, &slots);
+  std::partial_sum(slots.begin(), slots.end(), slots.begin());
+  std::vector<FD> fds(slots.empty() ? 0 : slots.back());
   AttributeSet path(num_attributes_);
-  CollectFds(root_.get(), &path, &fds);
+  PlaceFds(root_.get(), 0, depths, &path, &slots, &fds);
+  for (size_t b = 0; b < slots.size(); ++b) {
+    const size_t end = b + 1 < slots.size() ? slots[b + 1] : fds.size();
+    std::sort(fds.begin() + static_cast<std::ptrdiff_t>(slots[b]),
+              fds.begin() + static_cast<std::ptrdiff_t>(end),
+              [](const FD& x, const FD& y) { return x.lhs < y.lhs; });
+  }
+  HYFD_DCHECK(IsCanonicalOrder(fds),
+              "FDTree::ToFdSet: output not sorted and duplicate-free");
   return FDSet(std::move(fds));
 }
 
@@ -329,8 +398,8 @@ void FDTree::SetMaxLhsSize(int k) {
 
 void FDTree::CheckInvariants() const {
   HYFD_CHECK(root_ != nullptr, "FDTree: missing root node");
-  CheckNodeInvariants(root_.get(), num_attributes_, 0, max_lhs_size_,
-                      AttributeSet(num_attributes_));
+  AttributeSet path(num_attributes_);
+  CheckNodeInvariants(*this, root_.get(), 0, &path);
 }
 
 }  // namespace hyfd

@@ -55,6 +55,13 @@ class FDTree {
     AttributeSet lhs;
   };
 
+  /// A stored LHS with the RHSs of a queried mask it stores — one entry of
+  /// GetFdAndGeneralizations().
+  struct FdGroup {
+    AttributeSet lhs;
+    AttributeSet rhss;
+  };
+
   explicit FDTree(int num_attributes);
 
   int num_attributes() const { return num_attributes_; }
@@ -83,15 +90,27 @@ class FDTree {
   /// X ⊆ LHS. This is the minimality check of Inductor and Validator.
   bool ContainsFdOrGeneralization(const AttributeSet& lhs, int rhs) const;
 
-  /// Collects the LHSs of LHS' → rhs for all stored generalizations
-  /// LHS' ⊆ LHS (including LHS itself) — the Inductor's specialize() input.
-  std::vector<AttributeSet> GetFdAndGeneralizations(const AttributeSet& lhs,
-                                                    int rhs) const;
+  /// The RHSs A of `rhss` for which the tree stores LHS → A or a
+  /// generalization X → A with X ⊆ LHS: ContainsFdOrGeneralization for a
+  /// whole RHS mask in one descent.
+  AttributeSet GeneralizedRhss(const AttributeSet& lhs,
+                               const AttributeSet& rhss) const;
+
+  /// In one descent, collects every stored generalization LHS' ⊆ LHS
+  /// (including LHS itself) that stores an RHS of `rhss`, paired with the
+  /// RHSs of `rhss` it stores — the Inductor's and HyUCC's specialization
+  /// input. Entries come in path pre-order with ascending attributes, so the
+  /// entries holding any one RHS appear in the order a single-RHS descent
+  /// would find them.
+  std::vector<FdGroup> GetFdAndGeneralizations(const AttributeSet& lhs,
+                                               const AttributeSet& rhss) const;
 
   /// All nodes whose depth (LHS size) equals `level`, with their LHS.
   std::vector<LevelEntry> GetLevel(int level);
 
-  /// All stored FDs, canonicalized.
+  /// All stored FDs, emitted directly in canonical order (RHS, LHS size,
+  /// LHS bits): the walk buckets FDs by (RHS, depth) and sorts each bucket
+  /// on its LHS words alone.
   FDSet ToFdSet() const;
 
   size_t CountFds() const;
@@ -131,9 +150,11 @@ class FDTree {
   /// attribute, `rhs_attrs` covers the node's own `fds` and every child's
   /// `rhs_attrs` (it may over-approximate after RemoveFd, never
   /// under-approximate), no node is deeper than the Guardian's LHS cap, and
-  /// no FD is stored below a stored generalization with the same RHS — the
-  /// path-minimality property the Inductor's and Validator's guarded adds
-  /// maintain. Throws ContractViolation on the first violation. Invoked
+  /// every stored FD is minimal within the tree: no stored X → A has a
+  /// stored proper generalization, on its own path or on any other branch
+  /// (checked as !ContainsFdOrGeneralization(X \ {b}, A) for every b ∈ X) —
+  /// the property the Inductor's and Validator's guarded adds maintain.
+  /// Throws ContractViolation on the first violation. Invoked
   /// after each Inductor/Validator phase in audit builds (-DHYFD_AUDIT=ON);
   /// callable from any build (but only meaningful for trees populated
   /// through guarded adds — tests may legally store non-minimal FDs).

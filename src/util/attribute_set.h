@@ -1,6 +1,7 @@
 #ifndef HYFD_UTIL_ATTRIBUTE_SET_H_
 #define HYFD_UTIL_ATTRIBUTE_SET_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -19,23 +20,50 @@ namespace hyfd {
 /// All lattice reasoning in the library (generalization / specialization
 /// checks, cover computation, FDTree paths) operates on this type.
 ///
-/// The set is backed by a small vector of 64-bit words; all bit operations
-/// are word-parallel. Two AttributeSets may only be combined if they were
-/// created with the same size().
+/// The set is backed by 64-bit words; all bit operations are word-parallel.
+/// Sets over at most kInlineWords * 64 attributes keep their words inline, so
+/// creating, copying and destroying them never allocates; wider sets own a
+/// heap array. Two AttributeSets may only be combined if they were created
+/// with the same size().
 class AttributeSet {
  public:
   static constexpr int kNpos = -1;
+  /// Words stored inside the object; wider sets move to the heap.
+  static constexpr size_t kInlineWords = 2;
 
   AttributeSet() = default;
 
   /// Creates an empty set over `num_attributes` attributes.
-  explicit AttributeSet(int num_attributes)
-      : num_bits_(num_attributes), words_((num_attributes + 63) / 64, 0) {}
+  explicit AttributeSet(int num_attributes) : num_bits_(num_attributes) {
+    HYFD_DCHECK(num_attributes >= 0, "AttributeSet: negative size");
+    if (num_words() > kInlineWords) words_ = new uint64_t[num_words()]();
+  }
 
   /// Creates a set over `num_attributes` attributes with `bits` set.
   AttributeSet(int num_attributes, std::initializer_list<int> bits)
       : AttributeSet(num_attributes) {
     for (int b : bits) Set(b);
+  }
+
+  AttributeSet(const AttributeSet& other) : num_bits_(other.num_bits_) {
+    if (other.OnHeap()) words_ = new uint64_t[num_words()];
+    std::copy_n(other.words_, num_words(), words_);
+  }
+  /// Moving steals a heap array; the moved-from set is left empty over 0
+  /// attributes.
+  AttributeSet(AttributeSet&& other) noexcept : num_bits_(other.num_bits_) {
+    if (other.OnHeap()) {
+      words_ = other.words_;
+      other.words_ = other.inline_;
+    } else {
+      std::copy_n(other.inline_, kInlineWords, inline_);
+    }
+    other.num_bits_ = 0;
+  }
+  AttributeSet& operator=(const AttributeSet& other);
+  AttributeSet& operator=(AttributeSet&& other) noexcept;
+  ~AttributeSet() {
+    if (OnHeap()) delete[] words_;
   }
 
   /// Returns a set over `num_attributes` attributes with all bits set.
@@ -67,12 +95,12 @@ class AttributeSet {
   void Clear();
 
   /// Number of backing 64-bit words, i.e. ceil(size() / 64).
-  size_t num_words() const { return words_.size(); }
+  size_t num_words() const { return (static_cast<size_t>(num_bits_) + 63) / 64; }
 
   /// Word `w` of the backing storage; bit `i` of the set is bit `i % 64` of
   /// word `i / 64`.
   uint64_t Word(size_t w) const {
-    HYFD_DCHECK(w < words_.size(), "AttributeSet::Word out of range");
+    HYFD_DCHECK(w < num_words(), "AttributeSet::Word out of range");
     return words_[w];
   }
 
@@ -81,8 +109,8 @@ class AttributeSet {
   /// zero (Hash(), operator== and Count() rely on it). This is the word-level
   /// write path of CompressedRecords::MatchInto.
   void SetWord(size_t w, uint64_t value) {
-    HYFD_DCHECK(w < words_.size(), "AttributeSet::SetWord out of range");
-    if (w + 1 == words_.size()) {
+    HYFD_DCHECK(w < num_words(), "AttributeSet::SetWord out of range");
+    if (w + 1 == num_words()) {
       const int tail = num_bits_ & 63;
       if (tail != 0) value &= (uint64_t{1} << tail) - 1;
     }
@@ -91,8 +119,8 @@ class AttributeSet {
 
   /// Raw pointer to the backing words, for bulk kernels. Callers must keep
   /// bits at positions >= size() zero; prefer SetWord, which masks the tail.
-  uint64_t* MutableWords() { return words_.data(); }
-  const uint64_t* Words() const { return words_.data(); }
+  uint64_t* MutableWords() { return words_; }
+  const uint64_t* Words() const { return words_; }
 
   /// Number of set bits.
   int Count() const;
@@ -148,7 +176,8 @@ class AttributeSet {
   std::vector<int> ToIndexes() const;
 
   friend bool operator==(const AttributeSet& a, const AttributeSet& b) {
-    return a.num_bits_ == b.num_bits_ && a.words_ == b.words_;
+    return a.num_bits_ == b.num_bits_ &&
+           std::equal(a.words_, a.words_ + a.num_words(), b.words_);
   }
   friend bool operator!=(const AttributeSet& a, const AttributeSet& b) {
     return !(a == b);
@@ -156,7 +185,7 @@ class AttributeSet {
   /// Lexicographic order on the underlying words; used for canonical sorting.
   friend bool operator<(const AttributeSet& a, const AttributeSet& b) {
     if (a.num_bits_ != b.num_bits_) return a.num_bits_ < b.num_bits_;
-    for (size_t w = a.words_.size(); w-- > 0;) {
+    for (size_t w = a.num_words(); w-- > 0;) {
       if (a.words_[w] != b.words_[w]) return a.words_[w] < b.words_[w];
     }
     return false;
@@ -169,13 +198,23 @@ class AttributeSet {
   /// Renders using column names, e.g. "[city, zip]".
   std::string ToString(const std::vector<std::string>& names) const;
 
-  /// Approximate heap footprint in bytes (for the memory guardian / Table 3).
-  size_t MemoryBytes() const { return words_.capacity() * sizeof(uint64_t); }
+  /// Heap footprint in bytes (for the memory guardian / Table 3): 0 for an
+  /// inline set, whose words are already counted in the enclosing
+  /// sizeof(AttributeSet).
+  size_t MemoryBytes() const {
+    return OnHeap() ? num_words() * sizeof(uint64_t) : 0;
+  }
 
  private:
+  bool OnHeap() const { return words_ != inline_; }
+
+  /// Points at `inline_` or at an owned heap array of num_words() words.
+  uint64_t* words_ = inline_;
   int num_bits_ = 0;
-  std::vector<uint64_t> words_;
+  uint64_t inline_[kInlineWords] = {};
 };
+
+static_assert(sizeof(AttributeSet) == 32, "AttributeSet must stay 32 bytes");
 
 /// Orders by size, then by operator< — the order UCC and key results are
 /// returned in.

@@ -260,6 +260,16 @@ TEST(FdTreeAuditTest, FdBelowStoredGeneralizationFires) {
   EXPECT_THROW(tree.CheckInvariants(), ContractViolation);
 }
 
+TEST(FdTreeAuditTest, GeneralizationOnAnotherBranchFires) {
+  FDTree tree(4);
+  tree.AddFd(AttributeSet(4, {0, 1}), 3);
+  EXPECT_NO_THROW(tree.CheckInvariants());
+  // {1} -> 3 sits on the root's 1-branch, off the path root -> 0 -> 1 of
+  // {0,1} -> 3, which it generalizes: only the full audit sees it.
+  tree.AddFd(AttributeSet(4, {1}), 3);
+  EXPECT_THROW(tree.CheckInvariants(), ContractViolation);
+}
+
 TEST(FdTreeAuditTest, MalformedChildSlotsFire) {
   FDTree tree(3);
   tree.root()->children.resize(1);  // must be empty or one slot per attribute

@@ -50,13 +50,39 @@ TEST(FDTreeTest, GetFdAndGeneralizations) {
   tree.AddFd(Bits({1, 2}), 4);
   tree.AddFd(Bits({0, 1, 2}), 4);   // also a "generalization" of itself
   tree.AddFd(Bits({3}), 4);         // not a subset of {0,1,2}
-  tree.AddFd(Bits({0, 1}), 3);      // wrong rhs
-  auto gens = tree.GetFdAndGeneralizations(Bits({0, 1, 2}), 4);
-  EXPECT_EQ(gens.size(), 3u);
-  std::sort(gens.begin(), gens.end());
-  EXPECT_EQ(gens[0], Bits({0}));
-  EXPECT_EQ(gens[1], Bits({1, 2}));
-  EXPECT_EQ(gens[2], Bits({0, 1, 2}));
+  tree.AddFd(Bits({0, 1}), 3);      // another rhs of the mask
+  tree.AddFd(Bits({0, 1}), 2);      // rhs outside the mask
+  // Path pre-order, each LHS with the queried RHSs it stores.
+  auto gens = tree.GetFdAndGeneralizations(Bits({0, 1, 2}), Bits({3, 4}));
+  ASSERT_EQ(gens.size(), 4u);
+  EXPECT_EQ(gens[0].lhs, Bits({0}));
+  EXPECT_EQ(gens[0].rhss, Bits({4}));
+  EXPECT_EQ(gens[1].lhs, Bits({0, 1}));
+  EXPECT_EQ(gens[1].rhss, Bits({3}));
+  EXPECT_EQ(gens[2].lhs, Bits({0, 1, 2}));
+  EXPECT_EQ(gens[2].rhss, Bits({4}));
+  EXPECT_EQ(gens[3].lhs, Bits({1, 2}));
+  EXPECT_EQ(gens[3].rhss, Bits({4}));
+  // The one-bit mask is the single-RHS lookup.
+  gens = tree.GetFdAndGeneralizations(Bits({0, 1, 2}), Bits({4}));
+  ASSERT_EQ(gens.size(), 3u);
+  EXPECT_EQ(gens[0].lhs, Bits({0}));
+  EXPECT_EQ(gens[1].lhs, Bits({0, 1, 2}));
+  EXPECT_EQ(gens[2].lhs, Bits({1, 2}));
+  for (const auto& gen : gens) EXPECT_EQ(gen.rhss, Bits({4}));
+  EXPECT_TRUE(tree.GetFdAndGeneralizations(Bits({0, 1, 2}), Bits({})).empty());
+}
+
+TEST(FDTreeTest, GeneralizedRhss) {
+  FDTree tree(5);
+  tree.AddFd(Bits({0}), 4);
+  tree.AddFd(Bits({1, 2}), 3);
+  tree.AddFd(Bits({3}), 2);
+  EXPECT_EQ(tree.GeneralizedRhss(Bits({0, 1, 2}), Bits({2, 3, 4})),
+            Bits({3, 4}));
+  EXPECT_EQ(tree.GeneralizedRhss(Bits({0, 1}), Bits({2, 3, 4})), Bits({4}));
+  EXPECT_EQ(tree.GeneralizedRhss(Bits({0, 1, 2}), Bits({2})), Bits({}));
+  EXPECT_EQ(tree.GeneralizedRhss(Bits({0, 1, 2}), Bits({})), Bits({}));
 }
 
 TEST(FDTreeTest, RemoveFd) {
@@ -146,8 +172,8 @@ TEST(FDTreeTest, RhsAttrsPruningStaysCorrectAfterRemovals) {
   tree.AddFd(Bits({0, 1}), 3);
   tree.RemoveFd(Bits({0, 1}), 3);
   EXPECT_FALSE(tree.ContainsFdOrGeneralization(Bits({0, 1, 2}), 3));
-  auto gens = tree.GetFdAndGeneralizations(Bits({0, 1}), 3);
-  EXPECT_TRUE(gens.empty());
+  EXPECT_TRUE(tree.GetFdAndGeneralizations(Bits({0, 1}), Bits({3})).empty());
+  EXPECT_TRUE(tree.GeneralizedRhss(Bits({0, 1, 2}), Bits({3})).Empty());
 }
 
 TEST(FDTreeTest, MemoryBytesGrowsWithTree) {

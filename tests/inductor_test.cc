@@ -1,7 +1,13 @@
 #include "core/inductor.h"
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "fd/fd_tree.h"
 #include "gtest/gtest.h"
+#include "legacy_inductor.h"
 
 namespace hyfd {
 namespace {
@@ -139,6 +145,82 @@ TEST(InductorTest, FullAgreeSetChangesNothing) {
   inductor.Update({AttributeSet::Full(3)});
   EXPECT_EQ(tree.ToFdSet(), before);
 }
+
+// ---- Batched Inductor vs the per-RHS legacy oracle ------------------------
+
+/// Seeded agree-set batches over `m` attributes. Most sets miss a handful of
+/// attributes (the sampler's typical non-FDs; it keeps wide trees small),
+/// narrow relations also get sparse sets, and every batch mixes in
+/// duplicates within and across batches plus empty and full agree sets.
+std::vector<std::vector<AttributeSet>> AgreeSetBatches(int m, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<AttributeSet>> batches;
+  std::vector<AttributeSet> seen;
+  for (int b = 0; b < 4; ++b) {
+    std::vector<AttributeSet> batch;
+    for (int i = 0; i < 14; ++i) {
+      AttributeSet agree = AttributeSet::Full(m);
+      if (m <= 12 && rng() % 4 == 0) {
+        for (int a = 0; a < m; ++a) {
+          if (rng() % 3 != 0) agree.Reset(a);
+        }
+      } else {
+        const int zeros = 1 + static_cast<int>(rng() % 5);
+        for (int z = 0; z < zeros; ++z) {
+          agree.Reset(static_cast<int>(rng() % static_cast<uint64_t>(m)));
+        }
+      }
+      batch.push_back(agree);
+    }
+    batch.push_back(batch[rng() % batch.size()]);
+    if (!seen.empty()) batch.push_back(seen[rng() % seen.size()]);
+    batch.push_back(AttributeSet::Full(m));
+    if (b == 2) batch.push_back(AttributeSet(m));
+    std::shuffle(batch.begin(), batch.end(), rng);
+    seen.insert(seen.end(), batch.begin(), batch.end());
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+class InductorDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+
+// The batched Inductor must build the very tree the per-RHS loop builds —
+// FD set, node structure and confirmed-removal counts — batch after batch,
+// also once confirmed bits are present (ConfirmAll after the first batch, as
+// an incremental session's seed does).
+TEST_P(InductorDifferentialTest, MatchesPerRhsLegacyInductor) {
+  const auto [m, seed] = GetParam();
+  FDTree tree(m);
+  FDTree legacy_tree(m);
+  Inductor inductor(&tree);
+  legacy::LegacyInductor legacy_inductor(&legacy_tree);
+  size_t confirmed_removed = 0;
+  int b = 0;
+  for (const auto& batch : AgreeSetBatches(m, seed)) {
+    const size_t removed = inductor.Update(batch);
+    EXPECT_EQ(removed, legacy_inductor.Update(batch)) << "batch " << b;
+    confirmed_removed += removed;
+    ASSERT_EQ(tree.ToFdSet(), legacy_tree.ToFdSet()) << "batch " << b;
+    EXPECT_EQ(tree.CountNodes(), legacy_tree.CountNodes()) << "batch " << b;
+    EXPECT_EQ(tree.CountConfirmedFds(), legacy_tree.CountConfirmedFds());
+    EXPECT_NO_THROW(tree.CheckInvariants());
+    if (b == 0) {
+      tree.ConfirmAll();
+      legacy_tree.ConfirmAll();
+    }
+    ++b;
+  }
+  // The stream must exercise the confirmed-removal count, not just zeros.
+  EXPECT_GT(confirmed_removed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, InductorDifferentialTest,
+    ::testing::Combine(::testing::Values(4, 12, 34, 70, 130),
+                       ::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3})));
 
 }  // namespace
 }  // namespace hyfd

@@ -64,13 +64,34 @@ TEST_P(FdTreeModelTest, MatchesNaiveModel) {
         EXPECT_EQ(tree.ContainsFd(fd.lhs, fd.rhs), naive_exact);
         EXPECT_EQ(tree.ContainsFdOrGeneralization(fd.lhs, fd.rhs),
                   naive_general);
-        // GetFdAndGeneralizations returns exactly the generalizations.
-        auto gens = tree.GetFdAndGeneralizations(fd.lhs, fd.rhs);
-        size_t naive_count = 0;
-        for (const FD& g : model) {
-          if (g.Generalizes(fd)) ++naive_count;
+        // GetFdAndGeneralizations returns exactly the generalizations, for
+        // the one-bit mask {rhs} and for a random mask beside it.
+        AttributeSet mask(m);
+        for (int a = 0; a < m; ++a) {
+          if (rng() % 2 == 0) mask.Set(a);
         }
-        EXPECT_EQ(gens.size(), naive_count);
+        for (const AttributeSet& rhss : {AttributeSet(m, {fd.rhs}), mask}) {
+          size_t pairs = 0;
+          for (const auto& gen : tree.GetFdAndGeneralizations(fd.lhs, rhss)) {
+            EXPECT_TRUE(gen.lhs.IsSubsetOf(fd.lhs));
+            EXPECT_FALSE(gen.rhss.Empty());
+            EXPECT_TRUE(gen.rhss.IsSubsetOf(rhss));
+            ForEachBit(gen.rhss, [&](int rhs) {
+              EXPECT_TRUE(tree.ContainsFd(gen.lhs, rhs));
+            });
+            pairs += static_cast<size_t>(gen.rhss.Count());
+          }
+          size_t naive_pairs = 0;
+          AttributeSet naive_generalized(m);
+          for (const FD& g : model) {
+            if (rhss.Test(g.rhs) && g.lhs.IsSubsetOf(fd.lhs)) {
+              ++naive_pairs;
+              naive_generalized.Set(g.rhs);
+            }
+          }
+          EXPECT_EQ(pairs, naive_pairs);
+          EXPECT_EQ(tree.GeneralizedRhss(fd.lhs, rhss), naive_generalized);
+        }
         break;
       }
     }
