@@ -9,6 +9,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/inductor.h"
@@ -270,6 +271,7 @@ struct RefineBenchFixture {
   AttributeSet rhss;
   std::vector<int> others;
   std::vector<int> rhs_attrs;
+  RefineLeaf leaf;
   RefineJob job;
 
   RefineBenchFixture(int lhs_size, size_t rows)
@@ -299,13 +301,15 @@ struct RefineBenchFixture {
           data.plis[static_cast<size_t>(attr)].NumStrippedClusters());
     }
     rhs_attrs = rhss.ToIndexes();
+    leaf.others = others.data();
+    leaf.num_others = others.size();
+    leaf.rhs_attrs = rhs_attrs.data();
+    leaf.num_rhs = rhs_attrs.size();
     job.records = &data.records;
     job.clusters = &data.plis[static_cast<size_t>(pivot)].clusters();
-    job.others = others.data();
-    job.num_others = others.size();
+    job.leaves = &leaf;
+    job.num_leaves = 1;
     job.other_code_bound = code_bound;
-    job.rhs_attrs = rhs_attrs.data();
-    job.num_rhs = rhs_attrs.size();
   }
 
   static Relation MakeSkewedRelation(size_t rows) {
@@ -369,6 +373,106 @@ void BM_RefinesGeneralKernel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RefinesGeneralKernel)->Arg(10000)->Arg(100000);
+
+// ---- One lattice level: prefix-shared tries vs one job per LHS ------------
+// Every 3-attribute LHS of an fd-reduced relation (the discover-long shape,
+// scaled down) checked against every other column, as the Validator plans a
+// level: pivot = the LHS attribute of lowest rank, the others ascending.
+// Shared groups the LHSs into one trie per (pivot, first other); PerJob runs
+// the same walk with one single-leaf trie per LHS.
+struct RefineLevelFixture {
+  struct Lhs {
+    int pivot;
+    std::vector<int> others;
+    std::vector<int> rhs;
+  };
+  PreprocessedData data;
+  std::vector<Lhs> lhss;  ///< sorted by (pivot, others)
+
+  explicit RefineLevelFixture(size_t rows)
+      : data(Preprocess(GenerateFdReduced(rows, 10, 16, /*seed=*/5))) {
+    const int m = data.num_attributes;
+    for (int a = 0; a < m; ++a) {
+      for (int b = a + 1; b < m; ++b) {
+        for (int c = b + 1; c < m; ++c) {
+          std::vector<int> lhs = {a, b, c};
+          Lhs& entry = lhss.emplace_back();
+          entry.pivot = *std::min_element(
+              lhs.begin(), lhs.end(), [&](int x, int y) {
+                return data.rank[static_cast<size_t>(x)] <
+                       data.rank[static_cast<size_t>(y)];
+              });
+          for (int attr : lhs) {
+            if (attr != entry.pivot) entry.others.push_back(attr);
+          }
+          for (int attr = 0; attr < m; ++attr) {
+            if (std::find(lhs.begin(), lhs.end(), attr) == lhs.end()) {
+              entry.rhs.push_back(attr);
+            }
+          }
+        }
+      }
+    }
+    std::sort(lhss.begin(), lhss.end(), [](const Lhs& x, const Lhs& y) {
+      return std::tie(x.pivot, x.others) < std::tie(y.pivot, y.others);
+    });
+  }
+
+  /// Runs the level as jobs of consecutive LHSs; `shared` joins the LHSs
+  /// with equal (pivot, first other) into one trie.
+  void Run(bool shared, RefineArena* arena, RefineTaskOut* out) const {
+    std::vector<RefineLeaf> leaves;
+    for (size_t i = 0; i < lhss.size();) {
+      size_t j = i + 1;
+      while (shared && j < lhss.size() && lhss[j].pivot == lhss[i].pivot &&
+             lhss[j].others[0] == lhss[i].others[0]) {
+        ++j;
+      }
+      leaves.clear();
+      for (size_t k = i; k < j; ++k) {
+        RefineLeaf& leaf = leaves.emplace_back();
+        leaf.others = lhss[k].others.data();
+        leaf.num_others = lhss[k].others.size();
+        leaf.rhs_attrs = lhss[k].rhs.data();
+        leaf.num_rhs = lhss[k].rhs.size();
+      }
+      RefineJob job;
+      job.records = &data.records;
+      job.clusters = &data.plis[static_cast<size_t>(lhss[i].pivot)].clusters();
+      job.leaves = leaves.data();
+      job.num_leaves = leaves.size();
+      job.other_code_bound = data.num_records;
+      RunRefineTask(job, 0, job.clusters->size(), 0, 0, arena, out);
+      i = j;
+    }
+  }
+};
+
+void BM_RefineLevelShared(benchmark::State& state) {
+  RefineLevelFixture f(static_cast<size_t>(state.range(0)));
+  RefineArena arena;
+  RefineTaskOut out;
+  for (auto _ : state) {
+    f.Run(/*shared=*/true, &arena, &out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.lhss.size()));
+}
+BENCHMARK(BM_RefineLevelShared)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+void BM_RefineLevelPerJob(benchmark::State& state) {
+  RefineLevelFixture f(static_cast<size_t>(state.range(0)));
+  RefineArena arena;
+  RefineTaskOut out;
+  for (auto _ : state) {
+    f.Run(/*shared=*/false, &arena, &out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(f.lhss.size()));
+}
+BENCHMARK(BM_RefineLevelPerJob)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_FdTreeAddAndLookup(benchmark::State& state) {
   const int m = 32;

@@ -254,23 +254,7 @@ bool IncrementalHyFd::IsRowLive(RecordId id) const {
 
 Relation IncrementalHyFd::LiveRelation() const {
   if (num_live_rows_ == relation_.num_rows()) return relation_;
-  std::vector<std::vector<std::optional<std::string>>> rows;
-  rows.reserve(num_live_rows_);
-  const size_t n = relation_.num_rows();
-  const int m = relation_.num_columns();
-  for (size_t r = 0; r < n; ++r) {
-    if (live_[r] == 0) continue;
-    auto& row = rows.emplace_back();
-    row.reserve(static_cast<size_t>(m));
-    for (int c = 0; c < m; ++c) {
-      if (relation_.IsNull(r, c)) {
-        row.emplace_back(std::nullopt);
-      } else {
-        row.emplace_back(relation_.Value(r, c));
-      }
-    }
-  }
-  return Relation::FromRows(relation_.schema(), rows);
+  return relation_.LiveRows(live_);
 }
 
 uint64_t IncrementalHyFd::LiveContentFingerprint() const {

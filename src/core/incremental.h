@@ -189,8 +189,9 @@ class IncrementalHyFd {
 
   /// Deep copy of the current *live* rows, tombstones compacted away and id
   /// order preserved — the bridge from a long-lived session to the one-shot
-  /// discoverers. When nothing is tombstoned this is a plain copy of
-  /// relation().
+  /// discoverers. Columns keep the session's types (Relation::LiveRows), so
+  /// the copy has the session's value identity. When nothing is tombstoned
+  /// this is a plain copy of relation().
   Relation LiveRelation() const;
 
   /// LiveRelation().ContentFingerprint(), folded over relation() in place

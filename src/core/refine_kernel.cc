@@ -1,6 +1,7 @@
 #include "core/refine_kernel.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -12,32 +13,99 @@ inline uint64_t WitnessPos(size_t cluster_index, size_t record_index) {
          static_cast<uint64_t>(record_index);
 }
 
-/// Keeps the scan-order-first witness: a later Observe with a smaller
-/// position wins, which is what makes per-cluster (rather than per-record)
-/// scanning and parallel splits agree with the legacy interleaved pass.
-inline bool Observe(RefineWitness* w, uint64_t pos, RecordId a, RecordId b) {
-  if (pos >= w->pos) return false;
-  const bool fresh = w->pos == kNoWitnessPos;
-  w->pos = pos;
-  w->a = a;
-  w->b = b;
-  return fresh;
+/// One refinement round: splits every group [offsets[g], offsets[g + 1]) of
+/// `idx` by `code_at(idx[p])` with a stable two-pass counting sort into
+/// `out_idx` / `out_offsets`. Subgroup ids are assigned in first-encounter
+/// order, so the group order is the hierarchical first-encounter order —
+/// deterministic and independent of any hash function — and rows keep their
+/// order within a group. Rows carrying kUniqueCluster leave the grouping
+/// (they cannot collide with anything), and so do singleton subgroups when
+/// `drop_singletons` (they cannot hold a pair).
+template <typename CodeAt>
+void SplitGroups(const CodeAt& code_at, size_t code_bound,
+                 const std::vector<uint32_t>& idx,
+                 const std::vector<uint32_t>& offsets, bool drop_singletons,
+                 RefineArena* arena, std::vector<uint32_t>* out_idx,
+                 std::vector<uint32_t>* out_offsets) {
+  auto& sub_of = arena->scratch_group;  // subgroup id per position
+  auto& hist = arena->hist;
+  out_idx->resize(idx.size());
+  sub_of.resize(idx.size());
+  out_offsets->clear();
+  out_offsets->push_back(0);
+  uint32_t write_base = 0;
+  for (size_t g = 0; g + 1 < offsets.size(); ++g) {
+    const uint32_t begin = offsets[g];
+    const uint32_t end = offsets[g + 1];
+    const uint64_t ep = ++arena->epoch;
+    hist.clear();
+    // Pass 1: assign subgroup ids (dense-table lookup, no hashing) and
+    // count members.
+    for (uint32_t p = begin; p < end; ++p) {
+      const ClusterId code = code_at(idx[p]);
+      if (code == kUniqueCluster) {
+        sub_of[p] = UINT32_MAX;
+        continue;
+      }
+      const auto c = static_cast<size_t>(code);
+      HYFD_DCHECK(c < code_bound, "SplitGroups: cluster code exceeds code_bound");
+      uint32_t sid;
+      if (arena->code_epoch[c] != ep) {
+        arena->code_epoch[c] = ep;
+        sid = static_cast<uint32_t>(hist.size());
+        arena->code_slot[c] = sid;
+        hist.push_back(0);
+      } else {
+        sid = arena->code_slot[c];
+      }
+      sub_of[p] = sid;
+      ++hist[sid];
+    }
+    // Turn counts into scatter offsets; emit the new group boundaries.
+    uint32_t off = write_base;
+    for (uint32_t& slot : hist) {
+      const uint32_t count = slot;
+      if (drop_singletons && count < 2) {
+        slot = UINT32_MAX;
+        continue;
+      }
+      slot = off;
+      off += count;
+      out_offsets->push_back(off);
+    }
+    // Pass 2: stable scatter.
+    for (uint32_t p = begin; p < end; ++p) {
+      const uint32_t sid = sub_of[p];
+      if (sid == UINT32_MAX || hist[sid] == UINT32_MAX) continue;
+      (*out_idx)[hist[sid]++] = idx[p];
+    }
+    write_base = off;
+  }
+  out_idx->resize(write_base);
 }
 
 }  // namespace
 
 size_t RefineArena::MemoryBytes() const {
-  return code_epoch.capacity() * sizeof(uint64_t) +
-         code_slot.capacity() * sizeof(uint32_t) +
-         grouped_idx.capacity() * sizeof(uint32_t) +
-         group_offsets.capacity() * sizeof(uint32_t) +
-         scratch_idx.capacity() * sizeof(uint32_t) +
-         scratch_offsets.capacity() * sizeof(uint32_t) +
-         scratch_group.capacity() * sizeof(uint32_t) +
-         hist.capacity() * sizeof(uint32_t) + reps.capacity() * sizeof(RecordId) +
-         rep_rhs.capacity() * sizeof(ClusterId) +
-         rep_collect.capacity() * sizeof(int32_t) +
-         collect_order.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
+  size_t bytes = code_epoch.capacity() * sizeof(uint64_t) +
+                 code_slot.capacity() * sizeof(uint32_t) +
+                 grouped_idx.capacity() * sizeof(uint32_t) +
+                 group_offsets.capacity() * sizeof(uint32_t) +
+                 scratch_idx.capacity() * sizeof(uint32_t) +
+                 scratch_offsets.capacity() * sizeof(uint32_t) +
+                 scratch_group.capacity() * sizeof(uint32_t) +
+                 hist.capacity() * sizeof(uint32_t) +
+                 leaf_alive.capacity() * sizeof(size_t) +
+                 gathered.capacity() * sizeof(ClusterId) +
+                 reps.capacity() * sizeof(RecordId) +
+                 rep_rhs.capacity() * sizeof(ClusterId) +
+                 rep_collect.capacity() * sizeof(int32_t) +
+                 collect_order.capacity() * sizeof(std::pair<uint32_t, uint32_t>);
+  for (size_t d = 0; d < depth_idx.size(); ++d) {
+    bytes += (depth_idx[d].capacity() + depth_offsets[d].capacity()) *
+             sizeof(uint32_t);
+  }
+  return bytes;
 }
 
 size_t GroupRowsByCodes(const CompressedRecords& records, const int* attrs,
@@ -51,77 +119,19 @@ size_t GroupRowsByCodes(const CompressedRecords& records, const int* attrs,
   go.push_back(0);
   if (n == 0) return 0;
   gi.resize(n);
-  for (uint32_t i = 0; i < n; ++i) gi[i] = i;
+  std::iota(gi.begin(), gi.end(), uint32_t{0});
   go.push_back(static_cast<uint32_t>(n));
   if (num_attrs == 0) return 1;
 
   arena->EnsureCodeTable(code_bound);
-  auto& next_idx = arena->scratch_idx;
-  auto& next_go = arena->scratch_offsets;
-  auto& sub_of = arena->scratch_group;  // subgroup id per position, this round
-  auto& hist = arena->hist;
-
-  // One refinement round per grouping attribute: split every current group
-  // by that attribute's cluster code with a stable two-pass counting sort.
-  // Subgroup ids are assigned in first-encounter order, so the final group
-  // order is the hierarchical first-encounter order — deterministic and
-  // independent of any hash function.
+  // One refinement round per grouping attribute.
   for (size_t round = 0; round < num_attrs; ++round) {
     const int attr = attrs[round];
-    const size_t kept = gi.size();
-    next_idx.resize(kept);
-    sub_of.resize(kept);
-    next_go.clear();
-    next_go.push_back(0);
-    uint32_t write_base = 0;
-    for (size_t g = 0; g + 1 < go.size(); ++g) {
-      const uint32_t begin = go[g];
-      const uint32_t end = go[g + 1];
-      ++arena->epoch;
-      const uint64_t ep = arena->epoch;
-      hist.clear();
-      // Pass 1: assign subgroup ids (dense-table lookup, no hashing) and
-      // count members; kUniqueCluster rows leave the grouping entirely.
-      for (uint32_t p = begin; p < end; ++p) {
-        const ClusterId code = records.Cluster(rows[gi[p]], attr);
-        if (code == kUniqueCluster) {
-          sub_of[p] = UINT32_MAX;
-          continue;
-        }
-        const auto c = static_cast<size_t>(code);
-        HYFD_DCHECK(c < code_bound,
-                    "GroupRowsByCodes: cluster code exceeds code_bound");
-        uint32_t sid;
-        if (arena->code_epoch[c] != ep) {
-          arena->code_epoch[c] = ep;
-          sid = static_cast<uint32_t>(hist.size());
-          arena->code_slot[c] = sid;
-          hist.push_back(0);
-        } else {
-          sid = arena->code_slot[c];
-        }
-        sub_of[p] = sid;
-        ++hist[sid];
-      }
-      // Turn counts into scatter offsets; emit the new group boundaries.
-      uint32_t off = write_base;
-      for (size_t s = 0; s < hist.size(); ++s) {
-        const uint32_t count = hist[s];
-        hist[s] = off;
-        off += count;
-        next_go.push_back(off);
-      }
-      // Pass 2: stable scatter.
-      for (uint32_t p = begin; p < end; ++p) {
-        const uint32_t sid = sub_of[p];
-        if (sid == UINT32_MAX) continue;
-        next_idx[hist[sid]++] = gi[p];
-      }
-      write_base = off;
-    }
-    next_idx.resize(write_base);
-    gi.swap(next_idx);
-    go.swap(next_go);
+    SplitGroups([&](uint32_t i) { return records.Cluster(rows[i], attr); },
+                code_bound, gi, go, /*drop_singletons=*/false, arena,
+                &arena->scratch_idx, &arena->scratch_offsets);
+    gi.swap(arena->scratch_idx);
+    go.swap(arena->scratch_offsets);
   }
   arena->dropped = n - gi.size();
   return go.size() - 1;
@@ -135,9 +145,10 @@ namespace {
 /// record ranges across workers.
 void RunCompareToFirst(const RefineJob& job, size_t cluster_begin,
                        size_t cluster_end, uint32_t rec_begin, uint32_t rec_end,
-                       RefineTaskOut* out) {
+                       RefineLeafOut* out) {
   const CompressedRecords& records = *job.records;
-  size_t remaining = job.num_rhs;
+  const RefineLeaf& leaf = job.leaves[0];
+  size_t remaining = leaf.num_rhs;
   for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
     const auto& cluster =
         (*job.clusters)[job.visit != nullptr ? (*job.visit)[ci] : ci];
@@ -147,10 +158,10 @@ void RunCompareToFirst(const RefineJob& job, size_t cluster_begin,
     const size_t end = rec_end > 0 ? rec_end : cluster.size();
     for (size_t i = begin; i < end; ++i) {
       const ClusterId* rec = records.Record(cluster[i]);
-      for (size_t j = 0; j < job.num_rhs; ++j) {
+      for (size_t j = 0; j < leaf.num_rhs; ++j) {
         if (out->witnesses[j].pos != kNoWitnessPos) continue;
-        const ClusterId stored = first[job.rhs_attrs[j]];
-        if (stored == kUniqueCluster || stored != rec[job.rhs_attrs[j]]) {
+        const ClusterId stored = first[leaf.rhs_attrs[j]];
+        if (stored == kUniqueCluster || stored != rec[leaf.rhs_attrs[j]]) {
           out->witnesses[j] = {WitnessPos(ci, i), cluster[0], cluster[i]};
           if (--remaining == 0) {
             out->complete = false;  // nothing left alive: stop scanning
@@ -162,186 +173,307 @@ void RunCompareToFirst(const RefineJob& job, size_t cluster_begin,
   }
 }
 
-/// Single non-pivot LHS attribute: group records of a pivot cluster by one
-/// cluster code through the dense epoch-stamped table — the drop-in
-/// replacement for the legacy `unordered_map<ClusterId, GroupInfo>`, with
-/// the same fully interleaved scan order and early exit.
-void RunSingleOther(const RefineJob& job, size_t cluster_begin,
-                    size_t cluster_end, RefineArena* arena,
-                    RefineTaskOut* out) {
-  const CompressedRecords& records = *job.records;
-  const int other = job.others[0];
-  const size_t num_rhs = job.num_rhs;
-  arena->EnsureCodeTable(job.other_code_bound);
-  size_t remaining = num_rhs;
-  for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
-    const auto& cluster =
-        (*job.clusters)[job.visit != nullptr ? (*job.visit)[ci] : ci];
-    ++arena->epoch;
-    const uint64_t ep = arena->epoch;
-    uint32_t num_slots = 0;
-    for (size_t i = 0; i < cluster.size(); ++i) {
-      const RecordId r = cluster[i];
-      const ClusterId* rec = records.Record(r);
-      const ClusterId code = rec[other];
-      if (code == kUniqueCluster) continue;  // unique in LHS: cannot violate
-      const auto c = static_cast<size_t>(code);
-      HYFD_DCHECK(c < job.other_code_bound,
-                  "RunSingleOther: cluster code exceeds other_code_bound");
-      if (arena->code_epoch[c] != ep) {
-        // First record of its group: becomes the representative.
-        arena->code_epoch[c] = ep;
-        arena->code_slot[c] = num_slots;
-        if (arena->reps.size() <= num_slots) {
-          arena->reps.resize(num_slots + 1);
-          arena->rep_collect.resize(num_slots + 1);
-        }
-        // Sized separately from reps: num_rhs varies between jobs sharing
-        // this arena, so reps being large enough does not imply rep_rhs is.
-        if (arena->rep_rhs.size() < (num_slots + 1) * num_rhs) {
-          arena->rep_rhs.resize((num_slots + 1) * num_rhs);
-        }
-        arena->reps[num_slots] = r;
-        arena->rep_collect[num_slots] = -1;
-        ClusterId* stored = &arena->rep_rhs[num_slots * num_rhs];
-        for (size_t j = 0; j < num_rhs; ++j) stored[j] = rec[job.rhs_attrs[j]];
-        ++num_slots;
-        continue;
-      }
-      const uint32_t slot = arena->code_slot[c];
-      if (job.collect) {
-        if (arena->rep_collect[slot] < 0) {
-          arena->rep_collect[slot] = static_cast<int32_t>(out->collected.size());
-          out->collected.push_back({arena->reps[slot]});
-        }
-        out->collected[static_cast<size_t>(arena->rep_collect[slot])].push_back(
-            r);
-      }
-      const ClusterId* stored = &arena->rep_rhs[slot * num_rhs];
-      for (size_t j = 0; j < num_rhs; ++j) {
-        if (out->witnesses[j].pos != kNoWitnessPos) continue;
-        if (stored[j] == kUniqueCluster || stored[j] != rec[job.rhs_attrs[j]]) {
-          out->witnesses[j] = {WitnessPos(ci, i), arena->reps[slot], r};
-          if (--remaining == 0) {
-            out->complete = false;
-            out->collected.clear();  // partial partition: never cacheable
-            return;
-          }
-        }
-      }
-    }
-  }
-}
+/// The grouping shapes: a depth-first walk of the job's trie per pivot
+/// cluster. Depth d holds the cluster's groups by the first d attributes of
+/// the current path; every shared prefix is grouped once and its children
+/// branch from it. A leaf's last attribute is not grouped at all: its final
+/// round scans each parent group in position order, making the first member
+/// of every code the group's representative and checking the others against
+/// it on the fly (the legacy interleaved pass, per parent group).
+///
+/// Determinism: a leaf's final groups are the sets of rows sharing its whole
+/// code tuple, each in position order, so each group's representative is
+/// its earliest row — the same groups and representatives as grouping the
+/// whole LHS at once. Groups are visited in hierarchical rather than
+/// position order, so within one cluster every RHS keeps the *minimum*
+/// violating position over all groups, which is where the record-by-record
+/// scan would have killed it.
+class TrieWalk {
+ public:
+  TrieWalk(const RefineJob& job, RefineArena* arena, RefineTaskOut* out)
+      : job_(job), records_(*job.records), arena_(arena), out_(out) {}
 
-/// Two or more non-pivot LHS attributes: group each pivot cluster with the
-/// iterative (group, code) refinement, then check every group against its
-/// first member. Positions recover the legacy interleaved scan order:
-/// within one cluster every not-yet-dead RHS takes the *minimum* violating
-/// position over all groups, which is exactly where the record-by-record
-/// hash-grouping pass would have killed it.
-void RunGeneral(const RefineJob& job, size_t cluster_begin, size_t cluster_end,
-                RefineArena* arena, RefineTaskOut* out) {
-  const CompressedRecords& records = *job.records;
-  const size_t num_rhs = job.num_rhs;
-  size_t remaining = num_rhs;
-  for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
-    const auto& cluster =
-        (*job.clusters)[job.visit != nullptr ? (*job.visit)[ci] : ci];
-    const size_t num_groups =
-        GroupRowsByCodes(records, job.others, job.num_others, cluster.data(),
-                         cluster.size(), job.other_code_bound, arena);
-    const uint64_t cluster_base = WitnessPos(ci, 0);
-    arena->collect_order.clear();
-    for (size_t g = 0; g < num_groups; ++g) {
-      const uint32_t begin = arena->group_offsets[g];
-      const uint32_t end = arena->group_offsets[g + 1];
-      if (end - begin < 2) continue;  // singleton: no pair, nothing collected
-      const uint32_t rep_idx = arena->grouped_idx[begin];
-      const RecordId rep = cluster[rep_idx];
-      const ClusterId* rep_rec = records.Record(rep);
-      if (job.collect) {
-        arena->collect_order.emplace_back(arena->grouped_idx[begin + 1],
-                                          static_cast<uint32_t>(g));
+  void Run(size_t cluster_begin, size_t cluster_end) {
+    // Every attribute a split round groups by gets a column slot; depth d
+    // below the deepest leaf holds groups (a leaf's last round groups
+    // nothing and reads its codes from the records it checks anyway).
+    slot_.assign(static_cast<size_t>(records_.num_attributes()), -1);
+    size_t max_others = 0;
+    for (size_t k = 0; k < job_.num_leaves; ++k) {
+      const RefineLeaf& leaf = job_.leaves[k];
+      max_others = std::max(max_others, leaf.num_others);
+      for (size_t d = 0; d + 1 < leaf.num_others; ++d) {
+        int& slot = slot_[static_cast<size_t>(leaf.others[d])];
+        if (slot < 0) {
+          slot = static_cast<int>(attrs_.size());
+          attrs_.push_back(leaf.others[d]);
+        }
       }
-      for (uint32_t p = begin + 1; p < end; ++p) {
-        const uint32_t idx = arena->grouped_idx[p];
-        const ClusterId* rec = records.Record(cluster[idx]);
+    }
+    if (arena_->depth_idx.size() < max_others) {
+      arena_->depth_idx.resize(max_others);
+      arena_->depth_offsets.resize(max_others);
+    }
+    arena_->EnsureCodeTable(job_.other_code_bound);
+    auto& alive = arena_->leaf_alive;
+    alive.resize(job_.num_leaves);
+    for (size_t k = 0; k < job_.num_leaves; ++k) {
+      alive[k] = job_.leaves[k].num_rhs;
+    }
+    size_t live_leaves = job_.num_leaves;
+    for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
+      cluster_ = &(*job_.clusters)[job_.visit != nullptr ? (*job_.visit)[ci]
+                                                         : ci];
+      const auto n = static_cast<uint32_t>(cluster_->size());
+      if (n < 2) continue;  // tombstoned empty slot
+      ci_ = ci;
+      Gather();
+      auto& root_idx = arena_->depth_idx[0];
+      root_idx.resize(n);
+      std::iota(root_idx.begin(), root_idx.end(), uint32_t{0});
+      arena_->depth_offsets[0].assign({0, n});
+      Descend(0, 0, job_.num_leaves);
+      // A leaf whose every RHS died by the end of this cluster can gain
+      // nothing from later clusters: it stops, and its partial partition
+      // is never cacheable.
+      for (size_t k = 0; k < job_.num_leaves; ++k) {
+        RefineLeafOut& leaf_out = out_->leaves[k];
+        if (alive[k] == 0 && leaf_out.complete) {
+          leaf_out.complete = false;
+          leaf_out.collected.clear();
+          --live_leaves;
+        }
+      }
+      if (live_leaves == 0) return;
+    }
+  }
+
+ private:
+  /// Copies the cluster's codes of every split attribute into contiguous
+  /// columns once, so split rounds index small arrays by position instead
+  /// of reading row-major records scattered over the whole relation.
+  void Gather() {
+    if (attrs_.empty()) return;
+    const size_t n = cluster_->size();
+    auto& gathered = arena_->gathered;
+    gathered.resize(attrs_.size() * n);
+    for (size_t i = 0; i < n; ++i) {
+      const ClusterId* rec = records_.Record((*cluster_)[i]);
+      for (size_t s = 0; s < attrs_.size(); ++s) {
+        gathered[s * n + i] = rec[attrs_[s]];
+      }
+    }
+  }
+
+  const ClusterId* Column(int attr) const {
+    return arena_->gathered.data() +
+           static_cast<size_t>(slot_[static_cast<size_t>(attr)]) *
+               cluster_->size();
+  }
+
+  bool AllDead(size_t lo, size_t hi) const {
+    for (size_t k = lo; k < hi; ++k) {
+      if (out_->leaves[k].complete) return false;
+    }
+    return true;
+  }
+
+  /// Leaves [lo, hi) share their first `depth` others, all have more, and
+  /// the groups by that prefix are at depth_idx[depth].
+  void Descend(size_t depth, size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi;) {
+      const int attr = job_.leaves[i].others[depth];
+      size_t j = i + 1;
+      while (j < hi && job_.leaves[j].others[depth] == attr) ++j;
+      // Lexicographic order puts the leaves ending at this attribute first.
+      size_t k = i;
+      for (; k < j && job_.leaves[k].num_others == depth + 1; ++k) {
+        if (out_->leaves[k].complete) FinalRound(k, depth, attr);
+      }
+      if (k < j && !AllDead(k, j)) {
+        const ClusterId* column = Column(attr);
+        SplitGroups([column](uint32_t p) { return column[p]; },
+                    job_.other_code_bound, arena_->depth_idx[depth],
+                    arena_->depth_offsets[depth], /*drop_singletons=*/true,
+                    arena_, &arena_->depth_idx[depth + 1],
+                    &arena_->depth_offsets[depth + 1]);
+        if (!arena_->depth_idx[depth + 1].empty()) Descend(depth + 1, k, j);
+      }
+      i = j;
+    }
+  }
+
+  /// Checks leaf `k`, whose last attribute is `attr`, over the groups at
+  /// `depth`.
+  void FinalRound(size_t k, size_t depth, int attr) {
+    const RefineLeaf& leaf = job_.leaves[k];
+    RefineLeafOut& out = out_->leaves[k];
+    const std::vector<RecordId>& cluster = *cluster_;
+    const auto& idx = arena_->depth_idx[depth];
+    const auto& offsets = arena_->depth_offsets[depth];
+    const size_t num_rhs = leaf.num_rhs;
+    size_t& alive = arena_->leaf_alive[k];
+    // Once every RHS has a witness, rows past the latest one cannot move
+    // any witness: each group's scan stops there.
+    const auto latest_witness = [&] {
+      uint64_t latest = 0;
+      for (const RefineWitness& w : out.witnesses) {
+        latest = std::max(latest, w.pos);
+      }
+      return latest;
+    };
+    uint64_t bound = alive > 0 ? kNoWitnessPos : latest_witness();
+    const size_t collect_begin = out.collected.size();
+    arena_->collect_order.clear();
+    // Hot loop state in locals: the stores below cannot then force reloads.
+    const int* const rhs_attrs = leaf.rhs_attrs;
+    RefineWitness* const witnesses = out.witnesses.data();
+    uint64_t* const code_epoch = arena_->code_epoch.data();
+    uint32_t* const code_slot = arena_->code_slot.data();
+    RecordId* reps = arena_->reps.data();
+    ClusterId* rep_rhs = arena_->rep_rhs.data();
+    for (size_t g = 0; g + 1 < offsets.size(); ++g) {
+      const uint64_t ep = ++arena_->epoch;
+      uint32_t num_slots = 0;
+      for (uint32_t p = offsets[g]; p < offsets[g + 1]; ++p) {
+        const uint32_t i = idx[p];
+        const uint64_t pos = WitnessPos(ci_, i);
+        if (pos > bound) break;
+        const RecordId row = cluster[i];
+        const ClusterId* rec = records_.Record(row);
+        const ClusterId code = rec[attr];
+        if (code == kUniqueCluster) continue;  // unique in LHS: no pair
+        const auto c = static_cast<size_t>(code);
+        HYFD_DCHECK(c < job_.other_code_bound,
+                    "RunRefineTask: cluster code exceeds other_code_bound");
+        if (code_epoch[c] != ep) {
+          // First row of its group: becomes the representative.
+          code_epoch[c] = ep;
+          code_slot[c] = num_slots;
+          if (arena_->reps.size() <= num_slots) {
+            arena_->reps.resize(num_slots + 1);
+            arena_->rep_collect.resize(num_slots + 1);
+            reps = arena_->reps.data();
+          }
+          // Sized separately from reps: num_rhs varies between leaves.
+          if (arena_->rep_rhs.size() < (num_slots + 1) * num_rhs) {
+            arena_->rep_rhs.resize((num_slots + 1) * num_rhs);
+            rep_rhs = arena_->rep_rhs.data();
+          }
+          reps[num_slots] = row;
+          arena_->rep_collect[num_slots] = -1;
+          ClusterId* stored = rep_rhs + num_slots * num_rhs;
+          for (size_t j = 0; j < num_rhs; ++j) stored[j] = rec[rhs_attrs[j]];
+          ++num_slots;
+          continue;
+        }
+        const uint32_t slot = code_slot[c];
+        if (leaf.collect) Collect(&out, slot, i, row);
+        const ClusterId* stored = rep_rhs + slot * num_rhs;
         for (size_t j = 0; j < num_rhs; ++j) {
-          RefineWitness* w = &out->witnesses[j];
-          // Dead in an earlier cluster: skip. Dead in *this* cluster: keep
-          // observing — another group may hold an earlier position.
-          if (w->pos < cluster_base) continue;
-          const ClusterId stored = rep_rec[job.rhs_attrs[j]];
-          if (stored == kUniqueCluster || stored != rec[job.rhs_attrs[j]]) {
-            if (Observe(w, WitnessPos(ci, idx), rep, cluster[idx])) {
-              --remaining;
-            }
+          RefineWitness& w = witnesses[j];
+          // A witness at or before this row cannot move; one after it (in a
+          // group visited earlier) still can.
+          if (w.pos <= pos) continue;
+          if (stored[j] == kUniqueCluster || stored[j] != rec[rhs_attrs[j]]) {
+            const bool fresh = w.pos == kNoWitnessPos;
+            w = {pos, reps[slot], row};
+            if (fresh && --alive == 0) bound = latest_witness();
           }
         }
       }
     }
-    if (job.collect) {
-      // Emit groups in the order each gained its second record — the order
-      // the legacy pass materialized them — so cached partitions (and hence
-      // later cache-hit scans) are byte-identical to the old implementation.
-      std::sort(arena->collect_order.begin(), arena->collect_order.end());
-      for (const auto& [second_pos, g] : arena->collect_order) {
-        (void)second_pos;
-        const uint32_t begin = arena->group_offsets[g];
-        const uint32_t end = arena->group_offsets[g + 1];
-        auto& members = out->collected.emplace_back();
-        members.reserve(end - begin);
-        for (uint32_t p = begin; p < end; ++p) {
-          members.push_back(cluster[arena->grouped_idx[p]]);
-        }
-      }
-    }
-    if (remaining == 0) {
-      out->complete = false;
-      out->collected.clear();
-      return;
-    }
+    if (leaf.collect) OrderCollected(&out.collected, collect_begin);
   }
-}
+
+  /// Adds the row at position `i` to the collected cluster of its group
+  /// (in `slot`), opening it with the representative at the second member.
+  void Collect(RefineLeafOut* out, uint32_t slot, uint32_t i, RecordId row) {
+    int32_t& index = arena_->rep_collect[slot];
+    if (index < 0) {
+      index = static_cast<int32_t>(out->collected.size());
+      arena_->collect_order.emplace_back(i, static_cast<uint32_t>(index));
+      out->collected.push_back({arena_->reps[slot]});
+    }
+    out->collected[static_cast<size_t>(index)].push_back(row);
+  }
+
+  /// Emits this cluster's collected groups in the order each gained its
+  /// second record — the order the legacy pass materialized them — so cached
+  /// partitions (and hence later cache-hit scans) stay byte-identical.
+  void OrderCollected(std::vector<std::vector<RecordId>>* collected,
+                      size_t begin) {
+    auto& order = arena_->collect_order;
+    if (std::is_sorted(order.begin(), order.end())) return;
+    std::sort(order.begin(), order.end());
+    std::vector<std::vector<RecordId>> sorted;
+    sorted.reserve(order.size());
+    for (const auto& [second_pos, index] : order) {
+      (void)second_pos;
+      sorted.push_back(std::move((*collected)[index]));
+    }
+    std::move(sorted.begin(), sorted.end(), collected->begin() + begin);
+  }
+
+  const RefineJob& job_;
+  const CompressedRecords& records_;
+  RefineArena* arena_;
+  RefineTaskOut* out_;
+  /// Column slot per schema attribute (-1: unused) and attribute per slot.
+  std::vector<int> slot_;
+  std::vector<int> attrs_;
+  const std::vector<RecordId>* cluster_ = nullptr;
+  size_t ci_ = 0;
+};
 
 }  // namespace
 
 void RunRefineTask(const RefineJob& job, size_t cluster_begin,
                    size_t cluster_end, uint32_t rec_begin, uint32_t rec_end,
                    RefineArena* arena, RefineTaskOut* out) {
-  out->witnesses.assign(job.num_rhs, RefineWitness{});
-  out->collected.clear();
-  out->complete = true;
-  if (job.num_rhs == 0) return;
-  if (job.num_others == 0) {
-    RunCompareToFirst(job, cluster_begin, cluster_end, rec_begin, rec_end, out);
+  out->leaves.resize(job.num_leaves);
+  for (size_t k = 0; k < job.num_leaves; ++k) {
+    RefineLeafOut& leaf_out = out->leaves[k];
+    HYFD_DCHECK(job.leaves[k].num_rhs > 0, "RunRefineTask: leaf without RHS");
+    leaf_out.witnesses.assign(job.leaves[k].num_rhs, RefineWitness{});
+    leaf_out.collected.clear();
+    leaf_out.complete = true;
+  }
+  if (job.num_leaves == 0) return;
+  if (job.leaves[0].num_others == 0) {
+    HYFD_DCHECK(job.num_leaves == 1,
+                "RunRefineTask: a compare-to-first job has one leaf");
+    RunCompareToFirst(job, cluster_begin, cluster_end, rec_begin, rec_end,
+                      &out->leaves[0]);
     return;
   }
   HYFD_DCHECK(rec_end == 0,
               "RunRefineTask: record-range splits require the "
               "compare-to-first shape");
-  if (job.num_others == 1) {
-    RunSingleOther(job, cluster_begin, cluster_end, arena, out);
-  } else {
-    RunGeneral(job, cluster_begin, cluster_end, arena, out);
-  }
+  TrieWalk(job, arena, out).Run(cluster_begin, cluster_end);
 }
 
 void MergeTaskOut(RefineTaskOut* into, RefineTaskOut&& from) {
-  HYFD_DCHECK(into->witnesses.size() == from.witnesses.size(),
+  HYFD_DCHECK(into->leaves.size() == from.leaves.size(),
               "MergeTaskOut: outputs of different jobs");
-  for (size_t j = 0; j < into->witnesses.size(); ++j) {
-    if (from.witnesses[j].pos < into->witnesses[j].pos) {
-      into->witnesses[j] = from.witnesses[j];
+  for (size_t k = 0; k < into->leaves.size(); ++k) {
+    RefineLeafOut& to = into->leaves[k];
+    RefineLeafOut& add = from.leaves[k];
+    HYFD_DCHECK(to.witnesses.size() == add.witnesses.size(),
+                "MergeTaskOut: outputs of different jobs");
+    for (size_t j = 0; j < to.witnesses.size(); ++j) {
+      if (add.witnesses[j].pos < to.witnesses[j].pos) {
+        to.witnesses[j] = add.witnesses[j];
+      }
     }
-  }
-  into->complete = into->complete && from.complete;
-  if (into->collected.empty()) {
-    into->collected = std::move(from.collected);
-  } else {
-    into->collected.insert(into->collected.end(),
-                           std::make_move_iterator(from.collected.begin()),
-                           std::make_move_iterator(from.collected.end()));
+    to.complete = to.complete && add.complete;
+    if (to.collected.empty()) {
+      to.collected = std::move(add.collected);
+    } else {
+      to.collected.insert(to.collected.end(),
+                          std::make_move_iterator(add.collected.begin()),
+                          std::make_move_iterator(add.collected.end()));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "pli/compressed_records.h"
@@ -30,13 +31,13 @@ struct RefineWitness {
 ///
 /// All grouping state lives here — the epoch-stamped dense code table that
 /// replaces the old `unordered_map<ClusterId, …>` / vector-keyed hash maps,
-/// the ping-pong index buffers of the iterative (group, code) refinement,
-/// and the per-group representative storage of the interleaved single-other
-/// pass. Buffers grow to their high-water mark and are reused across every
-/// cluster, node, and level of a run: the per-record hot path performs no
-/// allocation and no hashing. One arena per pool worker (plus one for the
-/// calling thread); arenas are NOT thread-safe and must never be shared
-/// between concurrently running tasks.
+/// the ping-pong index buffers of GroupRowsByCodes, one grouping buffer per
+/// depth of the trie walk, and the per-group representative storage of a
+/// leaf's final round. Buffers grow to their high-water mark and are reused
+/// across every cluster, node, and level of a run: the per-record hot path
+/// performs no allocation and no hashing. One arena per pool worker (plus one
+/// for the calling thread); arenas are NOT thread-safe and must never be
+/// shared between concurrently running tasks.
 class RefineArena {
  public:
   // --- Epoch-stamped dense code table (code -> slot). ----------------------
@@ -72,24 +73,52 @@ class RefineArena {
   std::vector<uint32_t> scratch_group;
   std::vector<uint32_t> hist;
 
-  // --- Interleaved single-other pass: per-group representative storage. ----
-  std::vector<RecordId> reps;
+  // --- Trie walk: the groups of one shared LHS prefix per depth. -----------
+  /// `depth_idx[d]` holds cluster positions grouped by the first d non-pivot
+  /// attributes of the current path (singletons dropped), `depth_offsets[d]`
+  /// the group boundaries.
+  std::vector<std::vector<uint32_t>> depth_idx;
+  std::vector<std::vector<uint32_t>> depth_offsets;
+  /// Per leaf: RHSs still without a witness in the running task.
+  std::vector<size_t> leaf_alive;
+  /// The current pivot cluster's codes of every attribute a split round
+  /// groups by, one contiguous column per attribute.
+  std::vector<ClusterId> gathered;
+
+  // --- A leaf's final round: per-group representative storage. ------------
+  std::vector<RecordId> reps;        ///< each group's representative
   std::vector<ClusterId> rep_rhs;    ///< reps.size() × num_rhs cluster ids
   std::vector<int32_t> rep_collect;  ///< collected-cluster slot or -1
 
-  // --- Collection order scratch: (second-member position, group) pairs, so
-  // collected clusters appear in the order each group gained its second
-  // record — byte-identical to the legacy hash-grouping pass.
+  // --- Collection order scratch: (second-member position, collected index)
+  // pairs, so collected clusters appear in the order each group gained its
+  // second record — byte-identical to the legacy hash-grouping pass.
   std::vector<std::pair<uint32_t, uint32_t>> collect_order;
 
   /// Approximate heap footprint (observability gauge).
   size_t MemoryBytes() const;
 };
 
-/// One refinement job: simultaneously check lhs -> rhs for every rhs in
-/// `rhs_attrs` over the clusters of the pivot attribute's PLI (or of a
-/// cached LHS partition). The kernel never hashes: grouping inside a pivot
-/// cluster runs over dense cluster codes via the arena's flat tables.
+/// One LHS of a refinement trie: checks (pivot ∪ others) -> rhs for every
+/// rhs in `rhs_attrs`.
+struct RefineLeaf {
+  /// Non-pivot LHS attributes in grouping order; empty only for the
+  /// compare-to-first shape (single-attribute LHS or cached partition:
+  /// every record compares against its cluster's first record).
+  const int* others = nullptr;
+  size_t num_others = 0;
+  const int* rhs_attrs = nullptr;  ///< at least one
+  size_t num_rhs = 0;
+  /// Assemble the grouped LHS partition as stripped clusters (PliCache
+  /// warm-up). Only meaningful with num_others >= 1.
+  bool collect = false;
+};
+
+/// One refinement job: a trie of LHSs that share the pivot attribute (whose
+/// PLI clusters, or a cached LHS partition, the job scans) and the visit
+/// list. Per pivot cluster the kernel groups each shared prefix of the
+/// leaves' `others` once and branches per child. The kernel never hashes:
+/// grouping runs over dense cluster codes via the arena's flat tables.
 struct RefineJob {
   const CompressedRecords* records = nullptr;
   /// Pivot (or cached-partition) clusters, each a sorted record-id list.
@@ -98,51 +127,54 @@ struct RefineJob {
   /// mode); nullptr = all clusters. Witness positions index into this visit
   /// order, so splits of the same job always agree on positions.
   const std::vector<uint32_t>* visit = nullptr;
-  /// Remaining (non-pivot) LHS attributes; empty for the single-attribute
-  /// LHS and cached-partition shapes (every record compares against its
-  /// cluster's first record — no grouping at all).
-  const int* others = nullptr;
-  size_t num_others = 0;
-  /// Exclusive upper bound on the cluster codes of the `others` attributes
+  /// Either one compare-to-first leaf, or leaves that all group (num_others
+  /// >= 1) sorted lexicographically by `others` — so every shared prefix is
+  /// one contiguous run.
+  const RefineLeaf* leaves = nullptr;
+  size_t num_leaves = 0;
+  /// Exclusive upper bound on the cluster codes of every `others` attribute
   /// (max stripped-cluster count); sizes the arena's dense code table.
   size_t other_code_bound = 0;
-  const int* rhs_attrs = nullptr;
-  size_t num_rhs = 0;
-  /// Assemble the grouped LHS partition as stripped clusters (PliCache
-  /// warm-up). Only meaningful with num_others >= 1.
-  bool collect = false;
 };
 
-/// Output of one task (a whole job, or one cluster/record range of a split
-/// job).
-struct RefineTaskOut {
+/// What one task found for one leaf.
+struct RefineLeafOut {
   /// One cell per rhs_attrs entry; pos == kNoWitnessPos means the RHS
   /// survived this task's range.
   std::vector<RefineWitness> witnesses;
-  /// Collected partition clusters of this range (job.collect only), in
+  /// Collected partition clusters of this range (leaf.collect only), in
   /// deterministic scan order.
   std::vector<std::vector<RecordId>> collected;
-  /// False iff the task stopped early because every RHS was already
-  /// violated — `collected` is then partial and must not be cached. A task
-  /// only ever stops early when all RHSs are dead globally, so a job with
-  /// any surviving RHS always has every task complete.
+  /// False iff every RHS was violated within the task's range — the leaf's
+  /// scan then stopped, so `collected` is partial and must not be cached. A
+  /// leaf with any surviving RHS always has every task complete.
   bool complete = true;
+};
+
+/// Output of one task (a whole job, or one cluster/record range of a split
+/// job): one cell per leaf.
+struct RefineTaskOut {
+  std::vector<RefineLeafOut> leaves;
 };
 
 /// Runs one task of `job` over clusters [cluster_begin, cluster_end) of the
 /// visit order. When `rec_end > 0`, the task instead covers records
 /// [rec_begin, rec_end) of the single cluster `cluster_begin` — only legal
-/// for the compare-to-first shape (num_others == 0), which is the one shape
-/// whose records are independent (a giant pivot cluster splits across
-/// workers this way). Scratch comes from `arena`; results land in `out`
-/// (overwritten).
+/// for the compare-to-first shape, which is the one shape whose records are
+/// independent (a giant pivot cluster splits across workers this way).
+/// Scratch comes from `arena`; results land in `out` (overwritten).
+///
+/// Each leaf's witnesses, `complete` flag and collected clusters equal those
+/// of grouping its whole LHS with GroupRowsByCodes per cluster and checking
+/// every group against its first member: the trie shares the grouping work,
+/// never its outcome.
 void RunRefineTask(const RefineJob& job, size_t cluster_begin,
                    size_t cluster_end, uint32_t rec_begin, uint32_t rec_end,
                    RefineArena* arena, RefineTaskOut* out);
 
-/// Merges `from` into `into`: per-RHS minimum witness position, collected
-/// clusters appended in call order. Call in task order so collected cluster
-/// order stays deterministic.
+/// Merges `from` into `into`, leaf by leaf: per-RHS minimum witness
+/// position, collected clusters appended in call order. Call in task order
+/// so collected cluster order stays deterministic.
 void MergeTaskOut(RefineTaskOut* into, RefineTaskOut&& from);
 
 /// Groups the `n` rows of `rows` by their cluster-code tuple over `attrs`

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <tuple>
 
 #include "pli/pli_cache.h"
 #include "util/check.h"
@@ -10,33 +12,49 @@
 namespace hyfd {
 namespace {
 
-/// Below this many scanned records a unit is never split: the merge overhead
+/// Below this many record-rounds a job is never split: the merge overhead
 /// would exceed the scan itself.
-constexpr size_t kMinSplitMass = 4096;
+constexpr size_t kMinSplitCost = 4096;
 /// Target tasks per worker; >1 so dynamic chunking can rebalance when one
-/// range turns out heavier than its mass estimate.
+/// range turns out heavier than its cost estimate.
 constexpr size_t kTasksPerWorker = 4;
 
-/// One refinement call: a (node, restriction-mode) pair of a level, bound to
-/// the kernel job that will execute it. Empty-LHS candidates never become
-/// units — the IsConstant check resolves them during planning.
+/// One candidate check: a (node, restriction-mode) pair of a level. Empty-LHS
+/// candidates never become units — the IsConstant check resolves them during
+/// planning.
 struct Unit {
   size_t entry = 0;  ///< index into the level
   std::vector<int> rhs_attrs;
+  /// Non-pivot LHS attributes, ascending; empty for a single-attribute LHS
+  /// and a cache hit.
   std::vector<int> others;
-  /// Keep-alive for a cache hit; job.clusters then points into this Pli.
+  int pivot = -1;
+  bool restricted = false;
+  /// Keep-alive for a cache hit; its job then scans this Pli's clusters.
   std::shared_ptr<const Pli> cached;
+};
+
+/// One refinement job: the units that share a pivot, a visit list and their
+/// first non-pivot attribute, as one trie (or a single compare-to-first
+/// unit). Sibling tries share nothing below the pivot, so this split loses
+/// no grouping work and keeps parallel work fine-grained.
+struct Trie {
+  std::vector<size_t> units;  ///< unit indexes, in leaf order
+  std::vector<RefineLeaf> leaves;
   RefineJob job;
-  /// Records the job scans (Σ cluster sizes) — the split cost estimate.
+  /// Records the job scans (Σ visited cluster sizes).
   size_t mass = 0;
+  /// Trie nodes below the pivot: the grouping rounds each scanned record
+  /// takes (1 for compare-to-first). A job costs mass × rounds.
+  size_t rounds = 1;
   size_t first_task = 0;
   size_t num_tasks = 0;
 };
 
-/// One schedulable slice of a unit (whole job, a cluster range, or a record
+/// One schedulable slice of a trie (whole job, a cluster range, or a record
 /// range of one oversized compare-to-first cluster).
 struct Task {
-  uint32_t unit;
+  uint32_t trie;
   uint32_t cluster_begin;
   uint32_t cluster_end;
   uint32_t rec_begin;
@@ -128,6 +146,7 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     Unit u;
     u.entry = i;
     u.rhs_attrs = rhss.ToIndexes();
+    u.restricted = restricted;
 
     const bool multi_lhs = entry.lhs.Count() >= 2;
     // A cached LHS partition (from an earlier discovery pass) replaces the
@@ -135,8 +154,6 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     if (cache_ != nullptr && multi_lhs) {
       if (auto cached = cache_->Probe(entry.lhs)) {
         u.cached = std::move(cached);
-        u.job.clusters = &u.cached->clusters();
-        u.mass = u.cached->NumNonUniqueRecords();
         units.push_back(std::move(u));
         return;
       }
@@ -145,43 +162,17 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     // Pivot: the LHS attribute whose PLI has the most (smallest) clusters —
     // minimizes the records we group (the paper's "first" attribute after
     // the Preprocessor's sort).
-    int pivot = -1;
     for (int attr = entry.lhs.First(); attr != AttributeSet::kNpos;
          attr = entry.lhs.NextAfter(attr)) {
-      if (pivot == -1 || data_->rank[static_cast<size_t>(attr)] <
-                             data_->rank[static_cast<size_t>(pivot)]) {
-        pivot = attr;
+      if (u.pivot == -1 || data_->rank[static_cast<size_t>(attr)] <
+                               data_->rank[static_cast<size_t>(u.pivot)]) {
+        u.pivot = attr;
       }
     }
-    size_t code_bound = 1;
     for (int attr = entry.lhs.First(); attr != AttributeSet::kNpos;
          attr = entry.lhs.NextAfter(attr)) {
-      if (attr == pivot) continue;
-      u.others.push_back(attr);
-      code_bound = std::max(
-          code_bound,
-          data_->plis[static_cast<size_t>(attr)].NumStrippedClusters());
+      if (attr != u.pivot) u.others.push_back(attr);
     }
-    u.job.other_code_bound = code_bound;
-
-    const Pli& pivot_pli = data_->plis[static_cast<size_t>(pivot)];
-    u.job.clusters = &pivot_pli.clusters();
-    if (restricted) {
-      // Restricted mode scans only the pivot clusters the batch touched; any
-      // newly-violating pair shares its pivot cluster with a new row, so no
-      // violation hides in an untouched cluster (see ClusterDelta).
-      u.job.visit = &delta_->touched[static_cast<size_t>(pivot)];
-      for (uint32_t ci : *u.job.visit) {
-        u.mass += pivot_pli.clusters()[ci].size();
-      }
-    } else {
-      u.mass = pivot_pli.NumNonUniqueRecords();
-    }
-    // With a cache attached, the grouping pass doubles as a builder for
-    // π_lhs: every group that gains a second record becomes one of its
-    // stripped clusters. Abandoned on early exit (partial partitions are
-    // never cached).
-    u.job.collect = cache_ != nullptr && multi_lhs;
     units.push_back(std::move(u));
   };
 
@@ -203,57 +194,131 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     plan_unit(i, fresh, /*restricted=*/false);
   }
 
-  // The unit vector is final: bind the job pointers that alias unit-owned
-  // storage (vector moves preserve heap buffers, but binding after the last
-  // push_back keeps the invariant obvious).
-  for (Unit& u : units) {
-    u.job.records = &data_->records;
-    u.job.others = u.others.data();
-    u.job.num_others = u.others.size();
-    u.job.rhs_attrs = u.rhs_attrs.data();
-    u.job.num_rhs = u.rhs_attrs.size();
+  // --- Tries: sort the grouping units by (pivot, visit list, others). -----
+  // Each run of equal (pivot, visit list, first other) becomes one trie
+  // whose leaves are in lexicographic order of `others`, so every shared
+  // prefix is contiguous; compare-to-first units stay single-leaf jobs.
+  std::vector<size_t> order(units.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  const auto key = [&](size_t ui) {
+    const Unit& u = units[ui];
+    return std::tie(u.pivot, u.restricted, u.others);
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return key(a) < key(b); });
+  std::vector<Trie> tries;
+  for (size_t ui : order) {
+    const Unit& u = units[ui];
+    bool joins = false;
+    if (!tries.empty() && !u.others.empty()) {
+      const Unit& prev = units[tries.back().units.back()];
+      joins = !prev.others.empty() && prev.pivot == u.pivot &&
+              prev.restricted == u.restricted &&
+              prev.others[0] == u.others[0];
+    }
+    if (!joins) tries.emplace_back();
+    tries.back().units.push_back(ui);
+  }
+
+  // Bind each trie's job. The unit and trie vectors are final, so pointers
+  // into their storage stay valid through execution.
+  for (Trie& trie : tries) {
+    RefineJob& job = trie.job;
+    job.records = &data_->records;
+    size_t code_bound = 1;
+    const std::vector<int>* prev = nullptr;
+    trie.rounds = 0;
+    for (size_t ui : trie.units) {
+      const Unit& u = units[ui];
+      RefineLeaf& leaf = trie.leaves.emplace_back();
+      leaf.others = u.others.data();
+      leaf.num_others = u.others.size();
+      leaf.rhs_attrs = u.rhs_attrs.data();
+      leaf.num_rhs = u.rhs_attrs.size();
+      // With a cache attached, the grouping doubles as a builder for π_lhs:
+      // every group that gains a second record becomes one of its stripped
+      // clusters. Abandoned on early exit (partial partitions are never
+      // cached).
+      leaf.collect = cache_ != nullptr && !u.others.empty();
+      for (int attr : u.others) {
+        code_bound = std::max(
+            code_bound,
+            data_->plis[static_cast<size_t>(attr)].NumStrippedClusters());
+      }
+      // New trie nodes: the leaf's attributes past its common prefix with
+      // the previous leaf.
+      const size_t shared =
+          prev == nullptr ? 0
+                          : static_cast<size_t>(
+                                std::mismatch(prev->begin(), prev->end(),
+                                              u.others.begin(), u.others.end())
+                                    .first -
+                                prev->begin());
+      trie.rounds += u.others.size() - shared;
+      prev = &u.others;
+    }
+    trie.rounds = std::max<size_t>(trie.rounds, 1);
+    job.leaves = trie.leaves.data();
+    job.num_leaves = trie.leaves.size();
+    job.other_code_bound = code_bound;
+    const Unit& head = units[trie.units.front()];
+    if (head.cached != nullptr) {
+      job.clusters = &head.cached->clusters();
+      trie.mass = head.cached->NumNonUniqueRecords();
+      continue;
+    }
+    const Pli& pivot_pli = data_->plis[static_cast<size_t>(head.pivot)];
+    job.clusters = &pivot_pli.clusters();
+    if (head.restricted) {
+      // Restricted mode scans only the pivot clusters the batch touched; any
+      // newly-violating pair shares its pivot cluster with a new row, so no
+      // violation hides in an untouched cluster (see ClusterDelta).
+      job.visit = &delta_->touched[static_cast<size_t>(head.pivot)];
+      for (uint32_t ci : *job.visit) {
+        trie.mass += pivot_pli.clusters()[ci].size();
+      }
+    } else {
+      trie.mass = pivot_pli.NumNonUniqueRecords();
+    }
   }
 
   // --- Split: two-level parallelism. --------------------------------------
-  // Level 1 is the task list itself (dynamic chunking across units); level 2
-  // splits oversized units into pivot-cluster ranges — and, for the
+  // Level 1 is the task list itself (dynamic chunking across tries); level 2
+  // splits costly tries into pivot-cluster ranges — and, for the
   // compare-to-first shape whose records are independent, record ranges of a
-  // single giant cluster — so one skewed node can no longer serialize the
-  // level. Grouping shapes never split below cluster granularity: an LHS
-  // group never spans pivot clusters, so cluster ranges are the finest sound
-  // partition for them.
+  // single giant cluster — so one skewed pivot can no longer serialize the
+  // level. A cluster costs its size times the trie's rounds. Grouping shapes
+  // never split below cluster granularity: an LHS group never spans pivot
+  // clusters, so cluster ranges are the finest sound partition for them.
   std::vector<Task> tasks;
   size_t grain = std::numeric_limits<size_t>::max();
   if (pool_ != nullptr && pool_->num_threads() > 1) {
-    size_t total_mass = 0;
-    for (const Unit& u : units) total_mass += u.mass;
-    grain = std::max(kMinSplitMass,
-                     total_mass / (pool_->num_threads() * kTasksPerWorker) + 1);
+    size_t total_cost = 0;
+    for (const Trie& trie : tries) total_cost += trie.mass * trie.rounds;
+    grain = std::max(kMinSplitCost,
+                     total_cost / (pool_->num_threads() * kTasksPerWorker) + 1);
   }
-  for (size_t ui = 0; ui < units.size(); ++ui) {
-    Unit& u = units[ui];
-    u.first_task = tasks.size();
-    const size_t num_visit = NumVisit(u.job);
-    if (num_visit == 0) {
-      u.num_tasks = 0;
-      continue;
-    }
-    const auto unit_id = static_cast<uint32_t>(ui);
-    if (u.mass <= grain) {
-      tasks.push_back({unit_id, 0, static_cast<uint32_t>(num_visit), 0, 0});
+  for (size_t ti = 0; ti < tries.size(); ++ti) {
+    Trie& trie = tries[ti];
+    trie.first_task = tasks.size();
+    const size_t num_visit = NumVisit(trie.job);
+    if (num_visit == 0) continue;
+    const auto trie_id = static_cast<uint32_t>(ti);
+    if (trie.mass * trie.rounds <= grain) {
+      tasks.push_back({trie_id, 0, static_cast<uint32_t>(num_visit), 0, 0});
     } else {
-      const bool record_splittable = u.others.empty();
+      const bool record_splittable = trie.leaves[0].num_others == 0;
       size_t acc = 0;
       size_t begin = 0;
       for (size_t ci = 0; ci < num_visit; ++ci) {
-        const size_t cluster_size = ClusterAt(u.job, ci).size();
+        const size_t cluster_size = ClusterAt(trie.job, ci).size();
         if (record_splittable && cluster_size > 2 * grain) {
           if (ci > begin) {
-            tasks.push_back({unit_id, static_cast<uint32_t>(begin),
+            tasks.push_back({trie_id, static_cast<uint32_t>(begin),
                              static_cast<uint32_t>(ci), 0, 0});
           }
           for (size_t r = 0; r < cluster_size; r += grain) {
-            tasks.push_back({unit_id, static_cast<uint32_t>(ci),
+            tasks.push_back({trie_id, static_cast<uint32_t>(ci),
                              static_cast<uint32_t>(ci + 1),
                              static_cast<uint32_t>(r),
                              static_cast<uint32_t>(
@@ -263,31 +328,31 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
           acc = 0;
           continue;
         }
-        acc += cluster_size;
+        acc += cluster_size * trie.rounds;
         if (acc >= grain) {
-          tasks.push_back({unit_id, static_cast<uint32_t>(begin),
+          tasks.push_back({trie_id, static_cast<uint32_t>(begin),
                            static_cast<uint32_t>(ci + 1), 0, 0});
           begin = ci + 1;
           acc = 0;
         }
       }
       if (begin < num_visit) {
-        tasks.push_back({unit_id, static_cast<uint32_t>(begin),
+        tasks.push_back({trie_id, static_cast<uint32_t>(begin),
                          static_cast<uint32_t>(num_visit), 0, 0});
       }
     }
-    u.num_tasks = tasks.size() - u.first_task;
+    trie.num_tasks = tasks.size() - trie.first_task;
   }
 
   // --- Execute. -----------------------------------------------------------
   std::vector<RefineTaskOut> outs(tasks.size());
   auto run_task = [&](size_t t) {
     const Task& task = tasks[t];
-    RunRefineTask(units[task.unit].job, task.cluster_begin, task.cluster_end,
+    RunRefineTask(tries[task.trie].job, task.cluster_begin, task.cluster_end,
                   task.rec_begin, task.rec_end, &LocalArena(), &outs[t]);
   };
   if (pool_ != nullptr && tasks.size() > 1) {
-    // Dynamic chunking: tasks still vary in cost (mass is an estimate, early
+    // Dynamic chunking: tasks still vary in cost (cost is an estimate, early
     // exits truncate scans), so workers claim them one at a time.
     pool_->ParallelForDynamic(tasks.size(), 1, run_task);
   } else {
@@ -298,21 +363,34 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
   // Per RHS the minimum witness position survives, which is exactly the
   // record where the sequential interleaved scan would have killed it — so
   // valid_rhss AND the suggestion pairs are bit-identical no matter how the
-  // unit was split.
-  for (Unit& u : units) {
+  // trie was split.
+  std::vector<RefineLeafOut> results(units.size());
+  for (const Trie& trie : tries) {
     RefineTaskOut merged;
-    if (u.num_tasks == 0) {
-      merged.witnesses.assign(u.job.num_rhs, RefineWitness{});
+    if (trie.num_tasks == 0) {
+      merged.leaves.resize(trie.leaves.size());
+      for (size_t k = 0; k < trie.leaves.size(); ++k) {
+        merged.leaves[k].witnesses.assign(trie.leaves[k].num_rhs,
+                                          RefineWitness{});
+      }
     } else {
-      merged = std::move(outs[u.first_task]);
-      for (size_t k = 1; k < u.num_tasks; ++k) {
-        MergeTaskOut(&merged, std::move(outs[u.first_task + k]));
+      merged = std::move(outs[trie.first_task]);
+      for (size_t t = 1; t < trie.num_tasks; ++t) {
+        MergeTaskOut(&merged, std::move(outs[trie.first_task + t]));
       }
     }
+    for (size_t k = 0; k < trie.units.size(); ++k) {
+      results[trie.units[k]] = std::move(merged.leaves[k]);
+    }
+  }
+  // Outcomes and cache warm-up Puts in level order, serially.
+  for (size_t ui = 0; ui < units.size(); ++ui) {
+    const Unit& u = units[ui];
+    RefineLeafOut& result = results[ui];
     RefineOutcome& outcome = (*outcomes)[u.entry];
     bool any_alive = false;
-    for (size_t j = 0; j < merged.witnesses.size(); ++j) {
-      const RefineWitness& w = merged.witnesses[j];
+    for (size_t j = 0; j < result.witnesses.size(); ++j) {
+      const RefineWitness& w = result.witnesses[j];
       if (w.pos == kNoWitnessPos) {
         outcome.valid_rhss.Set(u.rhs_attrs[j]);
         any_alive = true;
@@ -320,13 +398,14 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
         outcome.suggestions.emplace_back(w.a, w.b);
       }
     }
-    // A task stops early only when every RHS is dead within its range, which
+    // A leaf stops early only when every RHS is dead within its range, which
     // implies every RHS is dead globally — so `any_alive` already implies
     // all tasks completed and the collected partition is whole. The explicit
     // `complete` check keeps the invariant load-bearing rather than implied.
-    if (u.job.collect && any_alive && merged.complete) {
+    if (cache_ != nullptr && !u.others.empty() && any_alive &&
+        result.complete) {
       cache_->Put(level[u.entry].lhs,
-                  Pli(std::move(merged.collected), data_->num_records));
+                  Pli(std::move(result.collected), data_->num_records));
     }
   }
 }

@@ -55,11 +55,11 @@ class Validator {
   };
 
   /// `data` and `tree` must outlive the Validator. A non-null `pool`
-  /// parallelizes the per-node refinement checks (paper §10.4). A non-null
-  /// `cache` is probed for each multi-attribute LHS partition — a hit skips
-  /// the hash-grouping pass — and kept warm with the LHS partitions the
-  /// grouping pass assembles anyway, so repeated discovery passes over the
-  /// same data reuse them. The cache must be thread-safe when a pool is
+  /// parallelizes the refinement checks (paper §10.4). A non-null `cache` is
+  /// probed for each multi-attribute LHS partition — a hit replaces the
+  /// grouping with a compare-to-first scan of the cached clusters — and kept
+  /// warm with the LHS partitions the grouping assembles anyway, so repeated
+  /// discovery passes over the same data reuse them. The cache must be thread-safe when a pool is
   /// given (probes run concurrently). A non-null `metrics` registry
   /// receives per-level counters (levels, candidates, suggestion dedup).
   Validator(const PreprocessedData* data, FDTree* tree,
@@ -96,13 +96,14 @@ class Validator {
     std::vector<std::pair<RecordId, RecordId>> suggestions;
   };
 
-  /// Validates one lattice level on the refinement kernel: plans one
-  /// refinement unit per (node, restriction mode), splits oversized units
-  /// into cluster / record ranges cost-estimated from PLI cluster mass, runs
-  /// the flattened task list across the pool, and merges each unit's partial
-  /// witness sets deterministically into `outcomes` (one per level entry,
-  /// already sized). Cache warm-up Puts happen here, serially, after the
-  /// parallel section.
+  /// Validates one lattice level on the refinement kernel: plans one unit
+  /// per (node, restriction mode), joins the units that share a pivot, a
+  /// visit list and their first non-pivot attribute into one trie job,
+  /// splits costly jobs into cluster / record ranges (cost = pivot mass ×
+  /// trie rounds), runs the flattened task list across the pool, and merges
+  /// each unit's partial witness sets deterministically into `outcomes` (one
+  /// per level entry, already sized). Cache warm-up Puts happen here,
+  /// serially and in level order, after the parallel section.
   void ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
                      std::vector<RefineOutcome>* outcomes);
 

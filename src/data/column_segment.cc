@@ -497,10 +497,26 @@ uint64_t ColumnSegment::FoldFingerprint(uint64_t h) const {
   return h;
 }
 
-std::optional<uint64_t> ColumnSegment::FoldLiveFingerprint(
+ColumnSegment ColumnSegment::LiveRows(const std::vector<uint8_t>& live) const {
+  ColumnSegment out;
+  out.type_ = type_;
+  out.has_values_ = has_values_;
+  for (size_t row = 0; row < codes_.size(); ++row) {
+    if (live[row] == 0) continue;
+    if (IsNull(row)) {
+      out.AppendNull();
+    } else {
+      out.Append(Value(row));
+    }
+  }
+  return out;
+}
+
+uint64_t ColumnSegment::FoldLiveFingerprint(
     uint64_t h, const std::vector<uint8_t>& live) const {
-  // First-appearance remap of the live codes, as the rebuild's Append()s
-  // would number them; `order[new_code]` is the old code.
+  // First-appearance remap of the live codes, as LiveRows()' Append()s
+  // number them; `order[new_code]` is the old code. Every dictionary entry
+  // is canonical under type_, so those appends record no raw spelling.
   std::vector<uint32_t> remap(dictionary_.size(), kNullCode);
   std::vector<uint32_t> order;
   std::vector<uint32_t> codes;
@@ -516,27 +532,7 @@ std::optional<uint64_t> ColumnSegment::FoldLiveFingerprint(
     }
     codes.push_back(code);
   }
-  std::vector<ColumnType> types;
-  types.reserve(order.size());
-  ColumnType joined = ColumnType::kString;  // the type of a value-less column
-  for (uint32_t code : order) {
-    types.push_back(LexemeType(dictionary_[code]));
-    joined = types.size() == 1 ? types.back() : WidenType(joined, types.back());
-  }
-  // A numeric entry that is canonical under kDouble is canonical under kInt
-  // too, so no append on the way to `joined` records a raw spelling, and
-  // distinct entries stay distinct values.
-  const ColumnType numeric =
-      joined == ColumnType::kInt ? ColumnType::kInt : ColumnType::kDouble;
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (types[i] != ColumnType::kInt && types[i] != ColumnType::kDouble) {
-      continue;  // strings and dates are their own canonical form
-    }
-    const std::string& entry = dictionary_[order[i]];
-    if (CanonicalForm(numeric, entry) != entry) return std::nullopt;
-  }
-
-  h = FoldValue(h, static_cast<uint64_t>(joined));
+  h = FoldValue(h, static_cast<uint64_t>(type_));
   h = FoldValue(h, order.size());
   for (uint32_t code : order) {
     const std::string& entry = dictionary_[code];

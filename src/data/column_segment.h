@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -160,17 +159,17 @@ class ColumnSegment {
   /// running FNV-1a hash (Relation::ContentFingerprint).
   uint64_t FoldFingerprint(uint64_t h) const;
 
-  /// Folds, in place, what FoldFingerprint() of a segment rebuilt from the
-  /// rows with `live[row] != 0` would fold — Append() of each live row's
-  /// Value() (AppendNull() for NULLs) in row order. Such a rebuild types the
-  /// column as the join J of the live entries' lexeme types, numbers codes
-  /// in first-appearance order, and keeps no raw spellings, unless some live
-  /// numeric entry is not in canonical form under the numeric type the
-  /// rebuild passes through (J when numeric, kDouble when J is kString):
-  /// then its append would record raw spellings or variant rows, and the
-  /// result is std::nullopt — the caller folds a scratch rebuild instead.
-  std::optional<uint64_t> FoldLiveFingerprint(
-      uint64_t h, const std::vector<uint8_t>& live) const;
+  /// Copy of the rows with `live[row] != 0`, in row order, that keeps this
+  /// segment's type: Append() of each live row's Value() (AppendNull() for
+  /// NULLs) into a segment already of type(). Codes are numbered in
+  /// first-appearance order and no raw spellings are kept. Retyping from the
+  /// live values alone could merge values this column keeps apart ("07" and
+  /// "7" in a string column whose widening row is gone).
+  ColumnSegment LiveRows(const std::vector<uint8_t>& live) const;
+
+  /// Folds, in place, what FoldFingerprint() of LiveRows(live) would fold.
+  uint64_t FoldLiveFingerprint(uint64_t h,
+                               const std::vector<uint8_t>& live) const;
 
   size_t MemoryBytes() const;
 

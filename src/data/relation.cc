@@ -138,6 +138,16 @@ uint64_t Relation::ContentFingerprint() const {
   return h;
 }
 
+Relation Relation::LiveRows(const std::vector<uint8_t>& live) const {
+  HYFD_CHECK(live.size() == num_rows(),
+             "Relation::LiveRows: live mask size mismatch");
+  Relation out(schema_);
+  for (size_t c = 0; c < segments_.size(); ++c) {
+    out.segments_[c] = segments_[c].LiveRows(live);
+  }
+  return out;
+}
+
 uint64_t Relation::LiveContentFingerprint(
     const std::vector<uint8_t>& live) const {
   HYFD_CHECK(live.size() == num_rows(),
@@ -146,20 +156,7 @@ uint64_t Relation::LiveContentFingerprint(
       std::count_if(live.begin(), live.end(), [](uint8_t l) { return l != 0; }));
   uint64_t h = FingerprintHeader(num_live);
   for (const ColumnSegment& segment : segments_) {
-    if (std::optional<uint64_t> folded = segment.FoldLiveFingerprint(h, live)) {
-      h = *folded;
-      continue;
-    }
-    ColumnSegment rebuilt;
-    for (size_t row = 0; row < live.size(); ++row) {
-      if (live[row] == 0) continue;
-      if (segment.IsNull(row)) {
-        rebuilt.AppendNull();
-      } else {
-        rebuilt.Append(segment.Value(row));
-      }
-    }
-    h = rebuilt.FoldFingerprint(h);
+    h = segment.FoldLiveFingerprint(h, live);
   }
   return h;
 }

@@ -115,11 +115,13 @@ class Relation {
   /// keys HyFd's owned PLI cache).
   uint64_t ContentFingerprint() const;
 
-  /// ContentFingerprint() of FromRows() over the rows with `live[row] != 0`
-  /// (their Value()s and NULLs, in row order), computed without building
-  /// it: each column is folded in place (ColumnSegment::FoldLiveFingerprint)
-  /// or, when that declines, from a scratch rebuild of that column alone.
-  /// `live` has one entry per row.
+  /// Copy of the rows with `live[row] != 0`, in row order, with every
+  /// column keeping its type (ColumnSegment::LiveRows). `live` has one entry
+  /// per row.
+  Relation LiveRows(const std::vector<uint8_t>& live) const;
+
+  /// LiveRows(live).ContentFingerprint(), computed without building it: each
+  /// column is folded in place (ColumnSegment::FoldLiveFingerprint).
   uint64_t LiveContentFingerprint(const std::vector<uint8_t>& live) const;
 
   /// Deep structural audit: schema/segment arity agreement, rectangular

@@ -1,7 +1,8 @@
-// Tests for the extension modules: UCC discovery and FD serialization.
+// Tests for the extension modules (FD serialization) and for the
+// brute-force UCC oracle, testing::BruteForceUccs, that HyUCC is checked
+// against.
 
 #include "fd/io.h"
-#include "fd/uccs.h"
 
 #include "core/hyfd.h"
 #include "fd/closure.h"
@@ -15,7 +16,7 @@ namespace {
 TEST(UccTest, SingleKeyColumn) {
   Relation r = Relation::FromStringRows(
       Schema({"id", "x"}), {{"1", "a"}, {"2", "a"}, {"3", "b"}});
-  auto uccs = DiscoverUccs(r);
+  auto uccs = testing::BruteForceUccs(r);
   ASSERT_EQ(uccs.size(), 1u);
   EXPECT_EQ(uccs[0], AttributeSet(2, {0}));
 }
@@ -24,7 +25,7 @@ TEST(UccTest, CompositeKey) {
   // Neither column is unique, the pair is.
   Relation r = Relation::FromStringRows(
       Schema({"a", "b"}), {{"1", "x"}, {"1", "y"}, {"2", "x"}, {"2", "y"}});
-  auto uccs = DiscoverUccs(r);
+  auto uccs = testing::BruteForceUccs(r);
   ASSERT_EQ(uccs.size(), 1u);
   EXPECT_EQ(uccs[0], AttributeSet(2, {0, 1}));
 }
@@ -32,12 +33,12 @@ TEST(UccTest, CompositeKey) {
 TEST(UccTest, DuplicateRowsMeanNoKey) {
   Relation r = Relation::FromStringRows(Schema::Generic(2),
                                         {{"1", "x"}, {"1", "x"}});
-  EXPECT_TRUE(DiscoverUccs(r).empty());
+  EXPECT_TRUE(testing::BruteForceUccs(r).empty());
 }
 
 TEST(UccTest, DegenerateRelations) {
   Relation single = Relation::FromStringRows(Schema::Generic(2), {{"a", "b"}});
-  auto uccs = DiscoverUccs(single);
+  auto uccs = testing::BruteForceUccs(single);
   ASSERT_EQ(uccs.size(), 1u);
   EXPECT_TRUE(uccs[0].Empty());
 }
@@ -46,16 +47,18 @@ TEST(UccTest, NullSemanticsMatter) {
   Relation r = Relation::FromRows(Schema({"a"}),
                                   {{std::nullopt}, {std::nullopt}, {"x"}});
   // null = null: the two NULLs collide, no key.
-  EXPECT_TRUE(DiscoverUccs(r, NullSemantics::kNullEqualsNull).empty());
+  EXPECT_TRUE(
+      testing::BruteForceUccs(r, NullSemantics::kNullEqualsNull).empty());
   // null != null: every row distinct.
-  EXPECT_EQ(DiscoverUccs(r, NullSemantics::kNullUnequal).size(), 1u);
+  EXPECT_EQ(testing::BruteForceUccs(r, NullSemantics::kNullUnequal).size(),
+            1u);
 }
 
 class UccPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(UccPropertyTest, AgreesWithKeysDerivedFromFds) {
   Relation r = testing::RandomRelation(5, 60, GetParam(), 4);
-  auto uccs = DiscoverUccs(r);
+  auto uccs = testing::BruteForceUccs(r);
 
   // Candidate keys computed from the discovered FDs must match the UCCs
   // found directly on the data: X is a UCC iff X determines every attribute

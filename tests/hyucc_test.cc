@@ -3,7 +3,6 @@
 #include <optional>
 
 #include "data/generators.h"
-#include "fd/uccs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -70,7 +69,7 @@ TEST(HyUccTest, StatsPopulated) {
   EXPECT_GT(algo.stats().validations, 0u);
 }
 
-// Cross-check against the level-wise UCC discoverer over random shapes.
+// Cross-check against brute-force subset enumeration over random shapes.
 struct UccSweepParam {
   int cols;
   size_t rows;
@@ -81,11 +80,11 @@ struct UccSweepParam {
 
 class HyUccSweepTest : public ::testing::TestWithParam<UccSweepParam> {};
 
-TEST_P(HyUccSweepTest, MatchesLevelWiseDiscovery) {
+TEST_P(HyUccSweepTest, MatchesBruteForceEnumeration) {
   const auto& p = GetParam();
   Relation r =
       testing::RandomRelation(p.cols, p.rows, p.seed, p.max_domain, p.null_rate);
-  auto expected = DiscoverUccs(r);
+  auto expected = testing::BruteForceUccs(r);
   auto actual = HyUccDiscover(r);
   EXPECT_EQ(expected, actual);
   // Minimality: no UCC contains another.
@@ -115,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(RandomRelations, HyUccSweepTest,
 
 TEST(HyUccTest, FdReducedStyleData) {
   Relation r = GenerateFdReduced(300, 7, 5, 3);
-  EXPECT_EQ(DiscoverUccs(r), HyUccDiscover(r));
+  EXPECT_EQ(testing::BruteForceUccs(r), HyUccDiscover(r));
 }
 
 }  // namespace

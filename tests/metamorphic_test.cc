@@ -27,7 +27,6 @@
 #include "baselines/registry.h"
 #include "core/incremental.h"
 #include "fd/reference.h"
-#include "fd/uccs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -118,7 +117,7 @@ FDSet PredictKeyColumnFds(const FDSet& old_fds, const Relation& r) {
       predicted.emplace_back(AttributeSet(m + 1, {m}), a);
     }
   }
-  for (const AttributeSet& ucc : DiscoverUccs(r)) {
+  for (const AttributeSet& ucc : testing::BruteForceUccs(r)) {
     AttributeSet lhs(m + 1);
     ForEachBit(ucc, [&](int a) { lhs.Set(a); });
     predicted.emplace_back(lhs, m);

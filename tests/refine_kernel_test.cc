@@ -13,6 +13,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -244,11 +246,14 @@ TEST(RefineKernelTest, RecordRangeSplitsMergeToWholeClusterResult) {
   // RHS. This is the one shape whose records are independent, so record
   // ranges of one cluster must merge to the whole-cluster witnesses.
   const std::vector<int> rhs = {1, 2, 3, 4};
+  RefineLeaf leaf;
+  leaf.rhs_attrs = rhs.data();
+  leaf.num_rhs = rhs.size();
   RefineJob job;
   job.records = &data.records;
   job.clusters = &data.plis[0].clusters();
-  job.rhs_attrs = rhs.data();
-  job.num_rhs = rhs.size();
+  job.leaves = &leaf;
+  job.num_leaves = 1;
 
   RefineArena arena;
   RefineTaskOut whole;
@@ -271,14 +276,281 @@ TEST(RefineKernelTest, RecordRangeSplitsMergeToWholeClusterResult) {
         }
       }
     }
-    ASSERT_EQ(merged.witnesses.size(), whole.witnesses.size());
-    for (size_t j = 0; j < whole.witnesses.size(); ++j) {
-      EXPECT_EQ(merged.witnesses[j].pos, whole.witnesses[j].pos)
+    const auto& got = merged.leaves.at(0).witnesses;
+    const auto& want = whole.leaves.at(0).witnesses;
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got[j].pos, want[j].pos)
           << "rhs " << rhs[j] << " step " << step;
-      EXPECT_EQ(merged.witnesses[j].a, whole.witnesses[j].a);
-      EXPECT_EQ(merged.witnesses[j].b, whole.witnesses[j].b);
+      EXPECT_EQ(got[j].a, want[j].a);
+      EXPECT_EQ(got[j].b, want[j].b);
     }
   }
+}
+
+// ---- Trie walk vs per-LHS oracle -------------------------------------------
+
+/// The per-LHS refinement the trie walk replaced, kept as its oracle: per
+/// cluster of [cluster_begin, cluster_end) (restricted to records
+/// [rec_begin, rec_end) when rec_end > 0), group the leaf's whole LHS with
+/// GroupRowsByCodes and check every group against its first member. Each
+/// RHS keeps its minimum violating position; the leaf stops after a cluster
+/// that left no RHS alive; collected groups appear in the order they gained
+/// their second record.
+RefineLeafOut OracleLeaf(const RefineJob& job, const RefineLeaf& leaf,
+                         size_t cluster_begin, size_t cluster_end,
+                         uint32_t rec_begin, uint32_t rec_end) {
+  RefineLeafOut out;
+  out.witnesses.assign(leaf.num_rhs, RefineWitness{});
+  RefineArena arena;
+  size_t remaining = leaf.num_rhs;
+  for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
+    const auto& cluster =
+        (*job.clusters)[job.visit != nullptr ? (*job.visit)[ci] : ci];
+    const size_t num_groups = GroupRowsByCodes(
+        *job.records, leaf.others, leaf.num_others, cluster.data(),
+        cluster.size(), job.records->num_records(), &arena);
+    const uint64_t base = uint64_t{ci} << 32;
+    std::vector<std::pair<uint32_t, std::vector<RecordId>>> groups;
+    for (size_t g = 0; g < num_groups; ++g) {
+      const uint32_t begin = arena.group_offsets[g];
+      const uint32_t end = arena.group_offsets[g + 1];
+      if (end - begin < 2) continue;
+      const uint32_t rep_idx = arena.grouped_idx[begin];
+      const ClusterId* rep = job.records->Record(cluster[rep_idx]);
+      for (uint32_t p = begin + 1; p < end; ++p) {
+        const uint32_t idx = arena.grouped_idx[p];
+        if (rec_end > 0 && (idx < rec_begin || idx >= rec_end)) continue;
+        const ClusterId* rec = job.records->Record(cluster[idx]);
+        for (size_t j = 0; j < leaf.num_rhs; ++j) {
+          RefineWitness& w = out.witnesses[j];
+          const int rhs = leaf.rhs_attrs[j];
+          if (w.pos < base) continue;
+          if (rep[rhs] != kUniqueCluster && rep[rhs] == rec[rhs]) continue;
+          if (base + idx >= w.pos) continue;
+          if (w.pos == kNoWitnessPos) --remaining;
+          w = {base + idx, cluster[rep_idx], cluster[idx]};
+        }
+      }
+      if (leaf.collect) {
+        auto& [second, members] = groups.emplace_back();
+        second = arena.grouped_idx[begin + 1];
+        for (uint32_t p = begin; p < end; ++p) {
+          members.push_back(cluster[arena.grouped_idx[p]]);
+        }
+      }
+    }
+    std::sort(groups.begin(), groups.end());
+    for (auto& group : groups) out.collected.push_back(std::move(group.second));
+    if (remaining == 0) {
+      out.complete = false;
+      out.collected.clear();
+      break;
+    }
+  }
+  return out;
+}
+
+void ExpectSameLeafOut(const RefineLeafOut& want, const RefineLeafOut& got,
+                       const std::string& context) {
+  ASSERT_EQ(want.witnesses.size(), got.witnesses.size()) << context;
+  for (size_t j = 0; j < want.witnesses.size(); ++j) {
+    EXPECT_EQ(want.witnesses[j].pos, got.witnesses[j].pos)
+        << context << " rhs #" << j;
+    EXPECT_EQ(want.witnesses[j].a, got.witnesses[j].a) << context;
+    EXPECT_EQ(want.witnesses[j].b, got.witnesses[j].b) << context;
+  }
+  EXPECT_EQ(want.complete, got.complete) << context;
+  EXPECT_EQ(want.collected, got.collected) << context;
+}
+
+/// A random family of LHSs below one pivot: for each leaf a non-empty
+/// subset of the other attributes (ascending, as the Validator orders them),
+/// drawn so that many leaves share their leading attributes, plus a random
+/// non-empty RHS set outside the LHS. Returned in lexicographic order.
+struct LeafSpec {
+  std::vector<int> others;
+  std::vector<int> rhs;
+};
+
+std::vector<LeafSpec> RandomFamily(int m, int pivot, std::mt19937_64& rng) {
+  std::vector<int> pool;
+  for (int a = 0; a < m; ++a) {
+    if (a != pivot) pool.push_back(a);
+  }
+  std::set<std::vector<int>> lhss;
+  const size_t target = 1 + rng() % 12;
+  while (lhss.size() < target) {
+    // Leading attributes come from a small prefix of the pool, so leaves
+    // collide on their first one or two others.
+    std::vector<int> others;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const bool leading = i < 2;
+      if (rng() % (leading ? 2 : 3) == 0) others.push_back(pool[i]);
+    }
+    if (!others.empty()) lhss.insert(others);
+  }
+  std::vector<LeafSpec> family;
+  for (const std::vector<int>& others : lhss) {
+    LeafSpec spec;
+    spec.others = others;
+    for (int a = 0; a < m; ++a) {
+      if (a == pivot || std::count(others.begin(), others.end(), a) > 0) {
+        continue;
+      }
+      if (rng() % 2 == 0) spec.rhs.push_back(a);
+    }
+    if (spec.rhs.empty()) continue;
+    family.push_back(std::move(spec));
+  }
+  return family;
+}
+
+TEST(RefineTrieTest, MatchesPerLhsOracleOverShapesVisitListsAndSplits) {
+  size_t alive_leaves = 0;
+  size_t dead_leaves = 0;
+  size_t collected_partitions = 0;
+  size_t shared_prefixes = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    // Small domains make violations and long groups; fd-reduced data keeps
+    // RHSs alive; NULLs and a wide domain put kUniqueCluster codes in play.
+    const int m = 7;
+    Relation r = seed % 3 == 0
+                     ? GenerateFdReduced(400, m, 5, seed)
+                     : testing::RandomRelation(m, 300, seed,
+                                               seed % 3 == 1 ? 4 : 40, 0.05);
+    PreprocessedData data = Preprocess(
+        r, seed % 2 == 0 ? NullSemantics::kNullEqualsNull
+                         : NullSemantics::kNullUnequal);
+    std::mt19937_64 rng(seed * 7919);
+    for (int pivot = 0; pivot < m; ++pivot) {
+      const auto& clusters = data.plis[static_cast<size_t>(pivot)].clusters();
+      if (clusters.empty()) continue;
+      std::vector<LeafSpec> family = RandomFamily(m, pivot, rng);
+      if (family.empty()) continue;
+      // Compare-to-first: one leaf without others, over every RHS.
+      LeafSpec first_only;
+      for (int a = 0; a < m; ++a) {
+        if (a != pivot) first_only.rhs.push_back(a);
+      }
+      std::vector<uint32_t> touched;
+      for (uint32_t ci = 0; ci < clusters.size(); ++ci) {
+        if (rng() % 2 == 0) touched.push_back(ci);
+      }
+      for (bool restricted : {false, true}) {
+        for (bool collect : {false, true}) {
+          for (bool trie : {true, false}) {
+            const std::vector<LeafSpec> chosen =
+                trie ? family : std::vector<LeafSpec>{first_only};
+            std::vector<RefineLeaf> leaves;
+            for (const LeafSpec& spec : chosen) {
+              RefineLeaf& leaf = leaves.emplace_back();
+              leaf.others = spec.others.data();
+              leaf.num_others = spec.others.size();
+              leaf.rhs_attrs = spec.rhs.data();
+              leaf.num_rhs = spec.rhs.size();
+              leaf.collect = collect && !spec.others.empty();
+            }
+            for (size_t k = 1; k < chosen.size(); ++k) {
+              if (chosen[k].others[0] == chosen[k - 1].others[0]) {
+                ++shared_prefixes;
+              }
+            }
+            RefineJob job;
+            job.records = &data.records;
+            job.clusters = &clusters;
+            job.visit = restricted ? &touched : nullptr;
+            job.leaves = leaves.data();
+            job.num_leaves = leaves.size();
+            job.other_code_bound = data.num_records;
+            const size_t num_visit =
+                restricted ? touched.size() : clusters.size();
+            const std::string context =
+                "seed " + std::to_string(seed) + " pivot " +
+                std::to_string(pivot) + (restricted ? " restricted" : "") +
+                (collect ? " collect" : "") +
+                (trie ? " trie" : " compare-to-first");
+            RefineArena arena;
+            // Every cluster range [b, e) is one task; record ranges of
+            // single clusters for the compare-to-first shape.
+            for (size_t b = 0; b < num_visit; ++b) {
+              for (size_t e = b + 1; e <= num_visit; ++e) {
+                RefineTaskOut out;
+                RunRefineTask(job, b, e, 0, 0, &arena, &out);
+                ASSERT_EQ(out.leaves.size(), leaves.size());
+                for (size_t k = 0; k < leaves.size(); ++k) {
+                  ExpectSameLeafOut(OracleLeaf(job, leaves[k], b, e, 0, 0),
+                                    out.leaves[k],
+                                    context + " range [" + std::to_string(b) +
+                                        ", " + std::to_string(e) +
+                                        ") leaf " + std::to_string(k));
+                  if (b == 0 && e == num_visit) {
+                    ++(out.leaves[k].complete ? alive_leaves : dead_leaves);
+                    if (!out.leaves[k].collected.empty()) {
+                      ++collected_partitions;
+                    }
+                  }
+                }
+              }
+            }
+            // Every split into consecutive single-cluster tasks merges to
+            // the whole-range oracle.
+            RefineTaskOut merged;
+            for (size_t ci = 0; ci < num_visit; ++ci) {
+              RefineTaskOut part;
+              RunRefineTask(job, ci, ci + 1, 0, 0, &arena, &part);
+              if (ci == 0) {
+                merged = std::move(part);
+              } else {
+                MergeTaskOut(&merged, std::move(part));
+              }
+            }
+            for (size_t k = 0; k < leaves.size() && num_visit > 0; ++k) {
+              RefineLeafOut want = OracleLeaf(job, leaves[k], 0, num_visit, 0, 0);
+              // Per-cluster tasks never stop early across clusters: only
+              // the witnesses are split-invariant, plus the collected
+              // partition of a leaf that survives.
+              for (size_t j = 0; j < want.witnesses.size(); ++j) {
+                EXPECT_EQ(want.witnesses[j].pos,
+                          merged.leaves[k].witnesses[j].pos)
+                    << context << " merged leaf " << k;
+                EXPECT_EQ(want.witnesses[j].a, merged.leaves[k].witnesses[j].a);
+                EXPECT_EQ(want.witnesses[j].b, merged.leaves[k].witnesses[j].b);
+              }
+              if (want.complete) {
+                EXPECT_TRUE(merged.leaves[k].complete) << context;
+                EXPECT_EQ(want.collected, merged.leaves[k].collected)
+                    << context;
+              }
+            }
+            if (trie) continue;
+            for (size_t ci = 0; ci < num_visit; ++ci) {
+              const auto size = static_cast<uint32_t>(
+                  clusters[restricted ? touched[ci] : ci].size());
+              for (uint32_t step : {1u, 7u}) {
+                for (uint32_t rb = 0; rb < size; rb += step) {
+                  const uint32_t re = std::min(size, rb + step);
+                  RefineTaskOut out;
+                  RunRefineTask(job, ci, ci + 1, rb, re, &arena, &out);
+                  ExpectSameLeafOut(
+                      OracleLeaf(job, leaves[0], ci, ci + 1, rb, re),
+                      out.leaves[0],
+                      context + " records [" + std::to_string(rb) + ", " +
+                          std::to_string(re) + ")");
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Not vacuous: leaves both survive and die, survivors collect, and
+  // siblings share prefixes.
+  EXPECT_GT(alive_leaves, 0u);
+  EXPECT_GT(dead_leaves, 0u);
+  EXPECT_GT(collected_partitions, 0u);
+  EXPECT_GT(shared_prefixes, 0u);
 }
 
 // ---- Validator vs legacy oracle -------------------------------------------

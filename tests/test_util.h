@@ -1,13 +1,18 @@
 #ifndef HYFD_TESTS_TEST_UTIL_H_
 #define HYFD_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "data/relation.h"
 #include "fd/fd_set.h"
 #include "gtest/gtest.h"
+#include "pli/compressed_records.h"
+#include "pli/pli_builder.h"
+#include "util/attribute_set.h"
 
 namespace hyfd::testing {
 
@@ -53,6 +58,51 @@ inline void ExpectSameFds(const FDSet& expected, const FDSet& actual,
     if (!expected.Contains(fd)) message += "  unexpected: " + fd.ToString() + "\n";
   }
   ADD_FAILURE() << message;
+}
+
+/// Minimal unique column combinations by brute force: every attribute
+/// subset X is tested on the per-column cluster codes (a row with a unique
+/// code on X differs from all others on X; the rest must have distinct code
+/// tuples), and a unique X is minimal when no X \ {a} is unique. Sorted by
+/// size, then lexicographically, like HyUCC's output. Exponential in the
+/// column count: for test relations only.
+inline std::vector<AttributeSet> BruteForceUccs(
+    const Relation& r, NullSemantics nulls = NullSemantics::kNullEqualsNull) {
+  const int m = r.num_columns();
+  EXPECT_LE(m, 16) << "BruteForceUccs: too many columns";
+  CompressedRecords records(BuildAllColumnPlis(r, nulls), r.num_rows());
+  std::vector<bool> unique(size_t{1} << m);
+  for (uint32_t mask = 0; mask < unique.size(); ++mask) {
+    std::set<std::vector<ClusterId>> seen;
+    bool distinct = true;
+    for (size_t row = 0; row < r.num_rows() && distinct; ++row) {
+      std::vector<ClusterId> key;
+      bool singleton = false;
+      for (int a = 0; a < m && !singleton; ++a) {
+        if ((mask >> a & 1) == 0) continue;
+        const ClusterId code =
+            records.Cluster(static_cast<RecordId>(row), a);
+        singleton = code == kUniqueCluster;
+        key.push_back(code);
+      }
+      if (!singleton) distinct = seen.insert(key).second;
+    }
+    unique[mask] = distinct;
+  }
+  std::vector<AttributeSet> uccs;
+  for (uint32_t mask = 0; mask < unique.size(); ++mask) {
+    if (!unique[mask]) continue;
+    AttributeSet ucc(m);
+    bool minimal = true;
+    for (int a = 0; a < m; ++a) {
+      if ((mask >> a & 1) == 0) continue;
+      ucc.Set(a);
+      minimal = minimal && !unique[mask & ~(uint32_t{1} << a)];
+    }
+    if (minimal) uccs.push_back(ucc);
+  }
+  std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
+  return uccs;
 }
 
 }  // namespace hyfd::testing
