@@ -62,15 +62,18 @@ int main(int argc, char** argv) {
     HyFd algo(v.config);
     Timer timer;
     FDSet fds = algo.Discover(relation);
-    const HyFdStats& s = algo.stats();
     RunReport report = algo.report();
+    const auto counter = [&](const char* name) {
+      return static_cast<size_t>(report.FindCounter(name).value_or(0));
+    };
     report.dataset = "ncvoter-statewide";
     report.SetCounter("bench.variant", static_cast<uint64_t>(variant_index++));
     sink.Add(report);
     if (reference_fds == 0) reference_fds = fds.size();
-    std::printf("%-30s %8.2fs %10d %12zu %12zu %8zu%s\n", v.name,
-                timer.ElapsedSeconds(), s.phase_switches, s.comparisons,
-                s.validations, fds.size(),
+    std::printf("%-30s %8.2fs %10zu %12zu %12zu %8zu%s\n", v.name,
+                timer.ElapsedSeconds(), counter("hyfd.phase_switches"),
+                counter("hyfd.comparisons"), counter("hyfd.validations"),
+                fds.size(),
                 fds.size() == reference_fds ? "" : "  !! result mismatch");
     std::fflush(stdout);
   }

@@ -38,11 +38,15 @@ int main(int argc, char** argv) {
     HyFd algo(config);
     Timer timer;
     FDSet fds = algo.Discover(relation);
-    std::printf("%11.2f%% %9.2fs %10d %10zu %12zu\n", threshold * 100,
-                timer.ElapsedSeconds(), algo.stats().phase_switches, fds.size(),
-                algo.stats().comparisons);
-    std::fflush(stdout);
     RunReport report = algo.report();
+    std::printf("%11.2f%% %9.2fs %10zu %10zu %12zu\n", threshold * 100,
+                timer.ElapsedSeconds(),
+                static_cast<size_t>(
+                    report.FindCounter("hyfd.phase_switches").value_or(0)),
+                fds.size(),
+                static_cast<size_t>(
+                    report.FindCounter("hyfd.comparisons").value_or(0)));
+    std::fflush(stdout);
     report.dataset = "ncvoter-statewide";
     // The swept parameter, as parts-per-million (counters are integral).
     report.SetCounter("bench.threshold_ppm",

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
 
   FDSet baseline_fds;
-  HyFdStats baseline_stats;
+  uint64_t baseline_comparisons = 0;
+  uint64_t baseline_non_fds = 0;
   double baseline_seconds = 0;
 
   std::vector<int> ladder;
@@ -82,16 +83,22 @@ int main(int argc, char** argv) {
     double seconds = timer.ElapsedSeconds();
     RunReport report = algo.report();
     report.dataset = "fd-reduced (generated)";
+    const uint64_t comparisons =
+        report.FindCounter("hyfd.comparisons").value_or(0);
+    const uint64_t non_fds = report.FindCounter("hyfd.non_fds").value_or(0);
+    const double sampling_seconds = report.PhaseSeconds("sampling");
+    const double validation_seconds = report.PhaseSeconds("validation");
 
     bool identical = true;
     if (threads == 1) {
       baseline_fds = fds;
-      baseline_stats = algo.stats();
+      baseline_comparisons = comparisons;
+      baseline_non_fds = non_fds;
       baseline_seconds = seconds;
     } else {
       identical = fds == baseline_fds &&
-                  algo.stats().comparisons == baseline_stats.comparisons &&
-                  algo.stats().non_fds == baseline_stats.non_fds;
+                  comparisons == baseline_comparisons &&
+                  non_fds == baseline_non_fds;
     }
     double speedup = seconds > 0 ? baseline_seconds / seconds : 0.0;
     // The phase split shows which of the two hybrid phases the extra threads
@@ -100,20 +107,18 @@ int main(int argc, char** argv) {
     // splitting), so a flat total can hide one phase scaling and the other
     // regressing.
     std::printf("%8d %9.2fs %7.2fx %10.2fs %10.2fs %10zu %12zu %10s\n",
-                threads, seconds, speedup, algo.stats().sampling_seconds,
-                algo.stats().validation_seconds, fds.size(),
-                algo.stats().comparisons, identical ? "yes" : "NO !!");
+                threads, seconds, speedup, sampling_seconds, validation_seconds,
+                fds.size(), static_cast<size_t>(comparisons),
+                identical ? "yes" : "NO !!");
     std::fflush(stdout);
     points.push_back({threads, seconds, speedup, fds.size(),
-                      algo.stats().comparisons, identical});
+                      static_cast<size_t>(comparisons), identical});
     report.SetCounter("bench.threads", static_cast<uint64_t>(threads));
     report.SetCounter("bench.identical", identical ? 1 : 0);
-    report.SetCounter(
-        "bench.sampling_milli",
-        static_cast<uint64_t>(algo.stats().sampling_seconds * 1000));
-    report.SetCounter(
-        "bench.validation_milli",
-        static_cast<uint64_t>(algo.stats().validation_seconds * 1000));
+    report.SetCounter("bench.sampling_milli",
+                      static_cast<uint64_t>(sampling_seconds * 1000));
+    report.SetCounter("bench.validation_milli",
+                      static_cast<uint64_t>(validation_seconds * 1000));
     sink.Add(report);
   }
 

@@ -113,7 +113,9 @@ int main(int argc, char** argv) {
       Timer timer;
       const FDSet& incremental_fds = session.ApplyBatch(batch);
       incremental_seconds += timer.ElapsedSeconds();
-      invalidated += session.last_batch_stats().fds_invalidated;
+      invalidated += session.report()
+                         .FindCounter("incremental.fds_invalidated")
+                         .value_or(0);
 
       // From-scratch: a fresh HyFd object per step — no warm owned cache,
       // exactly what "re-run discovery on the grown relation" costs.

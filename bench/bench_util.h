@@ -77,7 +77,9 @@ inline RunResult RunTimed(const AlgoInfo& algo, const Relation& relation,
 
 /// Collects run reports and writes them as one `BENCH_*.json` document:
 ///
-///   {"benchmark": "...", "schema_version": 1, "runs": [<RunReport>, ...]}
+///   {"benchmark": "...", "schema_version": 3, "runs": [<RunReport>, ...]}
+///
+/// (the version is RunReport::kSchemaVersion).
 ///
 /// Every run entry is re-validated against the report schema on write, so a
 /// harness that emits a malformed report fails its job instead of archiving

@@ -124,9 +124,13 @@ int main(int argc, char** argv) {
       std::printf("%s\n", ucc.ToString(relation.schema().names()).c_str());
     }
     if (opt.stats) {
+      const RunReport& report = algo.report();
+      const auto counter = [&](const char* name) {
+        return static_cast<size_t>(report.FindCounter(name).value_or(0));
+      };
       std::fprintf(stderr, "%.3fs, %zu comparisons, %zu validations\n",
-                   timer.ElapsedSeconds(), algo.stats().comparisons,
-                   algo.stats().validations);
+                   timer.ElapsedSeconds(), counter("hyucc.comparisons"),
+                   counter("hyucc.validations"));
     }
     return 0;
   }
@@ -141,12 +145,16 @@ int main(int argc, char** argv) {
       HyFd algo(config);
       fds = algo.Discover(relation);
       if (opt.stats) {
-        const HyFdStats& s = algo.stats();
+        const RunReport& report = algo.report();
+        const auto counter = [&](const char* name) {
+          return static_cast<size_t>(report.FindCounter(name).value_or(0));
+        };
         std::fprintf(stderr,
                      "%.3fs | %zu comparisons, %zu non-FDs, %zu validations, "
-                     "%d phase switches\n",
-                     timer.ElapsedSeconds(), s.comparisons, s.non_fds,
-                     s.validations, s.phase_switches);
+                     "%zu phase switches\n",
+                     timer.ElapsedSeconds(), counter("hyfd.comparisons"),
+                     counter("hyfd.non_fds"), counter("hyfd.validations"),
+                     counter("hyfd.phase_switches"));
       }
     } else {
       AlgoOptions options;

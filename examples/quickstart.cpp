@@ -31,10 +31,15 @@ int main() {
     std::printf("  %s\n", fd.c_str());
   }
 
-  const HyFdStats& stats = algorithm.stats();
+  // Every count of the run lives in its report's counters.
+  const RunReport& report = algorithm.report();
+  const auto counter = [&](const char* name) {
+    return static_cast<size_t>(report.FindCounter(name).value_or(0));
+  };
   std::printf(
       "\nRun stats: %zu record comparisons, %zu candidate validations, "
-      "%d phase switch(es)\n",
-      stats.comparisons, stats.validations, stats.phase_switches);
+      "%zu phase switch(es)\n",
+      counter("hyfd.comparisons"), counter("hyfd.validations"),
+      counter("hyfd.phase_switches"));
   return 0;
 }

@@ -1,7 +1,6 @@
 #ifndef HYFD_BASELINES_COMMON_H_
 #define HYFD_BASELINES_COMMON_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -118,19 +117,7 @@ inline void FinishRunReport(RunReport* report, size_t result_count,
   if (report == nullptr) return;
   report->result_count = result_count;
   report->total_seconds = total_seconds;
-  if (tracker != nullptr) {
-    report->peak_memory_bytes = tracker->peak_bytes();
-    report->memory_components.clear();
-    for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
-      size_t bytes = tracker->component_bytes(c);
-      if (bytes > 0) {
-        report->memory_components.emplace_back(MemoryTracker::ComponentName(c),
-                                               bytes);
-      }
-    }
-    std::sort(report->memory_components.begin(),
-              report->memory_components.end());
-  }
+  if (tracker != nullptr) report->SetMemory(*tracker);
 }
 
 }  // namespace hyfd

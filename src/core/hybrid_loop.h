@@ -16,21 +16,6 @@
 
 namespace hyfd {
 
-/// Counters and timings every hybrid run shares (HyFdStats,
-/// IncrementalBatchStats and HyUccStats extend it).
-struct HybridLoopStats {
-  /// Switches from Phase 2 (validation) back into Phase 1 (sampling). The
-  /// paper observes three to eight on typical data (§3) — Figure 8 measures
-  /// this number against the efficiency threshold.
-  int phase_switches = 0;
-  size_t comparisons = 0;  ///< record pairs matched in Phase 1
-  size_t validations = 0;  ///< candidates checked in Phase 2
-  double preprocess_seconds = 0;
-  double sampling_seconds = 0;
-  double induction_seconds = 0;  ///< candidate-tree updates, split from sampling
-  double validation_seconds = 0;
-};
-
 /// Record pairs, as the Validator suggests them (paper: comparisonSuggestions).
 using RecordPairs = std::vector<std::pair<RecordId, RecordId>>;
 
@@ -54,27 +39,30 @@ struct HybridLoopResult {
   /// witnessed cover.
   ValidatorResult last;
   size_t confirmed_removed = 0;  ///< by Inductor::Update, over all passes
+  /// Switches from Phase 2 (validation) back into Phase 1 (sampling). The
+  /// paper observes three to eight on typical data (§3) — Figure 8 measures
+  /// this number against the efficiency threshold.
+  int phase_switches = 0;
 };
 
 /// The hybrid loop of paper Figure 2, the one place that alternates
 /// Inductor::Update and Validator::Run. Each pass runs `phase_one` on the
 /// previous pass's suggestions (`first_pairs` on the first pass), folds its
 /// non-FDs into `tree` and validates, until the Validator finishes the
-/// lattice. Adds the phase times and switches to `stats` and sets its
-/// validations.
+/// lattice. Adds the time of each step to `report`'s sampling, induction
+/// and validation phases.
 HybridLoopResult RunHybridLoop(const PhaseOne& phase_one, Inductor* inductor,
                                Validator* validator, FDTree* tree,
-                               HybridLoopStats* stats,
+                               RunReport* report,
                                const LoopMemory& memory = {},
                                RecordPairs first_pairs = {});
 
-/// Fills the report fields HyFd, IncrementalHyFd and HyUcc share — header,
-/// preprocess/sampling/induction/validation phases (after any phase already
-/// added) and the merged registry. Call after every other field is set.
+/// Fills the report fields HyFd, IncrementalHyFd and HyUcc share — header
+/// and the merged registry. Call after every other field is set.
 void FinishHybridReport(std::string algorithm, std::string result_kind,
                         size_t result_count, const PreprocessedData& data,
-                        const HybridLoopStats& stats, double total_seconds,
-                        const MetricsRegistry& metrics, RunReport* report);
+                        double total_seconds, const MetricsRegistry& metrics,
+                        RunReport* report);
 
 }  // namespace hyfd
 

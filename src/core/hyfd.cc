@@ -1,6 +1,5 @@
 #include "core/hyfd.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "fd/fd_tree.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/run_report.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -24,7 +24,6 @@ void HyFd::ResetPliCache() {
 }
 
 FDSet HyFd::Discover(const Relation& relation) {
-  stats_ = HyFdStats{};
   report_ = RunReport{};
   MemoryTracker* tracker = config_.memory_tracker;
   HYFD_AUDIT_ONLY(relation.CheckInvariants());
@@ -34,7 +33,7 @@ FDSet HyFd::Discover(const Relation& relation) {
 
   Timer timer;
   PreprocessedData data = Preprocess(relation, config_.null_semantics);
-  stats_.preprocess_seconds = timer.ElapsedSeconds();
+  report_.AddPhase("preprocess", timer.ElapsedSeconds());
   if (tracker != nullptr) {
     tracker->SetComponent(MemoryTracker::kPlis, data.MemoryBytes());
   }
@@ -91,73 +90,52 @@ FDSet HyFd::Discover(const Relation& relation) {
                           .tracker = tracker,
                           .sampler = &sampler,
                           .data_bytes = data.MemoryBytes()};
-  RunHybridLoop(
+  const HybridLoopResult loop = RunHybridLoop(
       [&](RecordPairs suggestions) {
         return config_.enable_sampling ? sampler.Run(suggestions)
                                        : std::vector<AttributeSet>{};
       },
-      &inductor, &validator, &tree, &stats_, memory);
+      &inductor, &validator, &tree, &report_, memory);
 
   HYFD_AUDIT_ONLY(if (cache != nullptr) cache->CheckInvariants());
   if (cache != nullptr) {
     PliCache::Counters after = cache->counters();
-    stats_.pli_cache_hits = after.hits - cache_before.hits;
-    stats_.pli_cache_misses = after.misses - cache_before.misses;
-    stats_.pli_cache_evictions = after.evictions - cache_before.evictions;
+    report_.pli_cache_hits = after.hits - cache_before.hits;
+    report_.pli_cache_misses = after.misses - cache_before.misses;
+    report_.pli_cache_evictions = after.evictions - cache_before.evictions;
   }
-  stats_.comparisons = sampler.total_comparisons();
-  stats_.non_fds = sampler.num_non_fds();
-  stats_.levels_validated = validator.levels_validated();
+  metrics.Set("hyfd.phase_switches",
+              static_cast<uint64_t>(loop.phase_switches));
+  metrics.Set("hyfd.comparisons", sampler.total_comparisons());
+  metrics.Set("hyfd.non_fds", sampler.num_non_fds());
+  metrics.Set("hyfd.validations", validator.total_validations());
+
   // Guardian outcome: a pruned tree means FDs were dropped — the result is
   // a strict subset of the full answer and MUST be flagged as incomplete
-  // (the silent-truncation bug this field family fixes).
-  stats_.complete = !guardian.WasPruned();
-  stats_.pruned_lhs_cap = guardian.WasPruned() ? tree.max_lhs_size() : -1;
-  stats_.guardian_prunes = guardian.times_pruned();
-  stats_.guardian_give_ups = guardian.give_ups();
-  stats_.guardian_overrun_bytes = guardian.overrun_bytes();
-  stats_.guardian_reason = guardian.reason();
-
-  FDSet result = tree.ToFdSet();
-  stats_.num_fds = result.size();
-
-  // --- Structured run report (the observability layer's output). ----------
-  if (!stats_.complete) {
+  // (the silent-truncation bug this counter family fixes). The cap is
+  // never below 1, so 0 means the guardian never pruned.
+  const uint64_t pruned_lhs_cap =
+      guardian.WasPruned() ? static_cast<uint64_t>(tree.max_lhs_size()) : 0;
+  if (guardian.WasPruned()) {
     report_.MarkIncomplete(
         "memory guardian pruned FDs with LHS size > " +
-        std::to_string(stats_.pruned_lhs_cap) + " (limit " +
+        std::to_string(pruned_lhs_cap) + " (limit " +
         std::to_string(config_.memory_limit_bytes) + " bytes) [" +
-        GuardianReasonCode(stats_.guardian_reason) + "]");
+        GuardianReasonCode(guardian.reason()) + "]");
   }
   // Always emitted (0 == kNone): a consumer can branch on the code without
   // first checking whether the guardian acted at all.
-  report_.SetCounter("guardian.reason_code",
-                     static_cast<uint64_t>(stats_.guardian_reason));
-  report_.pruned_lhs_cap = stats_.pruned_lhs_cap;
-  report_.guardian_prunes = stats_.guardian_prunes;
-  report_.guardian_give_ups = stats_.guardian_give_ups;
-  report_.guardian_overrun_bytes = stats_.guardian_overrun_bytes;
-  report_.pli_cache_hits = stats_.pli_cache_hits;
-  report_.pli_cache_misses = stats_.pli_cache_misses;
-  report_.pli_cache_evictions = stats_.pli_cache_evictions;
-  if (tracker != nullptr) {
-    report_.peak_memory_bytes = tracker->peak_bytes();
-    for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
-      size_t bytes = tracker->component_bytes(c);
-      if (bytes > 0) {
-        report_.memory_components.emplace_back(MemoryTracker::ComponentName(c),
-                                               bytes);
-      }
-    }
-    std::sort(report_.memory_components.begin(),
-              report_.memory_components.end());
-  }
-  report_.SetCounter("hyfd.phase_switches",
-                     static_cast<uint64_t>(stats_.phase_switches));
-  report_.SetCounter("hyfd.comparisons", stats_.comparisons);
-  report_.SetCounter("hyfd.non_fds", stats_.non_fds);
-  report_.SetCounter("hyfd.validations", stats_.validations);
-  FinishHybridReport("hyfd", "fds", result.size(), data, stats_,
+  metrics.Set("guardian.reason_code",
+              static_cast<uint64_t>(guardian.reason()));
+  metrics.Set("guardian.pruned_lhs_cap", pruned_lhs_cap);
+  metrics.Set("guardian.prunes",
+              static_cast<uint64_t>(guardian.times_pruned()));
+  metrics.Set("guardian.give_ups", static_cast<uint64_t>(guardian.give_ups()));
+  metrics.Set("guardian.overrun_bytes", guardian.overrun_bytes());
+
+  FDSet result = tree.ToFdSet();
+  if (tracker != nullptr) report_.SetMemory(*tracker);
+  FinishHybridReport("hyfd", "fds", result.size(), data,
                      total_timer.ElapsedSeconds(), metrics, &report_);
   return result;
 }

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/guardian.h"
-#include "core/hybrid_loop.h"
 #include "core/sampler.h"
 #include "data/relation.h"
 #include "fd/fd_set.h"
@@ -34,8 +32,8 @@ struct HyFdConfig {
   size_t memory_limit_bytes = 0;
   /// > 1 parallelizes both hybrid phases on one shared pool (paper §10.4):
   /// the Sampler's cluster sortings and window runs as well as the
-  /// Validator's refinement checks. Results and stats are bit-identical for
-  /// any value.
+  /// Validator's refinement checks. Results and report counters are
+  /// bit-identical for any value.
   int num_threads = 1;
   /// If set, the run charges its data structures here (Table 3 accounting).
   MemoryTracker* memory_tracker = nullptr;
@@ -49,59 +47,27 @@ struct HyFdConfig {
   size_t pli_cache_budget_bytes = PliCache::kDefaultBudgetBytes;
 };
 
-/// Counters and timings of a completed run; the loop's share (phase
-/// switches, Sampler comparisons, Validator checks, phase times) comes from
-/// HybridLoopStats.
-struct HyFdStats : HybridLoopStats {
-  size_t non_fds = 0;           ///< distinct agree sets in the negative cover
-  size_t num_fds = 0;           ///< minimal FDs in the result
-  /// Lattice levels fully validated; the deepest validated LHS size is
-  /// levels_validated - 1 (level 0 is the empty LHS).
-  int levels_validated = 0;
-  /// False iff the MemoryGuardian pruned the FDTree: the result is then a
-  /// strict subset of the full answer (every FD whose minimal LHS exceeds
-  /// `pruned_lhs_cap` is missing). THE flag to check before trusting or
-  /// reusing a result (EAIFD-style incremental re-discovery, top-k budgets).
-  bool complete = true;
-  /// -1 = complete result; otherwise the Guardian capped LHS size here.
-  int pruned_lhs_cap = -1;
-  int guardian_prunes = 0;      ///< times the Guardian lowered the cap
-  /// Over-budget Check() calls that found nothing left to prune (cap already
-  /// at LHS size 1). The result is complete w.r.t. the cap, but the run
-  /// exceeded its memory budget by `guardian_overrun_bytes`.
-  int guardian_give_ups = 0;
-  size_t guardian_overrun_bytes = 0;
-  /// Machine-readable guardian outcome (kNone when the guardian never had to
-  /// act). Mirrored into the run report as counter `guardian.reason_code`
-  /// and rendered by GuardianReasonCode() in degradation messages, so a
-  /// caller — in particular the service error path — never has to parse
-  /// prose to learn why a result was degraded.
-  GuardianReason guardian_reason = GuardianReason::kNone;
-  /// Owned-cache activity attributable to this run (deltas of the cache's
-  /// cumulative counters; zero with enable_pli_cache off).
-  size_t pli_cache_hits = 0;
-  size_t pli_cache_misses = 0;
-  size_t pli_cache_evictions = 0;
-};
-
 /// The hybrid FD discovery algorithm (the paper's primary contribution).
 ///
 /// Usage:
 ///   HyFd algo;                          // default = paper configuration
 ///   FDSet fds = algo.Discover(relation);
-///   const HyFdStats& stats = algo.stats();
+///   const RunReport& report = algo.report();
 ///
 /// Discover() returns all minimal, non-trivial functional dependencies of
-/// the relation (unless a memory cap forced pruning; see stats()).
+/// the relation, unless a memory cap forced pruning: then report().complete
+/// is false and the result lacks every FD whose minimal LHS is longer than
+/// the counter `guardian.pruned_lhs_cap`. THE flag to check before trusting
+/// or reusing a result.
 class HyFd {
  public:
   explicit HyFd(HyFdConfig config = {}) : config_(config) {}
 
   FDSet Discover(const Relation& relation);
 
-  const HyFdStats& stats() const { return stats_; }
-  /// Structured report of the last Discover() call (phase spans, counters,
-  /// guardian degradation, owned-cache activity, memory components).
+  /// Structured report of the last Discover() call: phase spans, counters
+  /// (hyfd.*, guardian.* and the components' sampler.*, inductor.*,
+  /// validator.*), owned-cache activity and memory components.
   const RunReport& report() const { return report_; }
   const HyFdConfig& config() const { return config_; }
 
@@ -111,7 +77,6 @@ class HyFd {
 
  private:
   HyFdConfig config_;
-  HyFdStats stats_;
   RunReport report_;
   /// Owned cache kept across Discover() calls; see HyFdConfig::enable_pli_cache.
   std::unique_ptr<PliCache> owned_cache_;

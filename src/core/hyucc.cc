@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "core/hybrid_loop.h"
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
 #include "fd/fd_tree.h"
@@ -98,13 +99,12 @@ bool IsUnique(const PreprocessedData& data, const AttributeSet& lhs,
 }  // namespace
 
 std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
-  stats_ = HyUccStats{};
   report_ = RunReport{};
   Timer total_timer;
   MetricsRegistry metrics;
   Timer timer;
   PreprocessedData data = Preprocess(relation, config_.null_semantics);
-  stats_.preprocess_seconds = timer.ElapsedSeconds();
+  report_.AddPhase("preprocess", timer.ElapsedSeconds());
   const int m = data.num_attributes;
 
   std::unique_ptr<ThreadPool> pool;
@@ -119,6 +119,9 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
 
   std::vector<std::pair<RecordId, RecordId>> suggestions;
   RefineArena arena;  // one reusable grouping scratch for the whole run
+  int levels_validated = 0;
+  size_t validations = 0;
+  int phase_switches = 0;
   while (true) {
     // ---- Phase 1: sample violations, specialize the candidate tree. ------
     timer.Restart();
@@ -130,7 +133,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
                       suggestions.end());
     auto new_agree_sets = sampler.Run(suggestions);
     suggestions.clear();
-    stats_.sampling_seconds += timer.ElapsedSeconds();
+    report_.AddPhase("sampling", timer.ElapsedSeconds());
 
     // Sampler::Run returns the agree sets longest first, the order that
     // keeps the candidate tree small during specialization.
@@ -140,13 +143,13 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
     }
     // Audit seam: the candidate tree was just specialized from samples.
     HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    stats_.induction_seconds += timer.ElapsedSeconds();
+    report_.AddPhase("induction", timer.ElapsedSeconds());
 
     // ---- Phase 2: validate level-wise until done or inefficient. ---------
     timer.Restart();
     bool done = false;
     while (true) {
-      auto level = tree.GetLevel(stats_.levels_validated);
+      auto level = tree.GetLevel(levels_validated);
       if (level.empty()) {
         done = true;
         break;
@@ -155,7 +158,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
       std::vector<AttributeSet> invalid;
       for (auto& entry : level) {
         if (!entry.node->fds.Test(kUccMarker)) continue;
-        ++stats_.validations;
+        ++validations;
         std::pair<RecordId, RecordId> violation;
         if (IsUnique(data, entry.lhs, &arena, &violation)) {
           ++num_valid;
@@ -173,7 +176,7 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
           tree.AddFd(extended, kUccMarker);
         }
       }
-      ++stats_.levels_validated;
+      ++levels_validated;
       metrics.GetCounter("validator.levels")->Add(1);
       if (static_cast<double>(invalid.size()) >
           config_.efficiency_threshold * static_cast<double>(num_valid)) {
@@ -182,22 +185,19 @@ std::vector<AttributeSet> HyUcc::Discover(const Relation& relation) {
     }
     // Audit seam: validation pruned non-unique candidates and extended them.
     HYFD_AUDIT_ONLY(tree.CheckInvariants());
-    stats_.validation_seconds += timer.ElapsedSeconds();
+    report_.AddPhase("validation", timer.ElapsedSeconds());
     if (done) break;
-    ++stats_.phase_switches;
+    ++phase_switches;
   }
 
-  stats_.comparisons = sampler.total_comparisons();
   std::vector<AttributeSet> uccs;
   for (const FD& fd : tree.ToFdSet()) uccs.push_back(fd.lhs);
   std::sort(uccs.begin(), uccs.end(), SmallerThenLess);
-  stats_.num_uccs = uccs.size();
 
-  report_.SetCounter("hyucc.phase_switches",
-                     static_cast<uint64_t>(stats_.phase_switches));
-  report_.SetCounter("hyucc.comparisons", stats_.comparisons);
-  report_.SetCounter("hyucc.validations", stats_.validations);
-  FinishHybridReport("hyucc", "uccs", uccs.size(), data, stats_,
+  metrics.Set("hyucc.phase_switches", static_cast<uint64_t>(phase_switches));
+  metrics.Set("hyucc.comparisons", sampler.total_comparisons());
+  metrics.Set("hyucc.validations", validations);
+  FinishHybridReport("hyucc", "uccs", uccs.size(), data,
                      total_timer.ElapsedSeconds(), metrics, &report_);
   return uccs;
 }

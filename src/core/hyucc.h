@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/hybrid_loop.h"
 #include "core/sampler.h"
 #include "data/relation.h"
 #include "pli/pli_builder.h"
@@ -20,15 +19,6 @@ struct HyUccConfig {
   /// > 1 parallelizes Phase 1 (the shared Sampler) exactly as in HyFD;
   /// results are bit-identical for any value.
   int num_threads = 1;
-};
-
-/// Run counters, mirroring HyFdStats. Induction time is spent specializing
-/// the candidate tree against sampled agree sets (SpecializeUcc).
-struct HyUccStats : HybridLoopStats {
-  size_t num_uccs = 0;
-  /// Lattice levels fully validated (deepest validated UCC size is
-  /// levels_validated - 1, level 0 being the empty set).
-  int levels_validated = 0;
 };
 
 /// Hybrid discovery of all minimal unique column combinations (candidate
@@ -48,13 +38,12 @@ class HyUcc {
   /// Returns all minimal UCCs, sorted by size then lexicographically.
   std::vector<AttributeSet> Discover(const Relation& relation);
 
-  const HyUccStats& stats() const { return stats_; }
-  /// Structured report of the last Discover() call.
+  /// Structured report of the last Discover() call: phase spans and
+  /// counters (hyucc.* and the Sampler's sampler.*, validator.levels).
   const RunReport& report() const { return report_; }
 
  private:
   HyUccConfig config_;
-  HyUccStats stats_;
   RunReport report_;
 };
 

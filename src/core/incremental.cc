@@ -32,8 +32,21 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     pool_ = std::make_unique<ThreadPool>(
         static_cast<size_t>(config_.num_threads));
   }
+  // Registered once, so every report lists each of the session's cells —
+  // 0 when its batch left it untouched (Reset keeps registrations).
+  for (const char* name :
+       {"incremental.batches", "incremental.batch_rows",
+        "incremental.deleted_rows", "incremental.live_rows",
+        "incremental.touched_clusters", "incremental.fds_invalidated",
+        "incremental.fds_revalidated",
+        "incremental.generalization_candidates",
+        "incremental.fds_generalized", "incremental.validations",
+        "incremental.comparisons", "incremental.phase_switches",
+        "incremental.reseeded"}) {
+    metrics_.GetCounter(name);
+  }
+  StartReport();
   Seed();
-  stats_.num_fds = fds_.size();
   FillReport(total_timer.ElapsedSeconds());
 }
 
@@ -46,22 +59,16 @@ void IncrementalHyFd::Reseed() {
     relation_ = LiveRelation();
   }
   Seed();
-  stats_.reseeded = true;
+  metrics_.Set("incremental.reseeded", 1);
 }
 
 void IncrementalHyFd::Seed() {
   live_.assign(relation_.num_rows(), 1);
   num_live_rows_ = relation_.num_rows();
-  // Discovery attribution restarts from zero. On a reseed stats_ already
-  // carries the batch's identity (batch_rows, deleted_rows, append timing),
-  // which survives; the batch reseeds before growing any derived state, so
-  // its delta counters (touched clusters, invalidations) are still zero.
-  static_cast<HybridLoopStats&>(stats_) = HybridLoopStats{};
-  metrics_.Reset();
 
   Timer timer;
   data_ = Preprocess(relation_, config_.null_semantics);
-  stats_.preprocess_seconds = timer.ElapsedSeconds();
+  report_.AddPhase("preprocess", timer.ElapsedSeconds());
   tree_ = FDTree(relation_.num_columns());
   negative_cover_.clear();
   // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
@@ -86,8 +93,11 @@ void IncrementalHyFd::Seed() {
     return batch;
   };
   HybridLoopResult loop =
-      RunHybridLoop(sample, inductor_.get(), &validator, &tree_, &stats_);
-  stats_.comparisons = sampler.total_comparisons();
+      RunHybridLoop(sample, inductor_.get(), &validator, &tree_, &report_);
+  metrics_.Set("incremental.phase_switches",
+               static_cast<uint64_t>(loop.phase_switches));
+  metrics_.Set("incremental.validations", validator.total_validations());
+  metrics_.Add("incremental.comparisons", sampler.total_comparisons());
   // Fold the final pass's violation suggestions into the witnessed cover.
   // The tree is already settled (any agree set these pairs produce can only
   // restate known constraints), but the extra witnesses keep more of the
@@ -157,6 +167,7 @@ void IncrementalHyFd::GrowDerivedState(size_t old_n, size_t new_n,
   delta->first_new_record = static_cast<RecordId>(old_n);
   delta->touched.assign(static_cast<size_t>(m), {});
   data_.records.Append(new_n);
+  size_t touched_clusters = 0;
 
   for (int c = 0; c < m; ++c) {
     Pli& pli = data_.plis[static_cast<size_t>(c)];
@@ -200,8 +211,9 @@ void IncrementalHyFd::GrowDerivedState(size_t old_n, size_t new_n,
 
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    stats_.touched_clusters += touched.size();
+    touched_clusters += touched.size();
   }
+  metrics_.Add("incremental.touched_clusters", touched_clusters);
 
   data_.num_records = new_n;
   data_.source_version = relation_.version();
@@ -220,9 +232,9 @@ std::vector<AttributeSet> IncrementalHyFd::MatchPairs(
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   std::vector<AttributeSet> new_non_fds;
   AttributeSet agree(data_.num_attributes);
+  metrics_.Add("incremental.comparisons", pairs.size());
   for (const auto& [a, b] : pairs) {
     data_.records.MatchInto(a, b, &agree);
-    ++stats_.comparisons;
     if (negative_cover_.emplace(agree, std::make_pair(a, b)).second) {
       new_non_fds.push_back(agree);
     }
@@ -376,13 +388,11 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   Timer total_timer;
   Timer timer;
   ++num_batches_;
-  stats_ = IncrementalBatchStats{};
-  metrics_.Reset();
-  stats_.batch_rows = inserts.size() + updates.size();
-  stats_.deleted_rows = dead.size();
+  StartReport();
+  metrics_.Set("incremental.batch_rows", inserts.size() + updates.size());
+  metrics_.Set("incremental.deleted_rows", dead.size());
 
   if (inserts.empty() && updates.empty() && dead.empty()) {
-    stats_.num_fds = fds_.size();
     FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
@@ -407,9 +417,8 @@ const FDSet& IncrementalHyFd::ApplyMixed(
     // the old identity and may be wrong, so grow-in-place is unsound.
     // Rebuild everything from the (rare) changed relation instead; Reseed
     // also compacts away this batch's tombstones.
-    stats_.append_seconds = timer.ElapsedSeconds();
+    report_.AddPhase("append", timer.ElapsedSeconds());
     Reseed();
-    stats_.num_fds = fds_.size();
     FillReport(total_timer.ElapsedSeconds());
     return fds_;
   }
@@ -418,13 +427,13 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   if (!dead.empty()) ShrinkDerivedState(dead);
   Validator::ClusterDelta delta;
   GrowDerivedState(old_n, new_n, &delta);
-  stats_.append_seconds = timer.ElapsedSeconds();
+  report_.AddPhase("append", timer.ElapsedSeconds());
 
   // Deletes can make FDs valid: repair the cover downward before the loop.
   timer.Restart();
   const FDSet fds_before = dead.empty() ? FDSet{} : fds_;
   if (!dead.empty()) RepairCoverAfterDeletes();
-  stats_.induction_seconds += timer.ElapsedSeconds();
+  report_.AddPhase("induction", timer.ElapsedSeconds());
   timer.Restart();
 
   // --- 3. Targeted sampling: only pairs involving a new row. ---------------
@@ -450,7 +459,7 @@ const FDSet& IncrementalHyFd::ApplyMixed(
       }
     }
   }
-  stats_.sampling_seconds += timer.ElapsedSeconds();
+  report_.AddPhase("sampling", timer.ElapsedSeconds());
 
   // --- 4. Hybrid loop seeded from the (repaired) tree. ---------------------
   // Phase 1 matches the targeted pairs, then the Validator's violation
@@ -466,11 +475,15 @@ const FDSet& IncrementalHyFd::ApplyMixed(
     return MatchPairs(std::move(suggestions));
   };
   HybridLoopResult loop =
-      RunHybridLoop(match, inductor_.get(), &validator, &tree_, &stats_,
+      RunHybridLoop(match, inductor_.get(), &validator, &tree_, &report_,
                     LoopMemory{}, std::move(pairs));
-  stats_.fds_invalidated =
-      loop.confirmed_removed + validator.delta_invalidated();
-  stats_.fds_revalidated = validator.restricted_validations();
+  metrics_.Set("incremental.phase_switches",
+               static_cast<uint64_t>(loop.phase_switches));
+  metrics_.Set("incremental.validations", validator.total_validations());
+  metrics_.Set("incremental.fds_invalidated",
+               loop.confirmed_removed + validator.delta_invalidated());
+  metrics_.Set("incremental.fds_revalidated",
+               validator.restricted_validations());
   // Fold the final pass's violation suggestions into the witnessed cover
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
@@ -478,11 +491,12 @@ const FDSet& IncrementalHyFd::ApplyMixed(
 
   fds_ = tree_.ToFdSet();
   if (!dead.empty()) {
+    size_t generalized = 0;
     for (const FD& fd : fds_) {
-      if (!fds_before.Contains(fd)) ++stats_.fds_generalized;
+      if (!fds_before.Contains(fd)) ++generalized;
     }
+    metrics_.Set("incremental.fds_generalized", generalized);
   }
-  stats_.num_fds = fds_.size();
   FillReport(total_timer.ElapsedSeconds());
   return fds_;
 }
@@ -596,8 +610,8 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   // clusters). The unconfirmed remainder are the downward candidates the
   // Validator must settle from scratch.
   tree_.ConfirmFrom(old_tree);
-  stats_.generalization_candidates =
-      tree_.CountFds() - tree_.CountConfirmedFds();
+  metrics_.Set("incremental.generalization_candidates",
+               tree_.CountFds() - tree_.CountConfirmedFds());
   HYFD_AUDIT_ONLY(tree_.CheckInvariants());
 }
 
@@ -611,28 +625,35 @@ const FDSet& IncrementalHyFd::ApplyBatchStrings(
   return ApplyBatch(converted);
 }
 
-void IncrementalHyFd::FillReport(double total_seconds) {
+IncrementalBatchStats IncrementalHyFd::last_batch_stats() const {
+  const auto counter = [&](std::string_view name) {
+    return static_cast<size_t>(report_.FindCounter(name).value_or(0));
+  };
+  return IncrementalBatchStats{
+      .touched_clusters = counter("incremental.touched_clusters"),
+      .validations = counter("incremental.validations"),
+      .comparisons = counter("incremental.comparisons"),
+      .fds_generalized = counter("incremental.fds_generalized"),
+  };
+}
+
+void IncrementalHyFd::StartReport() {
+  metrics_.Reset();
   report_ = RunReport{};
-  report_.AddPhase("append", stats_.append_seconds);
+  // Listed up front, in this order, since a batch repairs (induction)
+  // before it samples and preprocesses only when it reseeds.
+  for (const char* phase :
+       {"append", "preprocess", "sampling", "induction", "validation"}) {
+    report_.AddPhase(phase, 0);
+  }
+}
+
+void IncrementalHyFd::FillReport(double total_seconds) {
   // No guardian and no result pruning in a session: the answer is complete
   // by construction (the equivalence guarantee depends on it).
-  report_.SetCounter("incremental.batches",
-                     static_cast<uint64_t>(num_batches_));
-  report_.SetCounter("incremental.batch_rows", stats_.batch_rows);
-  report_.SetCounter("incremental.deleted_rows", stats_.deleted_rows);
-  report_.SetCounter("incremental.live_rows",
-                     static_cast<uint64_t>(num_live_rows_));
-  report_.SetCounter("incremental.touched_clusters", stats_.touched_clusters);
-  report_.SetCounter("incremental.fds_invalidated", stats_.fds_invalidated);
-  report_.SetCounter("incremental.fds_revalidated", stats_.fds_revalidated);
-  report_.SetCounter("incremental.generalization_candidates",
-                     stats_.generalization_candidates);
-  report_.SetCounter("incremental.fds_generalized", stats_.fds_generalized);
-  report_.SetCounter("incremental.validations", stats_.validations);
-  report_.SetCounter("incremental.comparisons", stats_.comparisons);
-  report_.SetCounter("incremental.phase_switches",
-                     static_cast<uint64_t>(stats_.phase_switches));
-  FinishHybridReport("hyfd_incremental", "fds", fds_.size(), data_, stats_,
+  metrics_.Set("incremental.batches", static_cast<uint64_t>(num_batches_));
+  metrics_.Set("incremental.live_rows", num_live_rows_);
+  FinishHybridReport("hyfd_incremental", "fds", fds_.size(), data_,
                      total_seconds, metrics_, &report_);
 }
 

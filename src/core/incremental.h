@@ -38,42 +38,23 @@ struct IncrementalConfig {
   int num_threads = 1;
 };
 
-/// Counters and timings of the last ApplyBatch()/DeleteRows()/UpdateRows()
-/// call (or of the seeding/reseeding discovery). The loop's share comes from
-/// HybridLoopStats: `comparisons` counts the record pairs matched by
-/// sampling, targeted pair matching and the final witness fold;
-/// `preprocess_seconds` is spent by the seeding run and reseeds only (0 for
-/// batches that grow the derived state in place); `induction_seconds`
-/// includes the delete repair's tree rebuild.
-struct IncrementalBatchStats : HybridLoopStats {
-  size_t batch_rows = 0;
-  /// Rows tombstoned by this batch (deletes plus the old versions of
-  /// updates).
-  size_t deleted_rows = 0;
-  /// After a delete-driven cover rebuild: stored FDs with no surviving
-  /// proof — the downward (generalization) candidates the repair loop
-  /// validates from scratch.
-  size_t generalization_candidates = 0;
+/// The counters of the last batch (or of the seeding discovery) most read
+/// outside the session, as last_batch_stats() reads them from report():
+/// the `incremental.*` counters of the same names. The report carries the
+/// rest (batch and deleted rows, invalidated and re-validated FDs,
+/// generalization candidates, phase switches, reseeds).
+struct IncrementalBatchStats {
+  /// Stripped clusters (summed over attributes) that received a new row —
+  /// the restricted validation scope.
+  size_t touched_clusters = 0;
+  size_t validations = 0;  ///< candidates checked by the Validator
+  /// Record pairs matched by sampling, targeted pair matching and the final
+  /// witness fold.
+  size_t comparisons = 0;
   /// FDs in the post-batch cover that were not minimal FDs before it — on a
   /// delete/update batch these moved *down* the lattice (violating pairs
   /// died). Only computed when rows were deleted.
   size_t fds_generalized = 0;
-  /// Stripped clusters (summed over attributes) that received a new row —
-  /// the restricted validation scope.
-  size_t touched_clusters = 0;
-  /// Previously-proven FDs this batch broke (removed by the Inductor on a
-  /// new agree set, or failed their restricted re-validation).
-  size_t fds_invalidated = 0;
-  /// Previously-proven FDs re-checked via the restricted touched-clusters
-  /// scan instead of a full pass.
-  size_t fds_revalidated = 0;
-  /// True when the batch widened a numeric column to string and split codes
-  /// of existing rows: value identity changed retroactively, so the session
-  /// rebuilt all derived state and re-ran discovery from scratch instead of
-  /// growing in place.
-  bool reseeded = false;
-  size_t num_fds = 0;       ///< minimal FDs after the batch
-  double append_seconds = 0;
 };
 
 /// EAIFD-style incremental FD discovery session.
@@ -138,7 +119,7 @@ class IncrementalHyFd {
   /// Appends `rows` (std::nullopt cells become NULL) and returns the updated
   /// FD set. Row widths must match the schema; the whole batch is rejected
   /// before any row is appended on a width mismatch. An empty batch is a
-  /// no-op that still refreshes stats()/report().
+  /// no-op that still refreshes report().
   const FDSet& ApplyBatch(
       const std::vector<std::vector<std::optional<std::string>>>& rows);
 
@@ -211,8 +192,17 @@ class IncrementalHyFd {
   /// tombstones.
   size_t num_live_rows() const { return num_live_rows_; }
 
-  const IncrementalBatchStats& last_batch_stats() const { return stats_; }
-  /// Structured report of the last ApplyBatch() (or of the seeding run).
+  /// Four of report()'s counters, read into a view (IncrementalBatchStats).
+  IncrementalBatchStats last_batch_stats() const;
+  /// Structured report of the last batch (or of the seeding run). Its
+  /// `incremental.*` counters: batches, batch_rows, deleted_rows (deletes
+  /// plus the old versions of updates), live_rows, touched_clusters,
+  /// fds_invalidated (proven FDs the batch broke), fds_revalidated (proven
+  /// FDs re-checked over the touched clusters only),
+  /// generalization_candidates (after a delete's cover rebuild, stored FDs
+  /// with no surviving proof), fds_generalized, validations, comparisons,
+  /// phase_switches, and reseeded (1 when the batch widened a numeric
+  /// column to string and so re-ran discovery from scratch).
   const RunReport& report() const { return report_; }
   /// Batches applied so far (the seeding discovery is not a batch).
   int num_batches() const { return num_batches_; }
@@ -223,8 +213,8 @@ class IncrementalHyFd {
 
   /// Builds every piece of derived state from relation() — PLIs, compressed
   /// records, tree, witnessed negative cover, value rows — and runs the
-  /// full hybrid discovery over it, restarting the loop's stats and the
-  /// registry.
+  /// full hybrid discovery over it, adding its counts and times to the
+  /// report under way.
   void Seed();
   /// The value_rows_ / null_rows_ entry of `code` in column `c`, or nullptr
   /// for a NULL under kNullUnequal (every such NULL is a singleton forever).
@@ -236,8 +226,9 @@ class IncrementalHyFd {
   /// relation. The escape hatch for batches that change value identity
   /// retroactively (IdentityEpoch() moved): stale clusters cannot be grown,
   /// they must be rebuilt. If rows are tombstoned, the relation is first
-  /// compacted to its live rows (re-anchoring ids). Tags stats_.reseeded;
-  /// the in-flight batch's append timing survives untouched.
+  /// compacted to its live rows (re-anchoring ids). Sets
+  /// `incremental.reseeded`; the batch reseeds before growing any derived
+  /// state, so the report holds only its row counts and append time so far.
   void Reseed();
   /// Shrinks PLIs + compressed records for the (live, distinct) `dead` rows:
   /// erases them from their clusters, demotes lone survivors, moves dead
@@ -258,6 +249,8 @@ class IncrementalHyFd {
   /// ones are recorded in the cover with their witnessing pair.
   std::vector<AttributeSet> MatchPairs(
       std::vector<std::pair<RecordId, RecordId>> pairs);
+  /// Zeroes the registry and opens a fresh report with its phases at 0 s.
+  void StartReport();
   void FillReport(double total_seconds);
 
   IncrementalConfig config_;
@@ -299,9 +292,9 @@ class IncrementalHyFd {
   /// after an append means codes split retroactively → Reseed().
   uint64_t identity_epoch_ = 0;
 
-  IncrementalBatchStats stats_;
-  /// Component counters (sampler.*, inductor.*, validator.*) of the current
-  /// seed, reseed or batch; reset at the start of each, merged into report_.
+  /// The session's incremental.* cells and the components' sampler.*,
+  /// inductor.* and validator.* of the current seed or batch; reset at the
+  /// start of each, merged into report_.
   MetricsRegistry metrics_;
   RunReport report_;
   int num_batches_ = 0;

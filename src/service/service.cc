@@ -46,8 +46,9 @@ TableStatus StatusOf(const IncrementalHyFd& session) {
   s.live_rows = session.num_live_rows();
   s.total_rows = session.relation().num_rows();
   s.num_batches = static_cast<uint64_t>(session.num_batches());
-  s.last_validations = session.last_batch_stats().validations;
-  s.last_comparisons = session.last_batch_stats().comparisons;
+  const IncrementalBatchStats last = session.last_batch_stats();
+  s.last_validations = last.validations;
+  s.last_comparisons = last.comparisons;
   s.relation_version = session.relation().version();
   return s;
 }

@@ -2,7 +2,6 @@
 #define HYFD_UTIL_METRICS_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -15,17 +14,17 @@
 
 namespace hyfd {
 
-/// One registered metric cell: a relaxed atomic counter, gauge, or
-/// accumulated timer. Pointers handed out by MetricsRegistry stay valid for
-/// the registry's lifetime, so hot paths register once and then touch a
-/// single atomic — no map lookup, no lock.
+/// One registered metric cell: a relaxed atomic counter or gauge. Pointers
+/// handed out by MetricsRegistry stay valid for the registry's lifetime, so
+/// hot paths register once and then touch a single atomic — no map lookup,
+/// no lock.
 class Metric {
  public:
-  enum class Kind { kCounter, kGauge, kTimer };
+  enum class Kind { kCounter, kGauge };
 
   Metric(std::string name, Kind kind) : name_(std::move(name)), kind_(kind) {}
 
-  /// Counter/timer accumulation. Relaxed: metric values are reconciled at
+  /// Counter accumulation. Relaxed: metric values are reconciled at
   /// run boundaries, never used for synchronization.
   void Add(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
   /// Gauge semantics: last writer wins.
@@ -48,28 +47,7 @@ class Metric {
   std::atomic<uint64_t> value_{0};
 };
 
-/// RAII stopwatch for a Kind::kTimer metric: adds the elapsed nanoseconds on
-/// destruction. Null-safe, so call sites need no metrics-enabled branch.
-class ScopedMetricTimer {
- public:
-  explicit ScopedMetricTimer(Metric* metric)
-      : metric_(metric), start_(std::chrono::steady_clock::now()) {}
-  ScopedMetricTimer(const ScopedMetricTimer&) = delete;
-  ScopedMetricTimer& operator=(const ScopedMetricTimer&) = delete;
-  ~ScopedMetricTimer() {
-    if (metric_ == nullptr) return;
-    auto nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count();
-    metric_->Add(static_cast<uint64_t>(nanos));
-  }
-
- private:
-  Metric* metric_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// A per-run registry of named counters, gauges, and timers.
+/// A per-run registry of named counters and gauges.
 ///
 /// Design goals (DESIGN.md §8): cheap enough for hot paths — registration
 /// takes one mutex acquisition, every subsequent update is a single relaxed
@@ -87,14 +65,13 @@ class MetricsRegistry {
   /// existing cell regardless of kind (first registration wins).
   Metric* GetCounter(std::string_view name) { return FindOrCreate(name, Metric::Kind::kCounter); }
   Metric* GetGauge(std::string_view name) { return FindOrCreate(name, Metric::Kind::kGauge); }
-  Metric* GetTimer(std::string_view name) { return FindOrCreate(name, Metric::Kind::kTimer); }
 
   /// One-shot conveniences for cold paths (pay the map lookup every call).
   void Add(std::string_view name, uint64_t delta = 1) { GetCounter(name)->Add(delta); }
   void Set(std::string_view name, uint64_t value) { GetGauge(name)->Set(value); }
 
   /// All metrics as (name, value), sorted by name — the RunReport's
-  /// `counters` section. Timer values are accumulated nanoseconds.
+  /// `counters` section.
   std::vector<std::pair<std::string, uint64_t>> Export() const;
 
   /// Zeroes every value; registrations (and handed-out pointers) survive.

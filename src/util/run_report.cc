@@ -322,7 +322,20 @@ void AppendKeyValuePairs(
 }  // namespace
 
 void RunReport::AddPhase(std::string name, double seconds) {
+  for (PhaseSpan& phase : phases) {
+    if (phase.name == name) {
+      phase.seconds += seconds;
+      return;
+    }
+  }
   phases.push_back(PhaseSpan{std::move(name), seconds});
+}
+
+double RunReport::PhaseSeconds(std::string_view name) const {
+  for (const PhaseSpan& phase : phases) {
+    if (phase.name == name) return phase.seconds;
+  }
+  return 0;
 }
 
 void RunReport::SetCounter(std::string_view name, uint64_t value) {
@@ -353,6 +366,18 @@ void RunReport::MergeMetrics(const MetricsRegistry& metrics) {
   for (const auto& [name, value] : metrics.Export()) SetCounter(name, value);
 }
 
+void RunReport::SetMemory(const MemoryTracker& tracker) {
+  peak_memory_bytes = tracker.peak_bytes();
+  memory_components.clear();
+  for (int c = 0; c < MemoryTracker::kNumComponents; ++c) {
+    const size_t bytes = tracker.component_bytes(c);
+    if (bytes > 0) {
+      memory_components.emplace_back(MemoryTracker::ComponentName(c), bytes);
+    }
+  }
+  std::sort(memory_components.begin(), memory_components.end());
+}
+
 std::string RunReport::ToJson() const {
   std::string out;
   out.reserve(1024);
@@ -372,12 +397,6 @@ std::string RunReport::ToJson() const {
     out += JsonQuote(degradation_reasons[i]);
   }
   out += "],\n";
-  out += "  \"guardian\": {\n";
-  out += "    \"pruned_lhs_cap\": " + std::to_string(pruned_lhs_cap) + ",\n";
-  out += "    \"prunes\": " + std::to_string(guardian_prunes) + ",\n";
-  out += "    \"give_ups\": " + std::to_string(guardian_give_ups) + ",\n";
-  out += "    \"overrun_bytes\": " + std::to_string(guardian_overrun_bytes) + "\n";
-  out += "  },\n";
   out += "  \"pli_cache\": {\n";
   out += "    \"hits\": " + std::to_string(pli_cache_hits) + ",\n";
   out += "    \"misses\": " + std::to_string(pli_cache_misses) + ",\n";
@@ -463,11 +482,6 @@ std::vector<std::string> ValidateParsed(const JsonValue& root) {
       {"total_seconds", JsonValue::Kind::kNumber},
       {"complete", JsonValue::Kind::kBool},
       {"degradation_reasons", JsonValue::Kind::kArray},
-      {"guardian", JsonValue::Kind::kObject},
-      {"guardian.pruned_lhs_cap", JsonValue::Kind::kNumber},
-      {"guardian.prunes", JsonValue::Kind::kNumber},
-      {"guardian.give_ups", JsonValue::Kind::kNumber},
-      {"guardian.overrun_bytes", JsonValue::Kind::kNumber},
       {"pli_cache", JsonValue::Kind::kObject},
       {"pli_cache.hits", JsonValue::Kind::kNumber},
       {"pli_cache.misses", JsonValue::Kind::kNumber},
@@ -552,10 +566,6 @@ std::optional<RunReport> RunReport::FromJson(std::string_view json,
     }
     report.degradation_reasons.push_back(reason.string);
   }
-  report.pruned_lhs_cap = static_cast<int>(num("guardian.pruned_lhs_cap"));
-  report.guardian_prunes = static_cast<int>(num("guardian.prunes"));
-  report.guardian_give_ups = static_cast<int>(num("guardian.give_ups"));
-  report.guardian_overrun_bytes = static_cast<size_t>(num("guardian.overrun_bytes"));
   report.pli_cache_hits = static_cast<size_t>(num("pli_cache.hits"));
   report.pli_cache_misses = static_cast<size_t>(num("pli_cache.misses"));
   report.pli_cache_evictions = static_cast<size_t>(num("pli_cache.evictions"));

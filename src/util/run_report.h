@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/memory_tracker.h"
 #include "util/metrics.h"
 #include "util/timer.h"
 
@@ -74,12 +75,12 @@ struct PhaseSpan {
 /// machine-detectable via `complete` + `degradation_reasons` instead of
 /// silently looking like a smaller FD set.
 ///
-/// JSON schema (version 1) — all fields below are REQUIRED in the emitted
+/// JSON schema (version 3) — all fields below are REQUIRED in the emitted
 /// document; `ValidateJsonSchema` enforces this and CI runs it on every
 /// emitted report:
 ///
 ///   {
-///     "schema_version": 2,
+///     "schema_version": 3,
 ///     "algorithm": "hyfd",            // registry name, or "hyucc"
 ///     "dataset": "ncvoter",           // harness label, may be ""
 ///     "rows": 10000, "columns": 19,
@@ -88,12 +89,6 @@ struct PhaseSpan {
 ///     "total_seconds": 1.25,
 ///     "complete": true,               // false => result is NOT the full answer
 ///     "degradation_reasons": ["..."], // why complete == false ([] otherwise)
-///     "guardian": {
-///       "pruned_lhs_cap": -1,         // -1 = never pruned
-///       "prunes": 0,                  // times the guardian lowered the cap
-///       "give_ups": 0,                // over-budget checks with cap already at 1
-///       "overrun_bytes": 0            // max bytes over the limit at a give-up
-///     },
 ///     "pli_cache": {                  // the run's own cache (0 without)
 ///       "hits": 0, "misses": 0, "evictions": 0
 ///     },
@@ -104,10 +99,18 @@ struct PhaseSpan {
 ///     "phases": [{"name": "preprocess", "seconds": 0.01}, ...],
 ///     "counters": {"sampler.windows": 12, ...}   // MetricsRegistry export
 ///   }
+///
+/// A HyFD run's memory guardian reports through counters:
+/// `guardian.pruned_lhs_cap` (the final LHS cap, 0 = never pruned — the
+/// guardian never caps below 1), `guardian.prunes` (times it lowered the
+/// cap), `guardian.give_ups` (over-budget checks with the cap already at 1),
+/// `guardian.overrun_bytes` (max bytes over the limit at a give-up) and
+/// `guardian.reason_code` (GuardianReason).
 struct RunReport {
   /// 2: `pli_cache.external_rejected` and `pli_cache.rejection_reason`
-  /// removed (HyFD no longer takes an external cache).
-  static constexpr int kSchemaVersion = 2;
+  /// removed (HyFD no longer takes an external cache). 3: the `guardian`
+  /// object removed; its values are `guardian.*` counters.
+  static constexpr int kSchemaVersion = 3;
 
   std::string algorithm;
   std::string dataset;
@@ -120,11 +123,6 @@ struct RunReport {
   bool complete = true;
   std::vector<std::string> degradation_reasons;
 
-  int pruned_lhs_cap = -1;
-  int guardian_prunes = 0;
-  int guardian_give_ups = 0;
-  size_t guardian_overrun_bytes = 0;
-
   size_t pli_cache_hits = 0;
   size_t pli_cache_misses = 0;
   size_t pli_cache_evictions = 0;
@@ -135,8 +133,11 @@ struct RunReport {
   std::vector<PhaseSpan> phases;
   std::vector<std::pair<std::string, uint64_t>> counters;  ///< sorted by name
 
-  /// Appends a phase span (phases keep emission order, not sorted).
+  /// Adds `seconds` to the span named `name`, appending the span on the
+  /// name's first use (phases keep first-emission order, not sorted).
   void AddPhase(std::string name, double seconds);
+  /// Seconds of the span named `name`; 0 when absent.
+  double PhaseSeconds(std::string_view name) const;
   /// Upserts a counter, keeping `counters` sorted by name.
   void SetCounter(std::string_view name, uint64_t value);
   /// Counter lookup; nullopt when absent.
@@ -145,6 +146,9 @@ struct RunReport {
   void MarkIncomplete(std::string reason);
   /// Folds a registry export into `counters` (upsert per name).
   void MergeMetrics(const MetricsRegistry& metrics);
+  /// Sets the memory section from `tracker`: its peak and the components
+  /// holding bytes, sorted by name.
+  void SetMemory(const MemoryTracker& tracker);
 
   std::string ToJson() const;
 
@@ -160,8 +164,8 @@ struct RunReport {
   bool operator==(const RunReport&) const = default;
 };
 
-/// Null-safe RAII phase recorder: appends a PhaseSpan with the elapsed wall
-/// time on destruction. Usable around any block of a discoverer:
+/// Null-safe RAII phase recorder: adds the elapsed wall time to the named
+/// phase on destruction. Usable around any block of a discoverer:
 ///
 ///   { ScopedPhase phase(report, "build_plis"); ... }
 class ScopedPhase {

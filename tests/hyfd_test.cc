@@ -50,11 +50,11 @@ TEST(HyFdTest, StatsArepopulated) {
   Relation r = testing::RandomRelation(5, 100, 3, 3);
   HyFd algo;
   FDSet fds = algo.Discover(r);
-  const HyFdStats& stats = algo.stats();
-  EXPECT_EQ(stats.num_fds, fds.size());
-  EXPECT_GT(stats.comparisons, 0u);
-  EXPECT_GT(stats.validations, 0u);
-  EXPECT_EQ(stats.pruned_lhs_cap, -1);  // complete result
+  const RunReport& report = algo.report();
+  EXPECT_EQ(report.result_count, fds.size());
+  EXPECT_GT(report.FindCounter("hyfd.comparisons"), 0u);
+  EXPECT_GT(report.FindCounter("hyfd.validations"), 0u);
+  EXPECT_EQ(report.FindCounter("guardian.pruned_lhs_cap"), 0u);  // complete
 }
 
 TEST(HyFdTest, NullSemanticsBothWays) {
@@ -83,9 +83,11 @@ TEST(HyFdTest, MemoryGuardianCapsLhsSize) {
   config.memory_limit_bytes = 1;  // absurdly small: prune to LHS size 1
   HyFd algo(config);
   FDSet fds = algo.Discover(r);
-  EXPECT_GE(algo.stats().pruned_lhs_cap, 1);
+  const uint64_t cap =
+      algo.report().FindCounter("guardian.pruned_lhs_cap").value_or(0);
+  EXPECT_GE(cap, 1u);
   for (const FD& fd : fds) {
-    EXPECT_LE(fd.lhs.Count(), algo.stats().pruned_lhs_cap);
+    EXPECT_LE(static_cast<uint64_t>(fd.lhs.Count()), cap);
   }
   // The pruned result is a subset of the complete result.
   FDSet complete = DiscoverFdsBruteForce(r);
@@ -96,7 +98,7 @@ TEST(HyFdTest, MemoryGuardianCapsLhsSize) {
 
 // Regression for the silent-truncation bug: a guardian-pruned run used to
 // be indistinguishable from a complete run with fewer FDs. It must now be
-// machine-detectable through stats().complete and the run report.
+// machine-detectable through the run report.
 TEST(HyFdTest, GuardianTruncationIsReported) {
   Relation r = GenerateFdReduced(150, 8, 4, 19);
   HyFdConfig config;
@@ -105,14 +107,16 @@ TEST(HyFdTest, GuardianTruncationIsReported) {
   FDSet pruned = algo.Discover(r);
   const RunReport& report = algo.report();
 
-  EXPECT_FALSE(algo.stats().complete);
-  EXPECT_GE(algo.stats().guardian_prunes, 1);
-  EXPECT_GE(algo.stats().pruned_lhs_cap, 1);
-
   EXPECT_FALSE(report.complete);
+  EXPECT_GE(report.FindCounter("guardian.prunes"), 1u);
+  const std::optional<uint64_t> cap =
+      report.FindCounter("guardian.pruned_lhs_cap");
+  ASSERT_GE(cap, 1u);
   ASSERT_FALSE(report.degradation_reasons.empty());
   EXPECT_NE(report.degradation_reasons[0].find("guardian"), std::string::npos);
-  EXPECT_EQ(report.pruned_lhs_cap, algo.stats().pruned_lhs_cap);
+  EXPECT_NE(report.degradation_reasons[0].find(
+                "LHS size > " + std::to_string(*cap) + " "),
+            std::string::npos);
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
 
   // The pruned result is a STRICT subset of the complete answer.
@@ -131,10 +135,11 @@ TEST(HyFdTest, GenerousMemoryLimitStaysComplete) {
   FDSet fds = algo.Discover(r);
   const RunReport& report = algo.report();
 
-  EXPECT_TRUE(algo.stats().complete);
-  EXPECT_EQ(algo.stats().pruned_lhs_cap, -1);
-  EXPECT_EQ(algo.stats().guardian_prunes, 0);
   EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.FindCounter("guardian.pruned_lhs_cap"), 0u);
+  EXPECT_EQ(report.FindCounter("guardian.prunes"), 0u);
+  EXPECT_EQ(report.FindCounter("guardian.give_ups"), 0u);
+  EXPECT_EQ(report.FindCounter("guardian.overrun_bytes"), 0u);
   EXPECT_TRUE(report.degradation_reasons.empty());
   testing::ExpectSameFds(DiscoverFds(r), fds, "generous memory limit");
 }

@@ -65,8 +65,8 @@ TEST(HyUccTest, StatsPopulated) {
   HyUcc algo;
   auto uccs = algo.Discover(r);
   EXPECT_FALSE(uccs.empty());
-  EXPECT_EQ(algo.stats().num_uccs, uccs.size());
-  EXPECT_GT(algo.stats().validations, 0u);
+  EXPECT_EQ(algo.report().result_count, uccs.size());
+  EXPECT_GT(algo.report().FindCounter("hyucc.validations"), 0u);
 }
 
 // Cross-check against brute-force subset enumeration over random shapes.

@@ -197,7 +197,7 @@ TEST(IncrementalEdgeTest, EmptyBatchIsANoOp) {
   const FDSet& after = session.ApplyBatch({});
   testing::ExpectSameFds(before, after, "empty batch");
   EXPECT_EQ(session.num_batches(), 1);
-  EXPECT_EQ(session.last_batch_stats().batch_rows, 0u);
+  EXPECT_EQ(session.report().FindCounter("incremental.batch_rows"), 0u);
   EXPECT_EQ(session.relation().num_rows(), 50u);
 }
 
@@ -250,7 +250,8 @@ TEST(IncrementalEdgeTest, AllDistinctBatchValues) {
   }
   const FDSet& got = session.ApplyBatch(batch);
   EXPECT_EQ(session.last_batch_stats().touched_clusters, 0u);
-  EXPECT_EQ(session.last_batch_stats().fds_invalidated, constant_columns);
+  EXPECT_EQ(session.report().FindCounter("incremental.fds_invalidated"),
+            constant_columns);
   Relation grown = r;
   for (const auto& row : batch) grown.AppendRow(row);
   testing::ExpectSameFds(DiscoverFds(grown), got, "all-distinct batch");
@@ -265,7 +266,7 @@ TEST(IncrementalEdgeTest, SampledPairBreaksConfirmedFds) {
                                 {"3", "z", "p"}});
   IncrementalHyFd session(r);
   const FDSet& got = session.ApplyBatchStrings({{"1", "w", "q"}});
-  EXPECT_EQ(session.last_batch_stats().fds_invalidated, 2u);
+  EXPECT_EQ(session.report().FindCounter("incremental.fds_invalidated"), 2u);
   r.AppendRow({std::string("1"), std::string("w"), std::string("q")});
   testing::ExpectSameFds(DiscoverFds(r), got, "sampled pair");
 }
@@ -280,8 +281,8 @@ TEST(IncrementalEdgeTest, StringWideningBatchReseedsTheSession) {
       Schema({"a", "b"}), {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"8", "y"}});
   IncrementalHyFd session(r);
   session.ApplyBatchStrings({{"n/a", "x"}});
-  EXPECT_TRUE(session.last_batch_stats().reseeded);
-  EXPECT_EQ(session.last_batch_stats().num_fds, session.fds().size());
+  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
+  EXPECT_EQ(session.report().result_count, session.fds().size());
   Relation grown = Relation::FromStringRows(
       Schema({"a", "b"}),
       {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"8", "y"}, {"n/a", "x"}});
@@ -291,7 +292,7 @@ TEST(IncrementalEdgeTest, StringWideningBatchReseedsTheSession) {
   // An ordinary follow-up batch grows in place again (no further epoch move)
   // and stays differentially correct on the reseeded state.
   session.ApplyBatchStrings({{"8", "y"}});
-  EXPECT_FALSE(session.last_batch_stats().reseeded);
+  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 0u);
   grown.AppendRow({std::string("8"), std::string("y")});
   testing::ExpectSameFds(DiscoverFds(grown), session.fds(),
                          "batch after reseed");
@@ -333,14 +334,13 @@ TEST(IncrementalStatsTest, CountersAndReportTrackTheBatch) {
   EXPECT_EQ(session.report().algorithm, "hyfd_incremental");
 
   session.ApplyBatch(Slice(full, 80, 100));
-  const IncrementalBatchStats& stats = session.last_batch_stats();
-  EXPECT_EQ(stats.batch_rows, 20u);
-  EXPECT_EQ(stats.num_fds, session.fds().size());
+  const RunReport& report = session.report();
+  EXPECT_EQ(report.FindCounter("incremental.batch_rows"), 20u);
+  EXPECT_EQ(report.FindCounter("incremental.reseeded"), 0u);
   // Low-domain columns guarantee value collisions, so the batch must have
   // touched clusters and re-proven inherited FDs via the restricted path.
-  EXPECT_GT(stats.touched_clusters, 0u);
-  EXPECT_GT(stats.fds_revalidated, 0u);
-  const RunReport& report = session.report();
+  EXPECT_GT(session.last_batch_stats().touched_clusters, 0u);
+  EXPECT_GT(report.FindCounter("incremental.fds_revalidated"), 0u);
   EXPECT_EQ(report.rows, 100u);
   EXPECT_EQ(report.result_count, session.fds().size());
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
@@ -373,15 +373,22 @@ TEST(IncrementalStatsTest, SeedRunsTheSameLoopAsHyFd) {
         EXPECT_EQ(session.report().FindCounter(name), want)
             << context << " " << name;
       }
-      const IncrementalBatchStats& stats = session.last_batch_stats();
-      EXPECT_EQ(stats.phase_switches, hyfd.stats().phase_switches) << context;
-      EXPECT_EQ(stats.validations, hyfd.stats().validations) << context;
+      const RunReport& want = hyfd.report();
+      const RunReport& got = session.report();
+      EXPECT_EQ(got.FindCounter("incremental.phase_switches"),
+                want.FindCounter("hyfd.phase_switches"))
+          << context;
+      EXPECT_EQ(got.FindCounter("incremental.validations"),
+                want.FindCounter("hyfd.validations"))
+          << context;
       // The session's count adds the pairs of its final witness fold to the
       // Sampler's comparisons.
-      EXPECT_EQ(hyfd.report().FindCounter("sampler.comparisons"),
-                hyfd.stats().comparisons)
+      EXPECT_EQ(want.FindCounter("sampler.comparisons"),
+                want.FindCounter("hyfd.comparisons"))
           << context;
-      EXPECT_GE(stats.comparisons, hyfd.stats().comparisons) << context;
+      EXPECT_GE(got.FindCounter("incremental.comparisons"),
+                want.FindCounter("hyfd.comparisons"))
+          << context;
     }
   }
 }
@@ -489,7 +496,8 @@ void RunCrudSchedule(const Relation& full, size_t initial_rows,
       const std::vector<RecordId> ids = pick_tail(k);
       live.resize(live.size() - k);
       check(session.DeleteRows(ids), step_context + " delete");
-      EXPECT_EQ(session.last_batch_stats().deleted_rows, k) << step_context;
+      EXPECT_EQ(session.report().FindCounter("incremental.deleted_rows"), k)
+          << step_context;
       for (RecordId id : ids) EXPECT_FALSE(session.IsRowLive(id));
     } else if (live.size() > 1) {
       const size_t k = 1 + rng() % std::min<size_t>(4, live.size() - 1);
@@ -666,7 +674,7 @@ TEST(IncrementalFingerprintTest, LiveFingerprintMatchesCopyAcrossCorners) {
     // column, which a copy retyped from its values would make int again,
     // merging the spellings the session keeps apart.
     session.ApplyBatch({{"n/a", "z", null}});
-    EXPECT_TRUE(session.last_batch_stats().reseeded);
+    EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
     check(session, "reseed");
     // Compacted ids: 0 "07", 1 "7", 2 "9", 3 "10", 4 "n/a".
     session.DeleteRows({RecordId{2}});
@@ -869,9 +877,8 @@ TEST(IncrementalCrudTest, CrudStatsAndReportCounters) {
   IncrementalHyFd session(full.HeadRows(90));
   session.UpdateRows({{RecordId{3}, RowOf(full, 91)},
                       {RecordId{7}, RowOf(full, 92)}});
-  const IncrementalBatchStats& stats = session.last_batch_stats();
-  EXPECT_EQ(stats.batch_rows, 2u);
-  EXPECT_EQ(stats.deleted_rows, 2u);
+  EXPECT_EQ(session.report().FindCounter("incremental.batch_rows"), 2u);
+  EXPECT_EQ(session.report().FindCounter("incremental.deleted_rows"), 2u);
   EXPECT_EQ(session.num_live_rows(), 90u);
   EXPECT_EQ(session.relation().num_rows(), 92u);  // ids never reused
 
@@ -916,19 +923,14 @@ TEST(IncrementalCrudTest, DeleteRepairIdenticalAcrossThreadCounts) {
     return session;
   };
   const auto serial = run(1);
-  const IncrementalBatchStats& want = serial->last_batch_stats();
-  EXPECT_GT(want.generalization_candidates, 0u);
+  EXPECT_GT(
+      serial->report().FindCounter("incremental.generalization_candidates"),
+      0u);
   for (int threads : {2, 8}) {
     const auto parallel = run(threads);
-    const IncrementalBatchStats& got = parallel->last_batch_stats();
     const std::string label = std::to_string(threads) + " threads";
     testing::ExpectSameFds(serial->fds(), parallel->fds(), label);
-    EXPECT_EQ(want.generalization_candidates, got.generalization_candidates)
-        << label;
-    EXPECT_EQ(want.fds_generalized, got.fds_generalized) << label;
-    EXPECT_EQ(want.validations, got.validations) << label;
-    EXPECT_EQ(want.comparisons, got.comparisons) << label;
-    EXPECT_EQ(want.phase_switches, got.phase_switches) << label;
+    testing::ExpectSameCounters(serial->report(), parallel->report(), label);
   }
 }
 
@@ -943,7 +945,7 @@ TEST(IncrementalStatsTest, SeedDiscoveryAttributionIsVisible) {
   // into last_batch_stats() instead of being zeroed after the fact.
   EXPECT_GT(session.last_batch_stats().validations, 0u);
   EXPECT_GT(session.last_batch_stats().comparisons, 0u);
-  EXPECT_EQ(session.last_batch_stats().num_fds, session.fds().size());
+  EXPECT_EQ(session.report().result_count, session.fds().size());
 }
 
 TEST(IncrementalStatsTest, ReseedBatchReportsOnlyItsOwnDiscovery) {
@@ -956,8 +958,8 @@ TEST(IncrementalStatsTest, ReseedBatchReportsOnlyItsOwnDiscovery) {
       {{"07", "x", "p"}, {"7", "y", "q"}, {"8", "x", "p"}, {"9", "y", "q"}});
   IncrementalHyFd session(r);
   session.ApplyBatchStrings({{"n/a", "x", "q"}});
-  EXPECT_TRUE(session.last_batch_stats().reseeded);
-  EXPECT_EQ(session.last_batch_stats().batch_rows, 1u);
+  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
+  EXPECT_EQ(session.report().FindCounter("incremental.batch_rows"), 1u);
 
   Relation grown = Relation::FromStringRows(
       Schema({"a", "b", "c"}), {{"07", "x", "p"},
@@ -982,7 +984,7 @@ TEST(IncrementalCrudTest, ReseedAfterDeletesCompactsToLiveRows) {
   IncrementalHyFd session(r);
   session.DeleteRows({RecordId{2}});
   session.ApplyBatchStrings({{"n/a", "z"}});
-  EXPECT_TRUE(session.last_batch_stats().reseeded);
+  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
   EXPECT_EQ(session.num_live_rows(), 4u);
   EXPECT_EQ(session.relation().num_rows(), 4u);  // compacted: tombstone gone
   Relation expected = Relation::FromStringRows(

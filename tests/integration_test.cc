@@ -112,11 +112,12 @@ TEST(IntegrationTest, StatsAreConsistentWithResults) {
   Relation r = MakeDataset("abalone", 500, 9);
   HyFd algo;
   FDSet fds = algo.Discover(r);
-  const HyFdStats& stats = algo.stats();
-  EXPECT_EQ(stats.num_fds, fds.size());
-  EXPECT_GE(stats.levels_validated, 1);
-  EXPECT_GE(stats.validations, fds.size());  // every final FD was validated
-  EXPECT_GE(stats.non_fds, 1u);
+  const RunReport& report = algo.report();
+  EXPECT_EQ(report.result_count, fds.size());
+  EXPECT_GE(report.FindCounter("validator.levels"), 1u);
+  // Every final FD was validated.
+  EXPECT_GE(report.FindCounter("hyfd.validations"), fds.size());
+  EXPECT_GE(report.FindCounter("hyfd.non_fds"), 1u);
 }
 
 TEST(IntegrationTest, RepeatedDiscoveryIsDeterministic) {

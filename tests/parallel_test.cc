@@ -192,8 +192,8 @@ TEST(ParallelStressTest, SamplingHeavyDiscoveryMatchesSerial) {
   FDSet actual = parallel.Discover(r);
 
   testing::ExpectSameFds(expected, actual, "sampling-heavy, 8 threads");
-  EXPECT_EQ(serial.stats().comparisons, parallel.stats().comparisons);
-  EXPECT_EQ(serial.stats().non_fds, parallel.stats().non_fds);
+  testing::ExpectSameCounters(serial.report(), parallel.report(),
+                              "sampling-heavy, 8 threads");
 }
 
 // ---------------------------------------------------------------------------
@@ -215,15 +215,10 @@ TEST(ParallelDeterminismTest, RegistrySweepIdenticalAcrossThreadCounts) {
       parallel_config.num_threads = threads;
       HyFd parallel(parallel_config);
       FDSet actual = parallel.Discover(r);
-      testing::ExpectSameFds(expected, actual,
-                             spec.name + " @ " + std::to_string(threads) +
-                                 " threads");
-      EXPECT_EQ(baseline.stats().comparisons, parallel.stats().comparisons)
-          << spec.name << " @ " << threads << " threads";
-      EXPECT_EQ(baseline.stats().non_fds, parallel.stats().non_fds)
-          << spec.name << " @ " << threads << " threads";
-      EXPECT_EQ(baseline.stats().num_fds, parallel.stats().num_fds)
-          << spec.name << " @ " << threads << " threads";
+      const std::string label =
+          spec.name + " @ " + std::to_string(threads) + " threads";
+      testing::ExpectSameFds(expected, actual, label);
+      testing::ExpectSameCounters(baseline.report(), parallel.report(), label);
     }
   }
 }
@@ -264,8 +259,8 @@ TEST(ParallelDeterminismTest, HyUccIdenticalAcrossThreadCounts) {
     HyUcc parallel(config);
     auto actual = parallel.Discover(r);
     EXPECT_EQ(expected, actual) << threads << " threads";
-    EXPECT_EQ(baseline.stats().comparisons, parallel.stats().comparisons)
-        << threads << " threads";
+    testing::ExpectSameCounters(baseline.report(), parallel.report(),
+                                std::to_string(threads) + " threads");
   }
 }
 

@@ -411,7 +411,7 @@ TEST(PliCacheConcurrencyTest, HyFdParallelValidatorProbesOwnedCache) {
   // first pass assembled.
   FDSet second = algo.Discover(r);
   testing::ExpectSameFds(first, second, "hyfd owned cache, mt");
-  EXPECT_GT(algo.stats().pli_cache_hits, 0u);
+  EXPECT_GT(algo.report().pli_cache_hits, 0u);
 
   HyFdConfig plain;
   plain.enable_pli_cache = false;
@@ -459,11 +459,11 @@ TEST(PliCacheSharingTest, HyFdOwnedCacheWarmAcrossRepeatedRuns) {
   Relation r = GenerateFdReduced(400, 6, 20, /*seed=*/53);
   HyFd algo;  // enable_pli_cache defaults on
   FDSet first = algo.Discover(r);
-  size_t first_hits = algo.stats().pli_cache_hits;
+  size_t first_hits = algo.report().pli_cache_hits;
   FDSet second = algo.Discover(r);
   testing::ExpectSameFds(first, second, "hyfd repeated discovery");
   // The second pass probes the partitions the first pass assembled.
-  EXPECT_GT(algo.stats().pli_cache_hits, first_hits);
+  EXPECT_GT(algo.report().pli_cache_hits, first_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -545,12 +545,12 @@ TEST(PliCacheFingerprintTest,
   const FDSet on_first = algo.Discover(first);
   const FDSet on_second = algo.Discover(second);
   testing::ExpectSameFds(on_first, on_second, "renamed reload");
-  EXPECT_EQ(algo.stats().pli_cache_hits, 0u);
-  EXPECT_GT(algo.stats().pli_cache_misses, 0u);
+  EXPECT_EQ(algo.report().pli_cache_hits, 0u);
+  EXPECT_GT(algo.report().pli_cache_misses, 0u);
   // The same data again does hit, so the zero above is the fingerprint's
   // doing, not a cache that never hits.
   algo.Discover(second);
-  EXPECT_GT(algo.stats().pli_cache_hits, 0u);
+  EXPECT_GT(algo.report().pli_cache_hits, 0u);
   fs::remove_all(dir);
 }
 

@@ -637,11 +637,11 @@ TEST(RefineKernelDifferentialTest, SkewedGiantClusterIsThreadInvariant) {
 TEST(RefineKernelDifferentialTest, FullPipelineBitIdenticalOnSkewedData) {
   // End to end: the whole hybrid loop (sampling + induction + validation)
   // on the skewed relation must return identical FDs *and* identical
-  // sampling statistics for any thread count — the suggestions fed back to
-  // the Sampler are part of the contract, not just the FD set.
+  // counters for any thread count — the suggestions fed back to the Sampler
+  // are part of the contract, not just the FD set.
   Relation r = SkewedGiantClusterRelation(6000);
   FDSet baseline_fds;
-  HyFdStats baseline_stats;
+  RunReport baseline_report;
   for (int threads : {1, 2, 8}) {
     HyFdConfig config;
     config.num_threads = threads;
@@ -649,17 +649,12 @@ TEST(RefineKernelDifferentialTest, FullPipelineBitIdenticalOnSkewedData) {
     FDSet fds = algo.Discover(r);
     if (threads == 1) {
       baseline_fds = fds;
-      baseline_stats = algo.stats();
+      baseline_report = algo.report();
       continue;
     }
-    hyfd::testing::ExpectSameFds(baseline_fds, fds,
-                  "pipeline threads=" + std::to_string(threads));
-    EXPECT_EQ(baseline_stats.comparisons, algo.stats().comparisons)
-        << "threads=" << threads;
-    EXPECT_EQ(baseline_stats.non_fds, algo.stats().non_fds)
-        << "threads=" << threads;
-    EXPECT_EQ(baseline_stats.validations, algo.stats().validations)
-        << "threads=" << threads;
+    const std::string label = "pipeline threads=" + std::to_string(threads);
+    hyfd::testing::ExpectSameFds(baseline_fds, fds, label);
+    hyfd::testing::ExpectSameCounters(baseline_report, algo.report(), label);
   }
 }
 
@@ -691,7 +686,7 @@ TEST(RefineKernelDifferentialTest, RestrictedModeMatchesFullRediscovery) {
       hyfd::testing::ExpectSameFds(scratch, incremental,
                     "restricted mode, threads=" + std::to_string(threads) +
                         ", rows=" + std::to_string(to));
-      EXPECT_GT(session.last_batch_stats().fds_revalidated, 0u)
+      EXPECT_GT(session.report().FindCounter("incremental.fds_revalidated"), 0u)
           << "batch never exercised the restricted path";
     }
   }

@@ -30,10 +30,6 @@ RunReport FullyPopulatedReport() {
   report.total_seconds = 1.2500000000000071;  // needs %.17g to survive
   report.MarkIncomplete("memory guardian pruned FDs with LHS size > 3");
   report.MarkIncomplete("deadline of 10s exceeded");
-  report.pruned_lhs_cap = 3;
-  report.guardian_prunes = 2;
-  report.guardian_give_ups = 1;
-  report.guardian_overrun_bytes = 4096;
   report.pli_cache_hits = 10;
   report.pli_cache_misses = 4;
   report.pli_cache_evictions = 1;
@@ -42,6 +38,7 @@ RunReport FullyPopulatedReport() {
   report.AddPhase("preprocess", 0.01);
   report.AddPhase("sampling", 0.25);
   report.AddPhase("validation", 0.99);
+  report.SetCounter("guardian.pruned_lhs_cap", 3);
   report.SetCounter("hyfd.comparisons", 1234567);
   report.SetCounter("sampler.windows", 42);
   return report;
@@ -115,6 +112,34 @@ TEST(RunReportTest, ScopedPhaseAppendsSpanAndIsNullSafe) {
   { ScopedPhase phase(nullptr, "nowhere"); }  // must not crash
 }
 
+TEST(RunReportTest, RepeatedPhaseAccumulatesIntoItsFirstSpan) {
+  RunReport report;
+  report.AddPhase("sampling", 0.25);
+  report.AddPhase("validation", 1.0);
+  report.AddPhase("sampling", 0.5);
+  ASSERT_EQ(report.phases.size(), 2u);
+  EXPECT_EQ(report.phases[0], (PhaseSpan{"sampling", 0.75}));
+  EXPECT_EQ(report.phases[1], (PhaseSpan{"validation", 1.0}));
+  EXPECT_EQ(report.PhaseSeconds("sampling"), 0.75);
+  EXPECT_EQ(report.PhaseSeconds("absent"), 0.0);
+}
+
+TEST(RunReportTest, SetMemoryTakesPeakAndSortedNonZeroComponents) {
+  MemoryTracker tracker;
+  tracker.SetComponent(MemoryTracker::kPlis, 300);
+  tracker.SetComponent(MemoryTracker::kFdTree, 200);
+  tracker.SetComponent(MemoryTracker::kFdTree, 100);
+  RunReport report;
+  report.memory_components = {{"stale", 1}};
+  report.SetMemory(tracker);
+  EXPECT_EQ(report.peak_memory_bytes, tracker.peak_bytes());
+  EXPECT_EQ(report.peak_memory_bytes, 500u);
+  const std::vector<std::pair<std::string, size_t>> want = {
+      {MemoryTracker::ComponentName(MemoryTracker::kFdTree), 100},
+      {MemoryTracker::ComponentName(MemoryTracker::kPlis), 300}};
+  EXPECT_EQ(report.memory_components, want);
+}
+
 TEST(RunReportValidateTest, RejectsMalformedJson) {
   EXPECT_FALSE(RunReport::ValidateJsonSchema("{ not json").empty());
   EXPECT_FALSE(RunReport::ValidateJsonSchema("").empty());
@@ -145,8 +170,7 @@ TEST(RunReportValidateTest, ReportsEveryMissingRequiredField) {
   for (const char* field :
        {"schema_version", "algorithm", "dataset", "rows", "columns",
         "result_kind", "result_count", "total_seconds", "complete",
-        "degradation_reasons", "guardian", "pli_cache", "memory", "phases",
-        "counters"}) {
+        "degradation_reasons", "pli_cache", "memory", "phases", "counters"}) {
     auto problems = RunReport::ValidateJsonSchema(DropField(json, field));
     EXPECT_FALSE(problems.empty()) << "dropping " << field << " not detected";
   }
@@ -154,8 +178,8 @@ TEST(RunReportValidateTest, ReportsEveryMissingRequiredField) {
 
 TEST(RunReportValidateTest, ReportsMissingNestedField) {
   std::string json = FullyPopulatedReport().ToJson();
-  for (const char* field : {"pruned_lhs_cap", "give_ups", "overrun_bytes",
-                            "misses", "peak_bytes", "components"}) {
+  for (const char* field :
+       {"hits", "misses", "evictions", "peak_bytes", "components"}) {
     auto problems = RunReport::ValidateJsonSchema(DropField(json, field));
     EXPECT_FALSE(problems.empty()) << "dropping " << field << " not detected";
   }
@@ -174,20 +198,20 @@ TEST(RunReportValidateTest, RejectsWrongFieldType) {
 
 TEST(RunReportValidateTest, RejectsWrongSchemaVersion) {
   std::string json = FullyPopulatedReport().ToJson();
-  size_t pos = json.find("\"schema_version\": 2");
+  size_t pos = json.find("\"schema_version\": 3");
   ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, std::string("\"schema_version\": 2").size(),
-               "\"schema_version\": 3");
+  json.replace(pos, std::string("\"schema_version\": 3").size(),
+               "\"schema_version\": 4");
   EXPECT_FALSE(RunReport::ValidateJsonSchema(json).empty());
   EXPECT_FALSE(RunReport::FromJson(json).has_value());
 }
 
 TEST(RunReportValidateTest, RefusesAVersionOneDocumentByItsVersion) {
   // Version 1 carried pli_cache.external_rejected and rejection_reason. A v1
-  // document holds every v2 field, so its version is what refuses it.
+  // document holds every v3 field, so its version is what refuses it.
   std::string json = FullyPopulatedReport().ToJson();
-  const std::string v2 = "\"schema_version\": 2";
-  json.replace(json.find(v2), v2.size(), "\"schema_version\": 1");
+  const std::string v3 = "\"schema_version\": 3";
+  json.replace(json.find(v3), v3.size(), "\"schema_version\": 1");
   const std::string hits = "\"hits\":";
   json.insert(json.find(hits),
               "\"external_rejected\": false,\n    "
@@ -199,6 +223,27 @@ TEST(RunReportValidateTest, RefusesAVersionOneDocumentByItsVersion) {
   std::string error;
   EXPECT_FALSE(RunReport::FromJson(json, &error).has_value());
   EXPECT_EQ(error, "unsupported schema_version 1");
+}
+
+TEST(RunReportValidateTest, RefusesAVersionTwoDocumentByItsVersion) {
+  // Version 2 carried the guardian object, whose values are guardian.*
+  // counters since version 3. A v2 document holds every v3 field, so its
+  // version is what refuses it.
+  std::string json = FullyPopulatedReport().ToJson();
+  const std::string v3 = "\"schema_version\": 3";
+  json.replace(json.find(v3), v3.size(), "\"schema_version\": 2");
+  const std::string pli_cache = "  \"pli_cache\":";
+  json.insert(json.find(pli_cache),
+              "  \"guardian\": {\n    \"pruned_lhs_cap\": 3,\n"
+              "    \"prunes\": 2,\n    \"give_ups\": 1,\n"
+              "    \"overrun_bytes\": 4096\n  },\n");
+  ASSERT_TRUE(ParseJson(json).has_value()) << json;
+  std::vector<std::string> problems = RunReport::ValidateJsonSchema(json);
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems.front(), "unsupported schema_version 2");
+  std::string error;
+  EXPECT_FALSE(RunReport::FromJson(json, &error).has_value());
+  EXPECT_EQ(error, "unsupported schema_version 2");
 }
 
 TEST(JsonParserTest, ParsesEscapesAndStructure) {
@@ -363,7 +408,7 @@ TEST(RunReportSweepTest, HybridReportsSplitInductionFromSampling) {
   HyFd hyfd;
   hyfd.Discover(relation);
   ExpectHybridPhases(hyfd.report(), "hyfd");
-  EXPECT_GT(hyfd.stats().induction_seconds, 0.0);
+  EXPECT_GT(hyfd.report().PhaseSeconds("induction"), 0.0);
 
   HyUcc hyucc;
   hyucc.Discover(relation);

@@ -13,6 +13,7 @@
 #include "pli/compressed_records.h"
 #include "pli/pli_builder.h"
 #include "util/attribute_set.h"
+#include "util/run_report.h"
 
 namespace hyfd::testing {
 
@@ -56,6 +57,39 @@ inline void ExpectSameFds(const FDSet& expected, const FDSet& actual,
   }
   for (const FD& fd : actual) {
     if (!expected.Contains(fd)) message += "  unexpected: " + fd.ToString() + "\n";
+  }
+  ADD_FAILURE() << message;
+}
+
+/// EXPECT-style comparison of two runs' whole counter sets, names and
+/// values, except `validator.arena_bytes`: the high-water mark of the
+/// Validator's scratch, which follows how the thread count splits its work.
+/// Every other counter is part of the determinism contract.
+inline void ExpectSameCounters(const RunReport& expected,
+                               const RunReport& actual,
+                               const std::string& context) {
+  const auto comparable = [](const RunReport& report) {
+    std::vector<std::pair<std::string, uint64_t>> counters;
+    for (const auto& entry : report.counters) {
+      if (entry.first != "validator.arena_bytes") counters.push_back(entry);
+    }
+    return counters;
+  };
+  const auto want = comparable(expected);
+  const auto got = comparable(actual);
+  if (want == got) return;
+  std::string message = context + ": counters differ.\n";
+  for (const auto& [name, value] : want) {
+    const std::optional<uint64_t> other = actual.FindCounter(name);
+    if (other != value) {
+      message += "  " + name + ": " + std::to_string(value) + " vs " +
+                 (other ? std::to_string(*other) : "absent") + "\n";
+    }
+  }
+  for (const auto& [name, value] : got) {
+    if (!expected.FindCounter(name).has_value()) {
+      message += "  " + name + ": absent vs " + std::to_string(value) + "\n";
+    }
   }
   ADD_FAILURE() << message;
 }
