@@ -59,7 +59,7 @@ void FinishHybridReport(std::string algorithm, std::string result_kind,
                         RunReport* report) {
   report->algorithm = std::move(algorithm);
   report->rows = data.num_records;
-  report->columns = data.num_attributes;
+  report->columns = static_cast<int>(data.by_rank.size());
   report->result_kind = std::move(result_kind);
   report->result_count = result_count;
   report->total_seconds = total_seconds;

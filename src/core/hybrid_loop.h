@@ -58,7 +58,8 @@ HybridLoopResult RunHybridLoop(const PhaseOne& phase_one, Inductor* inductor,
                                RecordPairs first_pairs = {});
 
 /// Fills the report fields HyFd, IncrementalHyFd and HyUcc share — header
-/// and the merged registry. Call after every other field is set.
+/// and the merged registry. Call after every other field is set. `columns`
+/// counts the ranked attributes, so HyUcc's unranked key column stays out.
 void FinishHybridReport(std::string algorithm, std::string result_kind,
                         size_t result_count, const PreprocessedData& data,
                         double total_seconds, const MetricsRegistry& metrics,

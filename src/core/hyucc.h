@@ -16,8 +16,8 @@ struct HyUccConfig {
   NullSemantics null_semantics = NullSemantics::kNullEqualsNull;
   double efficiency_threshold = 0.01;
   SamplingStrategy sampling_strategy = SamplingStrategy::kClusterWindowing;
-  /// > 1 parallelizes Phase 1 (the shared Sampler) exactly as in HyFD;
-  /// results are bit-identical for any value.
+  /// > 1 parallelizes both phases (the Sampler and the Validator) exactly as
+  /// in HyFD; results and counters are bit-identical for any value.
   int num_threads = 1;
 };
 
@@ -26,11 +26,13 @@ struct HyUccConfig {
 /// architecture (Papenbrock & Naumann's HyUCC applies HyFD's hybrid strategy
 /// to UCCs; this is our implementation of that idea on the shared substrate).
 ///
-/// The Sampler's agree sets double as the UCC negative cover: a record pair
-/// agreeing on Y proves every X ⊆ Y non-unique. Phase 1 specializes the
-/// candidate set against sampled agree sets; Phase 2 validates candidates
-/// level-wise on the PLI-compressed records and feeds violating pairs back
-/// to the Sampler.
+/// A UCC is an FD onto a key column: X is unique iff X → K, where K holds a
+/// distinct value in every row. Discover() appends K to the preprocessed
+/// data as an empty, unranked PLI, seeds the candidate tree with ∅ → K and
+/// runs HyFD's own hybrid loop (RunHybridLoop: Sampler, Inductor, Validator)
+/// on it; the LHSs of the resulting FDs are the minimal UCCs. A record pair
+/// agreeing on Y proves every X ⊆ Y non-unique, which the Inductor's
+/// specialization of X → K carries out unchanged.
 class HyUcc {
  public:
   explicit HyUcc(HyUccConfig config = {}) : config_(config) {}
@@ -39,7 +41,8 @@ class HyUcc {
   std::vector<AttributeSet> Discover(const Relation& relation);
 
   /// Structured report of the last Discover() call: phase spans and
-  /// counters (hyucc.* and the Sampler's sampler.*, validator.levels).
+  /// counters (hyucc.*, sampler.*, inductor.* and validator.*). `columns`
+  /// counts the relation's columns; K is not among them.
   const RunReport& report() const { return report_; }
 
  private:

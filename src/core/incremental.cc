@@ -71,8 +71,7 @@ void IncrementalHyFd::Seed() {
   report_.AddPhase("preprocess", timer.ElapsedSeconds());
   tree_ = FDTree(relation_.num_columns());
   negative_cover_.clear();
-  // A fresh Inductor seeds the most general FDs ∅ → A on its first Update
-  // over the fresh tree.
+  // A fresh Inductor seeds the fresh tree with the most general FDs ∅ → A.
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
 
   // The hybrid loop of HyFd::Discover, minus the memory guardian (a pruned

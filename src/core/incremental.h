@@ -258,8 +258,8 @@ class IncrementalHyFd {
   PreprocessedData data_;
   FDTree tree_;
   FDSet fds_;
-  /// Persistent across batches: its initialized_ flag must survive so a
-  /// batch Update() never re-adds the most general FDs over a seeded tree.
+  /// Built over each fresh tree_, which its constructor seeds with the most
+  /// general FDs ∅ → A; persistent across the batches that follow.
   std::unique_ptr<Inductor> inductor_;
   std::unique_ptr<ThreadPool> pool_;
   /// The witnessed negative cover: every agree set ever observed, mapped to

@@ -6,13 +6,11 @@
 namespace hyfd {
 
 Inductor::Inductor(FDTree* tree, MetricsRegistry* metrics)
-    : tree_(tree), metrics_(metrics) {}
+    : tree_(tree), metrics_(metrics) {
+  if (tree_->CountFds() == 0) tree_->AddMostGeneralFds();
+}
 
 size_t Inductor::Update(std::vector<AttributeSet> new_non_fds) {
-  if (!initialized_) {
-    tree_->AddMostGeneralFds();
-    initialized_ = true;
-  }
   if (metrics_ != nullptr) {
     metrics_->GetCounter("inductor.updates")->Add(1);
     metrics_->GetCounter("inductor.non_fds_folded")->Add(new_non_fds.size());

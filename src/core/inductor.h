@@ -26,9 +26,10 @@ namespace hyfd {
 /// order, so the tree equals the one a per-RHS loop builds.
 class Inductor {
  public:
-  /// `tree` must outlive the Inductor; on first use it should be empty —
-  /// Update() initializes it with the most general FDs ∅ → A. A non-null
-  /// `metrics` registry receives per-update counters.
+  /// `tree` must outlive the Inductor. An empty tree is seeded here with the
+  /// most general FDs ∅ → A; a tree that already holds FDs is kept as the
+  /// caller seeded it (HyUcc's ∅ → K). A non-null `metrics` registry
+  /// receives per-update counters.
   explicit Inductor(FDTree* tree, MetricsRegistry* metrics = nullptr);
 
   /// Folds `new_non_fds` into the candidate tree. Sorting by descending
@@ -41,7 +42,6 @@ class Inductor {
  private:
   FDTree* tree_;
   MetricsRegistry* metrics_;
-  bool initialized_ = false;
 };
 
 }  // namespace hyfd

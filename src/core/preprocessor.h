@@ -19,7 +19,9 @@ struct PreprocessedData {
   /// Dictionary-compressed records (row-major cluster ids).
   CompressedRecords records;
   /// Attributes sorted by descending NumClusters() — by_rank[0] is the
-  /// attribute whose PLI has the most (hence smallest) clusters.
+  /// attribute whose PLI has the most (hence smallest) clusters. Covers the
+  /// attributes 0 .. by_rank.size() - 1 only: HyUcc appends an unranked key
+  /// column after them, which the Sampler never windows and no LHS holds.
   std::vector<int> by_rank;
   /// Inverse of by_rank: rank[attr] = position of attr in by_rank.
   std::vector<int> rank;

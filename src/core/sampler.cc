@@ -36,7 +36,7 @@ void Sampler::MatchPair(RecordId a, RecordId b,
 }
 
 void Sampler::SortClustersOfAttribute(int attr) {
-  const int m = data_->num_attributes;
+  const int m = static_cast<int>(data_->by_rank.size());
   // Sort each cluster of π_attr by the cluster ids of the neighbors in the
   // cluster-count ranking: the left neighbor has more (smaller) clusters —
   // a promising key — the right one breaks ties (paper Figure 3.1). Using
@@ -62,7 +62,7 @@ void Sampler::SortClustersOfAttribute(int attr) {
 }
 
 void Sampler::InitializeClusterSortings() {
-  const int m = data_->num_attributes;
+  const int m = static_cast<int>(data_->by_rank.size());
   sorted_clusters_.resize(static_cast<size_t>(m));
   efficiencies_.clear();
   if (pool_ != nullptr && m > 1) {
@@ -238,8 +238,8 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     initialized_ = true;
     if (strategy_ == SamplingStrategy::kClusterWindowing) {
       InitializeClusterSortings();
-      // Initial efficiency measurement: window 2 over every attribute.
-      const int m = data_->num_attributes;
+      // Initial efficiency measurement: window 2 over every ranked attribute.
+      const int m = static_cast<int>(data_->by_rank.size());
       efficiencies_.resize(static_cast<size_t>(m));
       for (int attr = 0; attr < m; ++attr) {
         auto& eff = efficiencies_[static_cast<size_t>(attr)];

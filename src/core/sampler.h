@@ -41,7 +41,8 @@ struct SampledNonFd {
 /// sliding ever larger windows over that attribute's PLI clusters (sorted by
 /// neighboring attributes' cluster ids), governed by a progressive
 /// efficiency ranking. Each call to Run() is one sampling phase; the
-/// efficiency threshold halves on every re-entry.
+/// efficiency threshold halves on every re-entry. Only the ranked attributes
+/// (PreprocessedData::by_rank) are windowed; agree sets span every column.
 ///
 /// With a ThreadPool attached, Phase 1 runs parallel end-to-end (paper
 /// §10.4): cluster sortings are built concurrently per attribute, each

@@ -46,6 +46,15 @@ TEST(HyUccTest, DegenerateInputs) {
   uccs = HyUccDiscover(single);
   ASSERT_EQ(uccs.size(), 1u);
   EXPECT_TRUE(uccs[0].Empty());
+
+  // Every column all-distinct: the Sampler finds no agree set, so only the
+  // Validator refutes ∅ and every singleton is a minimal UCC.
+  Relation distinct = Relation::FromStringRows(
+      Schema::Generic(3), {{"a", "b", "c"}, {"d", "e", "f"}, {"g", "h", "i"}});
+  uccs = HyUccDiscover(distinct);
+  EXPECT_EQ(uccs, (std::vector<AttributeSet>{
+                      AttributeSet(3, {0}), AttributeSet(3, {1}),
+                      AttributeSet(3, {2})}));
 }
 
 TEST(HyUccTest, NullSemantics) {

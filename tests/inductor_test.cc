@@ -79,13 +79,23 @@ TEST(InductorTest, UpdateReturnsTheConfirmedFdsItRemoved) {
 }
 
 TEST(InductorTest, InitializesWithMostGeneralFds) {
+  // An empty tree is seeded on construction, before any Update.
   FDTree tree(3);
   Inductor inductor(&tree);
-  inductor.Update({});
   EXPECT_EQ(tree.CountFds(), 3u);
   for (int rhs = 0; rhs < 3; ++rhs) {
     EXPECT_TRUE(tree.ContainsFd(AttributeSet(3), rhs));
   }
+  inductor.Update({});
+  EXPECT_EQ(tree.CountFds(), 3u);
+
+  // A tree the caller seeded (HyUcc's ∅ -> K onto a key column) is kept.
+  FDTree seeded(4);
+  seeded.AddFd(AttributeSet(4), 3);
+  Inductor keeps(&seeded);
+  keeps.Update({});
+  EXPECT_EQ(seeded.CountFds(), 1u);
+  EXPECT_TRUE(seeded.ContainsFd(AttributeSet(4), 3));
 }
 
 TEST(InductorTest, ResultCoversNoNonFd) {

@@ -249,18 +249,30 @@ TEST(ParallelDeterminismTest, WitnessesIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelDeterminismTest, HyUccIdenticalAcrossThreadCounts) {
-  Relation r = testing::RandomRelation(6, 200, /*seed=*/77, 3);
-  HyUcc baseline;
-  auto expected = baseline.Discover(r);
-
-  for (int threads : {2, 8}) {
-    HyUccConfig config;
-    config.num_threads = threads;
-    HyUcc parallel(config);
-    auto actual = parallel.Discover(r);
-    EXPECT_EQ(expected, actual) << threads << " threads";
-    testing::ExpectSameCounters(baseline.report(), parallel.report(),
-                                std::to_string(threads) + " threads");
+  // Both phases run on the pool: the Sampler's window runs and the
+  // Validator's refinement of X -> K.
+  std::vector<std::pair<std::string, Relation>> inputs;
+  inputs.emplace_back("random 6x200",
+                      testing::RandomRelation(6, 200, /*seed=*/77, 3));
+  for (const DatasetSpec& spec : PaperDatasets()) {
+    inputs.emplace_back(spec.name,
+                        MakeDataset(spec.name,
+                                    std::min<size_t>(spec.default_rows, 1000),
+                                    std::min(spec.columns, 10)));
+  }
+  for (const auto& [name, r] : inputs) {
+    HyUcc baseline;
+    auto expected = baseline.Discover(r);
+    for (int threads : {2, 4, 8}) {
+      HyUccConfig config;
+      config.num_threads = threads;
+      HyUcc parallel(config);
+      auto actual = parallel.Discover(r);
+      const std::string label = name + " @ " + std::to_string(threads) +
+                                " threads";
+      EXPECT_EQ(expected, actual) << label;
+      testing::ExpectSameCounters(baseline.report(), parallel.report(), label);
+    }
   }
 }
 

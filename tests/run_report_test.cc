@@ -377,6 +377,7 @@ TEST(RunReportSweepTest, HyUccEmitsValidReport) {
   const RunReport& report = algo.report();
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());
   EXPECT_EQ(report.algorithm, "hyucc");
+  EXPECT_EQ(report.columns, relation.num_columns());
   EXPECT_EQ(report.result_kind, "uccs");
   EXPECT_EQ(report.result_count, uccs.size());
   EXPECT_FALSE(report.phases.empty());
