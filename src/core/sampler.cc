@@ -1,6 +1,9 @@
 #include "core/sampler.h"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -15,6 +18,51 @@ constexpr size_t kMinParallelPairs = 2048;
 /// Pairs claimed per atomic fetch in a parallel window run.
 constexpr size_t kPairGrain = 512;
 
+/// Calls `fn` with std::integral_constant<size_t, 1> for one-word agree sets
+/// (at most 64 attributes), else with <size_t, 0>: the pair loop's word
+/// count then comes from the cover at run time.
+template <typename Fn>
+void WithWordCount(size_t num_words, Fn&& fn) {
+  if (num_words == 1) {
+    fn(std::integral_constant<size_t, 1>{});
+  } else {
+    fn(std::integral_constant<size_t, 0>{});
+  }
+}
+
+/// A cluster's records with their packed sort keys.
+using KeyedRecords = std::vector<std::pair<uint64_t, RecordId>>;
+
+/// Clusters smaller than this take std::sort: a radix pass costs 256
+/// buckets whatever the cluster size.
+constexpr size_t kMinRadixSort = 256;
+
+/// Sorts `keyed` by (key, record id). The records must arrive in ascending
+/// id order, as a PLI cluster holds them. Larger clusters take a stable LSD
+/// radix sort over only the key bytes that vary, which keeps equal keys in
+/// id order. Low-cardinality neighbours make most keys equal; there
+/// std::sort's compares mispredict, while a radix pass never branches on a
+/// key (two passes for neighbours of fewer than 255 clusters each).
+void SortByPackedKey(KeyedRecords* keyed, KeyedRecords* scratch) {
+  if (keyed->size() < kMinRadixSort) {
+    std::sort(keyed->begin(), keyed->end());
+    return;
+  }
+  uint64_t varying = 0;
+  for (const auto& entry : *keyed) varying |= entry.first ^ keyed->front().first;
+  scratch->resize(keyed->size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xff) == 0) continue;
+    std::array<size_t, 257> start{};
+    for (const auto& entry : *keyed) ++start[((entry.first >> shift) & 0xff) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    for (const auto& entry : *keyed) {
+      (*scratch)[start[(entry.first >> shift) & 0xff]++] = entry;
+    }
+    keyed->swap(*scratch);
+  }
+}
+
 }  // namespace
 
 Sampler::Sampler(const PreprocessedData* data, double efficiency_threshold,
@@ -24,15 +72,42 @@ Sampler::Sampler(const PreprocessedData* data, double efficiency_threshold,
       strategy_(strategy),
       threshold_(efficiency_threshold),
       pool_(pool),
-      metrics_(metrics) {}
+      metrics_(metrics),
+      non_fds_(AttributeSet(data->records.num_attributes()).num_words()) {}
 
-void Sampler::MatchPair(RecordId a, RecordId b,
-                        std::vector<SampledNonFd>* new_non_fds) {
-  ++total_comparisons_;
-  data_->records.MatchInto(a, b, &scratch_);
-  if (non_fds_.insert(scratch_).second) {
-    new_non_fds->push_back({scratch_, a, b});
+template <size_t kWords, typename PairAt, typename OnMiss>
+void Sampler::MatchPairs(size_t count, PairAt&& pair_at,
+                         OnMiss&& on_miss) const {
+  const CompressedRecords& records = data_->records;
+  uint64_t word = 0;
+  std::vector<uint64_t> wide(kWords == 0 ? non_fds_.num_words() : 0);
+  uint64_t* agree = kWords == 0 ? wide.data() : &word;
+  for (size_t k = 0; k < count; ++k) {
+    const auto [a, b] = pair_at(k);
+    records.AgreeWords(a, b, agree);
+    if (!non_fds_.Contains<kWords>(agree)) on_miss(agree, k, a, b);
   }
+}
+
+template <typename PairAt>
+void Sampler::MatchSerial(size_t count, PairAt&& pair_at,
+                          std::vector<SampledNonFd>* new_non_fds) {
+  total_comparisons_ += count;
+  WithWordCount(non_fds_.num_words(), [&](auto words) {
+    constexpr size_t kWords = decltype(words)::value;
+    MatchPairs<kWords>(
+        count, pair_at,
+        [&](const uint64_t* agree, size_t, RecordId a, RecordId b) {
+          non_fds_.Insert<kWords>(agree);
+          new_non_fds->push_back({ToAgreeSet(agree), a, b});
+        });
+  });
+}
+
+AttributeSet Sampler::ToAgreeSet(const uint64_t* words) const {
+  AttributeSet agree(data_->records.num_attributes());
+  std::copy_n(words, agree.num_words(), agree.MutableWords());
+  return agree;
 }
 
 void Sampler::SortClustersOfAttribute(int attr) {
@@ -46,17 +121,24 @@ void Sampler::SortClustersOfAttribute(int attr) {
   int p = data_->rank[static_cast<size_t>(attr)];
   int left = data_->by_rank[static_cast<size_t>((p + m - 1) % m)];
   int right = data_->by_rank[static_cast<size_t>((p + 1) % m)];
+  // The sort keys are packed as ((left + 1) << 32 | (right + 1), id): the
+  // +1 lifts kUniqueCluster (-1) to 0, so the unsigned order of the packed
+  // key is the order of the two signed cluster ids.
+  const CompressedRecords& records = data_->records;
   auto clusters = data_->plis[static_cast<size_t>(attr)].clusters();
+  KeyedRecords keyed;
+  KeyedRecords scratch;
   for (auto& cluster : clusters) {
-    std::sort(cluster.begin(), cluster.end(), [&](RecordId a, RecordId b) {
-      ClusterId la = data_->records.Cluster(a, left);
-      ClusterId lb = data_->records.Cluster(b, left);
-      if (la != lb) return la < lb;
-      ClusterId ra = data_->records.Cluster(a, right);
-      ClusterId rb = data_->records.Cluster(b, right);
-      if (ra != rb) return ra < rb;
-      return a < b;
-    });
+    HYFD_DCHECK(std::is_sorted(cluster.begin(), cluster.end()),
+                "Sampler: PLI cluster ids not ascending");
+    keyed.clear();
+    for (RecordId r : cluster) {
+      const uint64_t l = static_cast<uint32_t>(records.Cluster(r, left) + 1);
+      const uint64_t rr = static_cast<uint32_t>(records.Cluster(r, right) + 1);
+      keyed.emplace_back(l << 32 | rr, r);
+    }
+    SortByPackedKey(&keyed, &scratch);
+    for (size_t i = 0; i < cluster.size(); ++i) cluster[i] = keyed[i].second;
   }
   sorted_clusters_[static_cast<size_t>(attr)] = std::move(clusters);
 }
@@ -100,13 +182,18 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
     return;
   }
 
+  // Pair i of a cluster: the window's first and last record.
+  const auto window_pair = [w](const std::vector<RecordId>& cluster, size_t i) {
+    return std::make_pair(cluster[i], cluster[i + w - 1]);
+  };
+
   if (pool_ == nullptr || total_pairs < kMinParallelPairs) {
     const size_t new_before = new_non_fds->size();
     for (uint32_t c : eligible) {
       const auto& cluster = clusters[c];
-      for (size_t i = 0; i + w - 1 < cluster.size(); ++i) {
-        MatchPair(cluster[i], cluster[i + w - 1], new_non_fds);
-      }
+      MatchSerial(cluster.size() - w + 1,
+                  [&](size_t i) { return window_pair(cluster, i); },
+                  new_non_fds);
     }
     eff->comps += total_pairs;
     eff->results += new_non_fds->size() - new_before;
@@ -116,64 +203,58 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
   first_pair.push_back(total_pairs);
 
   // Parallel path: nothing writes the negative cover while the pool runs,
-  // so workers probe it with a plain lock-free find. An agree set the cover
-  // lacks goes into the worker's own fresh map, which keeps the smallest
-  // global pair index per set — the pair the serial path matches first.
+  // so workers probe it without locks. An agree set the cover lacks goes
+  // into the worker's own fresh map, which keeps the smallest global pair
+  // index per set — the pair the serial path matches first.
   struct Witness {
     size_t pair;
     RecordId a;
     RecordId b;
   };
   using FreshMap = std::unordered_map<AttributeSet, Witness>;
-  auto keep_first = [](FreshMap* fresh, const AttributeSet& agree,
+  auto keep_first = [](FreshMap* fresh, AttributeSet agree,
                        const Witness& found) {
-    auto [it, inserted] = fresh->try_emplace(agree, found);
+    auto [it, inserted] = fresh->try_emplace(std::move(agree), found);
     if (!inserted && found.pair < it->second.pair) it->second = found;
   };
-  struct WorkerState {
-    FreshMap fresh;
-    AttributeSet scratch;
-  };
-  std::vector<WorkerState> workers(pool_->num_threads());
-  const std::unordered_set<AttributeSet>& cover = non_fds_;
-  pool_->ParallelForRanges(
-      total_pairs, kPairGrain, [&](size_t begin, size_t end) {
-        const int wid = ThreadPool::CurrentWorkerIndex();
-        HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
-        WorkerState& state = workers[static_cast<size_t>(wid)];
-        size_t k = static_cast<size_t>(
-                       std::upper_bound(first_pair.begin(), first_pair.end(),
-                                        begin) -
-                       first_pair.begin()) -
-                   1;
-        size_t p = begin;
-        while (p < end) {
-          const auto& cluster = clusters[eligible[k]];
-          const size_t stop = std::min(end, first_pair[k + 1]);
-          size_t i = p - first_pair[k];
-          for (; p < stop; ++p, ++i) {
-            data_->records.MatchInto(cluster[i], cluster[i + w - 1],
-                                     &state.scratch);
-            if (cover.find(state.scratch) != cover.end()) continue;
-            keep_first(&state.fresh, state.scratch,
-                       {p, cluster[i], cluster[i + w - 1]});
+  std::vector<FreshMap> fresh(pool_->num_threads());
+  WithWordCount(non_fds_.num_words(), [&](auto words) {
+    constexpr size_t kWords = decltype(words)::value;
+    pool_->ParallelForRanges(
+        total_pairs, kPairGrain, [&](size_t begin, size_t end) {
+          const int wid = ThreadPool::CurrentWorkerIndex();
+          HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
+          FreshMap* mine = &fresh[static_cast<size_t>(wid)];
+          size_t k = static_cast<size_t>(
+                         std::upper_bound(first_pair.begin(),
+                                          first_pair.end(), begin) -
+                         first_pair.begin()) -
+                     1;
+          for (size_t p = begin; p < end; ++k) {
+            const auto& cluster = clusters[eligible[k]];
+            const size_t offset = p - first_pair[k];
+            const size_t stop = std::min(end, first_pair[k + 1]);
+            MatchPairs<kWords>(
+                stop - p,
+                [&](size_t j) { return window_pair(cluster, offset + j); },
+                [&](const uint64_t* agree, size_t j, RecordId a, RecordId b) {
+                  keep_first(mine, ToAgreeSet(agree), {p + j, a, b});
+                });
+            p = stop;
           }
-          ++k;
-        }
-      });
+        });
+  });
 
   // Merge on the calling thread: union the fresh maps (smallest pair index
   // wins), then publish the union into the cover. Comparison and result
   // counts equal the serial path's; the batch is canonically re-sorted in
   // Run().
-  FreshMap& merged = workers[0].fresh;
-  for (size_t t = 1; t < workers.size(); ++t) {
-    for (const auto& [agree, found] : workers[t].fresh) {
-      keep_first(&merged, agree, found);
-    }
+  FreshMap& merged = fresh[0];
+  for (size_t t = 1; t < fresh.size(); ++t) {
+    for (auto& [agree, found] : fresh[t]) keep_first(&merged, agree, found);
   }
   for (const auto& [agree, found] : merged) {
-    non_fds_.insert(agree);
+    non_fds_.Insert(agree.Words());
     new_non_fds->push_back({agree, found.a, found.b});
   }
   total_comparisons_ += total_pairs;
@@ -199,15 +280,17 @@ void Sampler::RunRandom(std::vector<SampledNonFd>* new_non_fds) {
   if (n < 2) return;
   constexpr size_t kBatch = 1000;
   std::uniform_int_distribution<RecordId> pick(0, static_cast<RecordId>(n - 1));
+  std::vector<std::pair<RecordId, RecordId>> batch;
   while (true) {
     size_t new_before = new_non_fds->size();
     size_t comps_before = total_comparisons_;
+    batch.clear();
     for (size_t i = 0; i < kBatch; ++i) {
       RecordId a = pick(rng_);
       RecordId b = pick(rng_);
-      if (a == b) continue;
-      MatchPair(a, b, new_non_fds);
+      if (a != b) batch.emplace_back(a, b);
     }
+    MatchSerial(batch.size(), [&](size_t k) { return batch[k]; }, new_non_fds);
     // Efficiency over the comparisons actually performed: a == b draws are
     // skipped above, and on small relations they are a sizable share of the
     // batch — dividing by kBatch would deflate the ratio and terminate
@@ -257,7 +340,8 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     metrics_->GetCounter("sampler.phases")->Add(1);
     metrics_->GetCounter("sampler.suggestions_replayed")->Add(suggestions.size());
   }
-  for (const auto& [a, b] : suggestions) MatchPair(a, b, &new_non_fds);
+  MatchSerial(suggestions.size(), [&](size_t k) { return suggestions[k]; },
+              &new_non_fds);
 
   if (strategy_ == SamplingStrategy::kClusterWindowing) {
     RunProgressive(&new_non_fds);
@@ -280,13 +364,6 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
               return a.agree < b.agree;
             });
   return new_non_fds;
-}
-
-size_t Sampler::NegativeCoverBytes() const {
-  const size_t per_set =
-      sizeof(AttributeSet) + AttributeSet(data_->num_attributes).MemoryBytes();
-  // Rough accounting of the hash-set buckets.
-  return non_fds_.size() * per_set + non_fds_.bucket_count() * sizeof(void*);
 }
 
 }  // namespace hyfd

@@ -3,12 +3,12 @@
 
 #include <cstdint>
 #include <random>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/preprocessor.h"
 #include "util/attribute_set.h"
+#include "util/flat_word_set.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -44,6 +44,12 @@ struct SampledNonFd {
 /// efficiency threshold halves on every re-entry. Only the ranked attributes
 /// (PreprocessedData::by_rank) are windowed; agree sets span every column.
 ///
+/// Every pair — window runs, replayed suggestions, random pairs — goes
+/// through one pair loop: the agree set is computed as raw words
+/// (CompressedRecords::AgreeWords) and probed in the negative cover, a flat
+/// table keyed by those words (FlatWordSet). Only a pair whose agree set the
+/// cover lacks builds an AttributeSet.
+///
 /// With a ThreadPool attached, Phase 1 runs parallel end-to-end (paper
 /// §10.4): cluster sortings are built concurrently per attribute, each
 /// window run partitions its pair space across workers. During a window run
@@ -51,8 +57,9 @@ struct SampledNonFd {
 /// collect unknown agree sets in their own fresh maps; the calling thread
 /// merges those into the cover once the run returns. The result is
 /// deterministic: the returned non-FD batch (canonically sorted) and its
-/// witnesses, total_comparisons(), num_non_fds(), and every per-window
-/// efficiency value are bit-identical for any thread count, including none.
+/// witnesses, total_comparisons(), num_non_fds(), NegativeCoverBytes() and
+/// every per-window efficiency value are bit-identical for any thread
+/// count, including none.
 class Sampler {
  public:
   /// A non-null `metrics` registry receives window/phase counters — updated
@@ -80,9 +87,10 @@ class Sampler {
   size_t num_non_fds() const { return non_fds_.size(); }
   double current_threshold() const { return threshold_; }
 
-  /// Bytes held by the negative cover (Table 3 accounting). Constant time:
-  /// every agree set spans all attributes, so all elements cost the same.
-  size_t NegativeCoverBytes() const;
+  /// Bytes allocated by the negative cover (Table 3 accounting): its slots'
+  /// key words and occupancy bytes. Constant time; moves only when the
+  /// table rehashes.
+  size_t NegativeCoverBytes() const { return non_fds_.MemoryBytes(); }
 
  private:
   struct Efficiency {
@@ -99,8 +107,21 @@ class Sampler {
     }
   };
 
-  /// Compares records `a`,`b`; records a new non-FD if the agree set is new.
-  void MatchPair(RecordId a, RecordId b, std::vector<SampledNonFd>* new_non_fds);
+  /// The pair loop: matches the `count` pairs `pair_at(k)`, k < count,
+  /// against the negative cover with `kWords`-word agree sets (0: the
+  /// record width's word count, read at run time) and calls
+  /// `on_miss(words, k, a, b)` for each pair whose agree set the cover lacks.
+  template <size_t kWords, typename PairAt, typename OnMiss>
+  void MatchPairs(size_t count, PairAt&& pair_at, OnMiss&& on_miss) const;
+
+  /// The serial form of the pair loop: each new agree set goes into the
+  /// cover at once and into `new_non_fds` with its pair.
+  template <typename PairAt>
+  void MatchSerial(size_t count, PairAt&& pair_at,
+                   std::vector<SampledNonFd>* new_non_fds);
+
+  /// The agree set whose raw words are `words`.
+  AttributeSet ToAgreeSet(const uint64_t* words) const;
 
   /// Slides the current window of `eff` over its attribute's sorted clusters
   /// (Algorithm 2, runWindow), across the pool when one is attached.
@@ -118,16 +139,14 @@ class Sampler {
   MetricsRegistry* metrics_;
   bool initialized_ = false;
 
-  /// The negative cover. Written only by the calling thread, never during a
-  /// parallel window run.
-  std::unordered_set<AttributeSet> non_fds_;
+  /// The negative cover, keyed by agree-set words. Written only by the
+  /// calling thread, never during a parallel window run.
+  FlatWordSet non_fds_;
   /// Per attribute: that PLI's clusters with records sorted by the
   /// neighbor-attribute keys (paper Figure 3.1).
   std::vector<std::vector<std::vector<RecordId>>> sorted_clusters_;
   std::vector<Efficiency> efficiencies_;
   size_t total_comparisons_ = 0;
-  /// Reusable agree-set buffer for the serial MatchPair path.
-  AttributeSet scratch_;
   std::mt19937_64 rng_{0x5eed5eedULL};
 };
 

@@ -71,37 +71,4 @@ AttributeSet CompressedRecords::Match(RecordId a, RecordId b) const {
   return agree;
 }
 
-void CompressedRecords::MatchInto(RecordId a, RecordId b,
-                                  AttributeSet* agree) const {
-  if (agree->size() != num_attributes_) *agree = AttributeSet(num_attributes_);
-  const ClusterId* ra = Record(a);
-  const ClusterId* rb = Record(b);
-  const size_t num_full = static_cast<size_t>(num_attributes_) / 64;
-  // Full 64-attribute blocks: accumulate one agreement word branchlessly.
-  // Two kUniqueCluster entries never match (distinct values by definition).
-  for (size_t w = 0; w < num_full; ++w) {
-    const ClusterId* pa = ra + w * 64;
-    const ClusterId* pb = rb + w * 64;
-    uint64_t word = 0;
-    for (int k = 0; k < 64; ++k) {
-      const uint64_t bit = static_cast<uint64_t>(pa[k] == pb[k]) &
-                           static_cast<uint64_t>(pa[k] != kUniqueCluster);
-      word |= bit << k;
-    }
-    agree->SetWord(w, word);
-  }
-  const int tail = num_attributes_ & 63;
-  if (tail != 0) {
-    const ClusterId* pa = ra + num_full * 64;
-    const ClusterId* pb = rb + num_full * 64;
-    uint64_t word = 0;
-    for (int k = 0; k < tail; ++k) {
-      const uint64_t bit = static_cast<uint64_t>(pa[k] == pb[k]) &
-                           static_cast<uint64_t>(pa[k] != kUniqueCluster);
-      word |= bit << k;
-    }
-    agree->SetWord(num_full, word);
-  }
-}
-
 }  // namespace hyfd

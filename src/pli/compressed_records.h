@@ -1,13 +1,46 @@
 #ifndef HYFD_PLI_COMPRESSED_RECORDS_H_
 #define HYFD_PLI_COMPRESSED_RECORDS_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "pli/pli.h"
 #include "util/attribute_set.h"
 
 namespace hyfd {
+
+/// The agree-word kernel, the paper's match() on at most 64 attributes: bit
+/// k of the result is set iff `pa[k] == pb[k]` and the id is not
+/// kUniqueCluster (two unique cells are distinct values by definition). On
+/// x86-64 SSE2 compares four cluster ids per step and packs the lane masks
+/// with movemask; the scalar loop finishes the tail and is the whole kernel
+/// on other targets. Bits at positions >= n stay zero.
+inline uint64_t AgreeWord(const ClusterId* pa, const ClusterId* pb, int n) {
+  uint64_t word = 0;
+  int k = 0;
+#if defined(__SSE2__)
+  const __m128i unique = _mm_set1_epi32(kUniqueCluster);
+  for (; k + 4 <= n; k += 4) {
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pa + k));
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pb + k));
+    const __m128i agree =
+        _mm_andnot_si128(_mm_cmpeq_epi32(a, unique), _mm_cmpeq_epi32(a, b));
+    word |= static_cast<uint64_t>(_mm_movemask_ps(_mm_castsi128_ps(agree)))
+            << k;
+  }
+#endif
+  for (; k < n; ++k) {
+    word |= static_cast<uint64_t>((pa[k] == pb[k]) & (pa[k] != kUniqueCluster))
+            << k;
+  }
+  return word;
+}
 
 /// The paper's `pliRecords`: every record dictionary-compressed to the array
 /// of its cluster ids, one per attribute (paper §5). Records that are unique
@@ -40,12 +73,26 @@ class CompressedRecords {
   /// cluster id.
   AttributeSet Match(RecordId a, RecordId b) const;
 
-  /// Match() into a caller-owned bitset: compares 64 attributes' cluster ids
-  /// into one agreement word written directly into the AttributeSet's
-  /// backing words (no per-pair allocation — the Sampler reuses one scratch
-  /// set per worker across millions of pairs). `agree` is resized on shape
-  /// mismatch; every word is overwritten, so no Clear() is needed.
-  void MatchInto(RecordId a, RecordId b, AttributeSet* agree) const;
+  /// Match() into a caller-owned bitset (no per-pair allocation). `agree`
+  /// is resized on shape mismatch; every word is overwritten, so no Clear()
+  /// is needed.
+  void MatchInto(RecordId a, RecordId b, AttributeSet* agree) const {
+    if (agree->size() != num_attributes_) *agree = AttributeSet(num_attributes_);
+    AgreeWords(a, b, agree->MutableWords());
+  }
+
+  /// The agree set of records `a`, `b` as raw AttributeSet words: writes
+  /// ceil(num_attributes() / 64) words to `out`, one AgreeWord() per word,
+  /// with the bits past num_attributes() zero. The Sampler's pair loop keys
+  /// its negative cover on these words directly.
+  void AgreeWords(RecordId a, RecordId b, uint64_t* out) const {
+    const ClusterId* ra = Record(a);
+    const ClusterId* rb = Record(b);
+    for (int base = 0; base < num_attributes_; base += 64) {
+      *out++ = AgreeWord(ra + base, rb + base,
+                         std::min(64, num_attributes_ - base));
+    }
+  }
 
   /// Grows the matrix to `new_num_records` rows, every new cell initialised
   /// to kUniqueCluster (IncrementalHyFd::ApplyBatch then stamps cluster ids

@@ -106,8 +106,7 @@ class AttributeSet {
 
   /// Overwrites word `w` wholesale. Bits at positions >= size() in the last
   /// word are masked off, preserving the invariant that unused tail bits are
-  /// zero (Hash(), operator== and Count() rely on it). This is the word-level
-  /// write path of CompressedRecords::MatchInto.
+  /// zero (Hash(), operator== and Count() rely on it).
   void SetWord(size_t w, uint64_t value) {
     HYFD_DCHECK(w < num_words(), "AttributeSet::SetWord out of range");
     if (w + 1 == num_words()) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +22,8 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/check.h"
+#include "util/metrics.h"
+#include "util/run_report.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
@@ -116,6 +120,7 @@ struct SamplerTrace {
   size_t comparisons = 0;
   size_t non_fds = 0;
   size_t cover_bytes = 0;
+  RunReport counters;  ///< the sampler.* counters of its registry
 };
 
 /// Runs one Sampler for `suggestions.size()` phases on `threads` workers (no
@@ -129,8 +134,9 @@ SamplerTrace TraceSampler(
   if (threads > 1) {
     pool = std::make_unique<ThreadPool>(static_cast<size_t>(threads));
   }
+  MetricsRegistry metrics;
   Sampler sampler(&data, threshold, SamplingStrategy::kClusterWindowing,
-                  pool.get());
+                  pool.get(), &metrics);
   SamplerTrace trace;
   for (const auto& phase : suggestions) {
     trace.phases.push_back(sampler.RunWithWitnesses(phase));
@@ -138,6 +144,7 @@ SamplerTrace TraceSampler(
   trace.comparisons = sampler.total_comparisons();
   trace.non_fds = sampler.num_non_fds();
   trace.cover_bytes = sampler.NegativeCoverBytes();
+  trace.counters.MergeMetrics(metrics);
   return trace;
 }
 
@@ -146,6 +153,7 @@ void ExpectSameTrace(const SamplerTrace& expected, const SamplerTrace& actual,
   EXPECT_EQ(expected.comparisons, actual.comparisons) << label;
   EXPECT_EQ(expected.non_fds, actual.non_fds) << label;
   EXPECT_EQ(expected.cover_bytes, actual.cover_bytes) << label;
+  testing::ExpectSameCounters(expected.counters, actual.counters, label);
   ASSERT_EQ(expected.phases.size(), actual.phases.size()) << label;
   for (size_t p = 0; p < expected.phases.size(); ++p) {
     const auto& want = expected.phases[p];
@@ -174,6 +182,51 @@ TEST(ParallelStressTest, SharedFreshAndKnownAgreeSetsMatchSerial) {
   for (int round = 0; round < 3; ++round) {
     ExpectSameTrace(serial, TraceSampler(data, 0.01, 8, suggestions),
                     "8 threads, round " + std::to_string(round));
+  }
+}
+
+/// `rows` rows, each a copy of one of 24 template rows over `cols` columns
+/// (values from a domain of 3), in which each column at a word seam (0, 62, 63, 64, 127,
+/// 128 and the last) holds a row-unique value with probability 1/3. Agree
+/// sets repeat often, and their bits at the seams vary.
+Relation SeamRelation(int cols, size_t rows, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<std::optional<std::string>>> templates(24);
+  for (auto& t : templates) {
+    for (int c = 0; c < cols; ++c) t.push_back("v" + std::to_string(rng() % 3));
+  }
+  std::vector<int> seams;
+  for (int c : {0, 62, 63, 64, 127, 128, cols - 1}) {
+    if (c < cols) seams.push_back(c);
+  }
+  Relation r{Schema::Generic(cols)};
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<std::optional<std::string>> row =
+        templates[rng() % templates.size()];
+    for (int c : seams) {
+      if (rng() % 3 == 0) row[static_cast<size_t>(c)] = "u" + std::to_string(i);
+    }
+    r.AppendRow(row);
+  }
+  return r;
+}
+
+TEST(ParallelDeterminismTest, WordSeamWidthsIdenticalAcrossThreadCounts) {
+  // Agree sets of 63, 64, 65 and 129 attributes: one word with a tail, one
+  // full word, and the first multi-word widths, inline and on the heap.
+  // 3000 rows make every window run parallel at 4 threads. Batches,
+  // witnesses, cover bytes and every sampler.* counter must equal the
+  // serial run's.
+  const std::vector<std::vector<std::pair<RecordId, RecordId>>> phases = {
+      {}, {{0, 1}, {2, 3}}, {{4, 5}}};
+  for (int cols : {63, 64, 65, 129}) {
+    PreprocessedData data =
+        Preprocess(SeamRelation(cols, 3000, static_cast<uint64_t>(cols)));
+    SamplerTrace serial = TraceSampler(data, 0.01, 1, phases);
+    ASSERT_FALSE(serial.phases.front().empty()) << cols;
+    ASSERT_EQ(serial.phases.front().front().agree.size(), cols);
+    ExpectSameTrace(serial, TraceSampler(data, 0.01, 4, phases),
+                    std::to_string(cols) + " columns @ 4 threads");
   }
 }
 

@@ -1,6 +1,9 @@
 #include "pli/pli.h"
 
 #include <optional>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "data/generators.h"
 #include "data/relation.h"
@@ -147,17 +150,35 @@ TEST(CompressedRecordsTest, UniqueValuesNeverMatch) {
 }
 
 TEST(CompressedRecordsTest, MatchIntoMatchesBitwiseOracle) {
-  // Differential test of the word-level kernel against a per-bit oracle,
-  // covering one word exactly (64), sub-word (3, 8), and multi-word with
-  // tails (70, 130) shapes. The scratch set is reused across pairs to
-  // exercise stale-word overwrite (MatchInto must not rely on Clear()).
-  for (int cols : {3, 8, 64, 70, 130}) {
-    Relation r = testing::RandomRelation(cols, 40, /*seed=*/cols, 3);
+  // Differential test of the agree-word kernel against a per-bit oracle at
+  // every width from 1 to 200: every SSE2 lane tail and the word seams
+  // 63/64/65 and 127/128/129. About a third of the cells hold a value no
+  // other row has (kUniqueCluster); rows 0 and 1 are identical and hold no
+  // unique cell, so they agree everywhere (the all-ones word at width 64).
+  // The scratch set is reused across pairs and widths to exercise
+  // stale-word overwrite (MatchInto must not rely on Clear()).
+  constexpr size_t kRows = 24;
+  std::mt19937_64 rng(7);
+  AttributeSet scratch;
+  for (int cols = 1; cols <= 200; ++cols) {
+    Relation r{Schema::Generic(cols)};
+    std::vector<std::optional<std::string>> row(static_cast<size_t>(cols));
+    for (size_t i = 0; i < kRows; ++i) {
+      for (int c = 0; c < cols; ++c) {
+        const uint64_t draw = rng() % 6;
+        row[static_cast<size_t>(c)] =
+            i < 2 ? "same" + std::to_string(c)
+            : draw < 2 ? "unique" + std::to_string(i)
+                       : "v" + std::to_string(draw);
+      }
+      r.AppendRow(row);
+    }
     auto plis = BuildAllColumnPlis(r);
     CompressedRecords records(plis, r.num_rows());
-    AttributeSet scratch;
-    for (RecordId a = 0; a < 40; a += 7) {
-      for (RecordId b = a + 1; b < 40; b += 5) {
+    ASSERT_EQ(records.Match(0, 1), AttributeSet::Full(cols)) << cols;
+    std::vector<uint64_t> words;
+    for (RecordId a = 0; a < kRows; ++a) {
+      for (RecordId b = a + 1; b < kRows; ++b) {
         AttributeSet oracle(cols);
         for (int i = 0; i < cols; ++i) {
           if (records.Cluster(a, i) != kUniqueCluster &&
@@ -171,6 +192,12 @@ TEST(CompressedRecordsTest, MatchIntoMatchesBitwiseOracle) {
         EXPECT_EQ(scratch, oracle)
             << "cols=" << cols << " a=" << a << " b=" << b;
         EXPECT_EQ(scratch.Hash(), oracle.Hash());
+        words.assign(oracle.num_words(), ~uint64_t{0});
+        records.AgreeWords(a, b, words.data());
+        for (size_t w = 0; w < oracle.num_words(); ++w) {
+          EXPECT_EQ(words[w], oracle.Word(w))
+              << "cols=" << cols << " word " << w;
+        }
       }
     }
   }

@@ -1,8 +1,11 @@
 #include "core/sampler.h"
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/preprocessor.h"
@@ -11,6 +14,8 @@
 #include "fd/reference.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/flat_word_set.h"
+#include "util/thread_pool.h"
 
 namespace hyfd {
 namespace {
@@ -151,29 +156,116 @@ TEST(SamplerTest, NoViolationsOnUniqueData) {
   EXPECT_EQ(sampler.total_comparisons(), 0u);
 }
 
-TEST(SamplerTest, NegativeCoverBytesEqualsPerElementWalk) {
-  // Every agree set the cover holds was returned by some Run(), so a mirror
-  // set built from the batches has the same elements and — inserted one new
-  // element at a time, like the cover — the same bucket count. Walking the
-  // mirror element by element must give the constant-time figure. The
-  // registry's natural widths include multi-word agree sets (uniprot).
+/// The cover's allocation after `n` one-at-a-time inserts of `words`-word
+/// keys: no slots while empty, else the smallest power of two >= 16 that is
+/// at least twice `n`, each slot one key plus one occupancy byte.
+size_t ExpectedCoverBytes(size_t n, size_t words) {
+  if (n == 0) return 0;
+  size_t slots = 16;
+  while (slots < 2 * n) slots *= 2;
+  return slots * (words * sizeof(uint64_t) + 1);
+}
+
+TEST(SamplerTest, NegativeCoverBytesEqualsTableSlots) {
+  // The figure is the flat table's slot and occupancy bytes, derived here
+  // from the agree-set count alone, so it moves only when the table
+  // rehashes, and it is the same at 1 and 4 threads. The registry's natural
+  // widths include multi-word agree sets (uniprot); the duplicate-heavy
+  // fd-reduced input makes the window runs parallel.
+  std::vector<std::pair<std::string, Relation>> inputs;
   for (const DatasetSpec& spec : PaperDatasets()) {
-    Relation r =
-        MakeDataset(spec.name, std::min<size_t>(spec.default_rows, 200));
-    PreprocessedData data = Preprocess(r);
-    Sampler sampler(&data, 0.01);
-    std::unordered_set<AttributeSet> mirror;
+    inputs.emplace_back(spec.name,
+                        MakeDataset(spec.name,
+                                    std::min<size_t>(spec.default_rows, 200)));
+  }
+  inputs.emplace_back("fd-reduced", GenerateFdReduced(5000, 8, 4, /*seed=*/3));
+  ThreadPool pool(4);
+  for (const auto& [name, relation] : inputs) {
+    PreprocessedData data = Preprocess(relation);
+    const size_t words = AttributeSet(data.num_attributes).num_words();
+    Sampler serial(&data, 0.01);
+    Sampler parallel(&data, 0.01, SamplingStrategy::kClusterWindowing, &pool);
+    EXPECT_EQ(serial.NegativeCoverBytes(), 0u) << name;
     for (int phase = 0; phase < 3; ++phase) {
-      for (AttributeSet& agree : sampler.Run({})) {
-        mirror.insert(std::move(agree));
+      const std::vector<std::pair<RecordId, RecordId>> suggestions = {
+          {0, static_cast<RecordId>(phase + 1)}};
+      serial.Run(suggestions);
+      parallel.Run(suggestions);
+      ASSERT_EQ(serial.num_non_fds(), parallel.num_non_fds()) << name;
+      EXPECT_EQ(serial.NegativeCoverBytes(),
+                ExpectedCoverBytes(serial.num_non_fds(), words))
+          << name << ", phase " << phase;
+      EXPECT_EQ(parallel.NegativeCoverBytes(), serial.NegativeCoverBytes())
+          << name << ", phase " << phase;
+    }
+  }
+}
+
+TEST(FlatWordSetTest, MatchesUnorderedSetMirrorAcrossRehashes) {
+  // Random inserts and probes against a std::unordered_set mirror, through
+  // rehashes from 16 up to 8192 slots. The keys include the empty set (the
+  // word 0), the full set (the all-ones word at width 64), sparse sets,
+  // small counters (whose low bits alone differ) and dense random words;
+  // widths 65-200 give multi-word keys. Narrow keys also take the
+  // compile-time one-word probes the Sampler uses.
+  for (int width : {1, 7, 12, 63, 64, 65, 100, 128, 129, 200}) {
+    std::mt19937_64 rng(static_cast<uint64_t>(width));
+    std::vector<AttributeSet> pool = {AttributeSet(width),
+                                      AttributeSet::Full(width)};
+    while (pool.size() < 6000) {
+      AttributeSet key(width);
+      switch (pool.size() % 3) {
+        case 0:
+          for (int b = 0; b < 3; ++b) key.Set(static_cast<int>(rng() % width));
+          break;
+        case 1:
+          key.SetWord(rng() % key.num_words(), pool.size());
+          break;
+        default:
+          for (size_t w = 0; w < key.num_words(); ++w) key.SetWord(w, rng());
+          break;
       }
-      size_t walked = mirror.bucket_count() * sizeof(void*);
-      for (const AttributeSet& s : mirror) {
-        walked += sizeof(AttributeSet) + s.MemoryBytes();
+      pool.push_back(std::move(key));
+    }
+    FlatWordSet set(AttributeSet(width).num_words());
+    std::unordered_set<AttributeSet> mirror;
+    const size_t slot_bytes = set.num_words() * sizeof(uint64_t) + 1;
+    const bool one_word = set.num_words() == 1;
+    EXPECT_EQ(set.MemoryBytes(), 0u);
+    int rehashes = 0;
+    for (int op = 0; op < 12000; ++op) {
+      const AttributeSet& key = pool[rng() % pool.size()];
+      const bool compile_time = one_word && rng() % 2 == 0;
+      const size_t before = set.capacity();
+      const bool present = mirror.count(key) != 0;
+      ASSERT_EQ(compile_time ? set.Contains<1>(key.Words())
+                             : set.Contains(key.Words()),
+                present)
+          << "width " << width << ", op " << op;
+      if (rng() % 2 == 0) {
+        const bool inserted = compile_time ? set.Insert<1>(key.Words())
+                                           : set.Insert(key.Words());
+        ASSERT_EQ(inserted, mirror.insert(key).second)
+            << "width " << width << ", op " << op;
       }
-      ASSERT_EQ(mirror.size(), sampler.num_non_fds()) << spec.name;
-      EXPECT_EQ(sampler.NegativeCoverBytes(), walked)
-          << spec.name << ", phase " << phase;
+      ASSERT_EQ(set.size(), mirror.size());
+      const size_t slots = set.capacity();
+      EXPECT_EQ(set.MemoryBytes(), slots * slot_bytes);
+      EXPECT_LE(2 * set.size(), slots);
+      EXPECT_EQ(slots & (slots - 1), 0u) << "not a power of two: " << slots;
+      if (slots != before) {
+        // A rehash: only an insert that pushed the load past one half.
+        EXPECT_GT(2 * set.size(), before) << "width " << width;
+        EXPECT_EQ(slots, before == 0 ? 16 : 2 * before);
+        ++rehashes;
+      }
+    }
+    if (width >= 12) {
+      EXPECT_GE(rehashes, 8) << "width " << width;
+    }
+    for (const AttributeSet& key : pool) {
+      EXPECT_EQ(set.Contains(key.Words()), mirror.count(key) != 0)
+          << "width " << width << ", key " << key.ToString();
     }
   }
 }
