@@ -41,25 +41,12 @@ IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
         "incremental.fds_revalidated",
         "incremental.generalization_candidates",
         "incremental.fds_generalized", "incremental.validations",
-        "incremental.comparisons", "incremental.phase_switches",
-        "incremental.reseeded"}) {
+        "incremental.comparisons", "incremental.phase_switches"}) {
     metrics_.GetCounter(name);
   }
   StartReport();
   Seed();
   FillReport(total_timer.ElapsedSeconds());
-}
-
-void IncrementalHyFd::Reseed() {
-  if (num_live_rows_ != relation_.num_rows()) {
-    // A reseed rebuilds value identity from scratch, so this is the one
-    // place tombstones are physically compacted away: the relation shrinks
-    // to its live rows (in id order) and row ids re-anchor to the compacted
-    // relation.
-    relation_ = LiveRelation();
-  }
-  Seed();
-  metrics_.Set("incremental.reseeded", 1);
 }
 
 void IncrementalHyFd::Seed() {
@@ -119,7 +106,6 @@ void IncrementalHyFd::Seed() {
     }
   }
   HYFD_AUDIT_ONLY(CheckValueRows());
-  identity_epoch_ = relation_.IdentityEpoch();
 }
 
 RecordId* IncrementalHyFd::ValueRow(int c, uint32_t code) {
@@ -408,20 +394,6 @@ const FDSet& IncrementalHyFd::ApplyMixed(
     --num_live_rows_;
   }
 
-  if (relation_.IdentityEpoch() != identity_epoch_) {
-    // The batch widened a numeric column to string and split codes of
-    // pre-batch rows ("07" and "7" were one int value, now two lexemes).
-    // Every piece of derived state — PLIs, compressed records, the tree's
-    // confirmed proofs, the negative cover's agree sets — was computed under
-    // the old identity and may be wrong, so grow-in-place is unsound.
-    // Rebuild everything from the (rare) changed relation instead; Reseed
-    // also compacts away this batch's tombstones.
-    report_.AddPhase("append", timer.ElapsedSeconds());
-    Reseed();
-    FillReport(total_timer.ElapsedSeconds());
-    return fds_;
-  }
-
   // --- 2. Shrink, then grow, the derived state in place. -------------------
   if (!dead.empty()) ShrinkDerivedState(dead);
   Validator::ClusterDelta delta;
@@ -640,7 +612,7 @@ void IncrementalHyFd::StartReport() {
   metrics_.Reset();
   report_ = RunReport{};
   // Listed up front, in this order, since a batch repairs (induction)
-  // before it samples and preprocesses only when it reseeds.
+  // before it samples; only the seed preprocesses.
   for (const char* phase :
        {"append", "preprocess", "sampling", "induction", "validation"}) {
     report_.AddPhase(phase, 0);

@@ -42,7 +42,7 @@ struct IncrementalConfig {
 /// outside the session, as last_batch_stats() reads them from report():
 /// the `incremental.*` counters of the same names. The report carries the
 /// rest (batch and deleted rows, invalidated and re-validated FDs,
-/// generalization candidates, phase switches, reseeds).
+/// generalization candidates, phase switches).
 struct IncrementalBatchStats {
   /// Stripped clusters (summed over attributes) that received a new row —
   /// the restricted validation scope.
@@ -157,11 +157,9 @@ class IncrementalHyFd {
 
   /// The owned relation, including every applied batch *and every
   /// tombstoned row* — deletes never rewrite the relation (row ids stay
-  /// stable); consult IsRowLive() for liveness. Exception: a batch that
-  /// moves the value-identity epoch reseeds the session, which compacts the
-  /// relation to its live rows and re-anchors ids. Mutating the relation
-  /// behind the session's back is detected: the next batch throws
-  /// ContractViolation (PreprocessedData::CheckSyncedWith).
+  /// stable for the session's lifetime); consult IsRowLive() for liveness.
+  /// Mutating the relation behind the session's back is detected: the next
+  /// batch throws ContractViolation (PreprocessedData::CheckSyncedWith).
   const Relation& relation() const { return relation_; }
 
   /// True iff physical row `id` has not been deleted (or replaced by
@@ -170,9 +168,8 @@ class IncrementalHyFd {
 
   /// Deep copy of the current *live* rows, tombstones compacted away and id
   /// order preserved — the bridge from a long-lived session to the one-shot
-  /// discoverers. Columns keep the session's types (Relation::LiveRows), so
-  /// the copy has the session's value identity. When nothing is tombstoned
-  /// this is a plain copy of relation().
+  /// discoverers (Relation::LiveRows). When nothing is tombstoned this
+  /// equals relation() up to dictionary numbering.
   Relation LiveRelation() const;
 
   /// LiveRelation().ContentFingerprint(), folded over relation() in place
@@ -201,8 +198,7 @@ class IncrementalHyFd {
   /// FDs re-checked over the touched clusters only),
   /// generalization_candidates (after a delete's cover rebuild, stored FDs
   /// with no surviving proof), fds_generalized, validations, comparisons,
-  /// phase_switches, and reseeded (1 when the batch widened a numeric
-  /// column to string and so re-ran discovery from scratch).
+  /// and phase_switches.
   const RunReport& report() const { return report_; }
   /// Batches applied so far (the seeding discovery is not a batch).
   int num_batches() const { return num_batches_; }
@@ -222,14 +218,6 @@ class IncrementalHyFd {
   /// Audit: every value_rows_ / null_rows_ entry is a live row carrying its
   /// code, and every indexed row's value has an entry in the row's cluster.
   void CheckValueRows() const;
-  /// Discards every piece of derived state and re-runs Seed() on the current
-  /// relation. The escape hatch for batches that change value identity
-  /// retroactively (IdentityEpoch() moved): stale clusters cannot be grown,
-  /// they must be rebuilt. If rows are tombstoned, the relation is first
-  /// compacted to its live rows (re-anchoring ids). Sets
-  /// `incremental.reseeded`; the batch reseeds before growing any derived
-  /// state, so the report holds only its row counts and append time so far.
-  void Reseed();
   /// Shrinks PLIs + compressed records for the (live, distinct) `dead` rows:
   /// erases them from their clusters, demotes lone survivors, moves dead
   /// value rows onto survivors, and compacts columns whose empty-slot
@@ -276,11 +264,8 @@ class IncrementalHyFd {
   /// row's compressed cell (kUniqueCluster: the value is a singleton so
   /// far). value_rows_[c][code] is a live row carrying `code` in column c,
   /// or kNoRow; null_rows_[c] is the same for NULL under kNullEqualsNull.
-  /// Keyed by the column segment's dictionary code, not the lexeme — value
-  /// identity is code identity, and codes are stable under *numeric* type
-  /// widening while canonical lexemes are re-rendered. A widening to string
-  /// can split codes of existing rows; that bumps the relation's
-  /// IdentityEpoch(), which ApplyBatch answers with a full reseed. Row ids
+  /// Keyed by the column segment's dictionary code — value identity is code
+  /// identity, and an append never changes an existing row's code. Row ids
   /// survive PLI compaction, so these entries never need renumbering.
   std::vector<std::vector<RecordId>> value_rows_;
   std::vector<RecordId> null_rows_;
@@ -288,9 +273,6 @@ class IncrementalHyFd {
   /// relation().num_rows().
   std::vector<uint8_t> live_;
   size_t num_live_rows_ = 0;
-  /// Relation::IdentityEpoch() the derived state was built under; a change
-  /// after an append means codes split retroactively → Reseed().
-  uint64_t identity_epoch_ = 0;
 
   /// The session's incremental.* cells and the components' sampler.*,
   /// inductor.* and validator.* of the current seed or batch; reset at the

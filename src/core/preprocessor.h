@@ -60,7 +60,7 @@ PreprocessedData Preprocess(const Relation& relation,
 
 /// Fingerprint that keys HyFd's owned PliCache to its source data, so
 /// the cache survives a repeat Discover() on the same data only. Combines
-/// the relation's storage-layer ContentFingerprint (format version, types,
+/// the relation's storage-layer ContentFingerprint (format version, names,
 /// dictionaries, codes) with the compressed records' cluster-structure
 /// fingerprint: two datasets whose cluster structure coincides but whose
 /// values differ (e.g. a CSV edited behind its binary cache) must not alias

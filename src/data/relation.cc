@@ -11,7 +11,7 @@ namespace {
 /// must invalidate every fingerprint-keyed consumer (HyFd's owned PLI cache,
 /// via DataFingerprint) even if the logical data is unchanged. Kept in lockstep with
 /// table_io.h's kTableFormatVersion by a static_assert there.
-constexpr uint64_t kStorageFingerprintVersion = 2;
+constexpr uint64_t kStorageFingerprintVersion = 3;
 
 }  // namespace
 

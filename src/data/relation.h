@@ -12,17 +12,16 @@
 
 namespace hyfd {
 
-/// A relational instance: a column-major table of dictionary-encoded, typed
+/// A relational instance: a column-major table of dictionary-encoded string
 /// column segments with NULLs.
 ///
 /// The Relation is the sole input to every discovery algorithm in this
 /// library. FD discovery only needs value *identity* per column (paper §4:
 /// "The values itself, however, must not be known"), and the segments make
-/// that identity explicit: each column stores a dictionary of canonical
-/// lexemes plus one dense u32 code per row, so PLI construction is a
-/// counting pass over codes and two cells are equal iff their codes are.
-/// `Value()` renders the canonical lexeme (typed columns compare by value,
-/// so "07" and "7" in an int column are one value rendered "7").
+/// that identity explicit: each column stores a dictionary of lexemes plus
+/// one dense u32 code per row, so PLI construction is a counting pass over
+/// codes and two cells are equal iff their codes are. A value is its lexeme:
+/// "07" and "7" are two values, and `Value()` returns the bytes appended.
 class Relation {
  public:
   Relation() = default;
@@ -55,8 +54,8 @@ class Relation {
     return segments_[static_cast<size_t>(col)].IsNull(row);
   }
 
-  /// The dictionary-encoded segment backing column `col` — codes,
-  /// dictionary, and inferred type. PLI builders and the incremental session
+  /// The dictionary-encoded segment backing column `col` — codes and
+  /// dictionary. PLI builders and the incremental session
   /// work on codes directly instead of re-hashing strings.
   const ColumnSegment& segment(int col) const {
     return segments_[static_cast<size_t>(col)];
@@ -71,19 +70,6 @@ class Relation {
   /// instead of silently reading stale partitions (see
   /// PreprocessedData::CheckSyncedWith).
   uint64_t version() const { return version_; }
-
-  /// Sum of the segments' identity epochs: grows (monotonically) whenever an
-  /// append widened a numeric column to string and split codes of existing
-  /// rows. Unlike version(), which bumps on every mutation, an epoch change
-  /// means value identity changed *retroactively* — code-keyed derived state
-  /// must be rebuilt, not grown (see IncrementalHyFd::ApplyBatch).
-  uint64_t IdentityEpoch() const {
-    uint64_t epoch = 0;
-    for (const ColumnSegment& segment : segments_) {
-      epoch += segment.identity_epoch();
-    }
-    return epoch;
-  }
 
   /// Direct cell write used by the generators (rows must exist already).
   void SetValue(size_t row, int col, const std::string& value);
@@ -100,24 +86,23 @@ class Relation {
   /// Number of distinct non-NULL values in column `col` (for stats/tests).
   size_t DistinctCount(int col) const;
 
-  /// Re-sorts every column dictionary into its canonical typed layout (the
+  /// Re-sorts every column dictionary into its canonical sorted layout (the
   /// on-disk binary layout) and remaps the codes. Logical content is
   /// unchanged, but the physical encoding mutates, so the version is bumped
   /// like any other mutation.
   void Normalize();
 
   /// FNV-1a fingerprint over the relation's logical content *and* physical
-  /// encoding contract: binary storage format version, schema names, column
-  /// types, dictionaries, and code vectors. Two relations share a
+  /// encoding contract: binary storage format version, schema names,
+  /// dictionaries, and code vectors. Two relations share a
   /// fingerprint only if they are byte-identical at the storage layer, so a
   /// binary-cache reload of a changed CSV can never alias the old data even
   /// when the cluster structure happens to match (see DataFingerprint, which
   /// keys HyFd's owned PLI cache).
   uint64_t ContentFingerprint() const;
 
-  /// Copy of the rows with `live[row] != 0`, in row order, with every
-  /// column keeping its type (ColumnSegment::LiveRows). `live` has one entry
-  /// per row.
+  /// Copy of the rows with `live[row] != 0`, in row order
+  /// (ColumnSegment::LiveRows). `live` has one entry per row.
   Relation LiveRows(const std::vector<uint8_t>& live) const;
 
   /// LiveRows(live).ContentFingerprint(), computed without building it: each
@@ -126,7 +111,7 @@ class Relation {
 
   /// Deep structural audit: schema/segment arity agreement, rectangular
   /// columns, and every segment's own invariants (codes in dictionary range
-  /// or the NULL sentinel, canonical unique dictionaries, sorted layout
+  /// or the NULL sentinel, unique dictionaries, sorted layout
   /// where claimed). Throws ContractViolation on the first violation.
   /// Invoked automatically at the discovery seams in audit builds
   /// (-DHYFD_AUDIT=ON); callable from any build.

@@ -1,6 +1,5 @@
 #include "data/table_io.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
@@ -42,15 +41,13 @@ uint64_t FingerprintRange(const char* data, size_t n) {
 constexpr char kMagic[kTableMagicBytes] = {'H', 'Y', 'F', 'D',
                                            'T', 'B', 'L', '\0'};
 
-static_assert(kTableFormatVersion == 2,
+static_assert(kTableFormatVersion == 3,
               "bump Relation's kStorageFingerprintVersion (relation.cc) in "
               "lockstep with the table format version");
 
 void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
 }
-
-void AppendU8(std::string* out, uint8_t v) { AppendRaw(out, &v, 1); }
 
 void AppendU32(std::string* out, uint32_t v) {
   char bytes[4];
@@ -77,11 +74,6 @@ class ByteReader {
  public:
   ByteReader(const std::string& buffer, size_t pos)
       : buffer_(buffer), pos_(pos) {}
-
-  uint8_t ReadU8() {
-    Require(1);
-    return static_cast<uint8_t>(buffer_[pos_++]);
-  }
 
   uint32_t ReadU32() {
     Require(4);
@@ -191,7 +183,7 @@ std::string SerializeTable(const Relation& relation,
   AppendU64(&payload, relation.num_rows());
 
   // Canonical layout is produced on the fly: the per-column plan sorts the
-  // referenced dictionary entries into typed order, and codes are remapped
+  // referenced dictionary entries, and codes are remapped
   // while streaming — the (const) relation itself is never normalized.
   std::vector<ColumnSegment::NormalizationPlan> plans;
   plans.reserve(num_columns);
@@ -200,36 +192,9 @@ std::string SerializeTable(const Relation& relation,
     plans.push_back(segment.PlanNormalization());
     const ColumnSegment::NormalizationPlan& plan = plans.back();
     AppendString(&payload, relation.schema().name(c));
-    AppendU8(&payload, static_cast<uint8_t>(segment.type()));
     AppendU32(&payload, static_cast<uint32_t>(plan.slots.size()));
     for (uint32_t old_code : plan.slots) {
       AppendString(&payload, segment.dictionary()[old_code]);
-    }
-    // Raw-spelling sections, remapped into the normalized code numbering
-    // (overrides of dropped, unreferenced codes go with their entries).
-    std::vector<ColumnSegment::RawSpelling> spellings;
-    for (ColumnSegment::RawSpelling& spelling : segment.SortedRawSpellings()) {
-      const uint32_t new_code = plan.old_to_new[spelling.first];
-      if (new_code != kNullCode) {
-        spellings.emplace_back(new_code, std::move(spelling.second));
-      }
-    }
-    std::sort(spellings.begin(), spellings.end(),
-              [](const ColumnSegment::RawSpelling& a,
-                 const ColumnSegment::RawSpelling& b) {
-                return a.first < b.first;
-              });
-    AppendU32(&payload, static_cast<uint32_t>(spellings.size()));
-    for (const auto& [code, spelling] : spellings) {
-      AppendU32(&payload, code);
-      AppendString(&payload, spelling);
-    }
-    const std::vector<ColumnSegment::VariantRow> variants =
-        segment.SortedVariantRows();
-    AppendU64(&payload, variants.size());
-    for (const auto& [row, raw] : variants) {
-      AppendU64(&payload, row);
-      AppendString(&payload, raw);
     }
   }
   for (int c = 0; c < relation.num_columns(); ++c) {
@@ -273,27 +238,17 @@ Relation ParseTable(const std::string& bytes, uint64_t* source_fingerprint) {
   // Bound every count against the bytes that could possibly back it before
   // reserving: a crafted file with an internally-consistent checksum must
   // fail as a ContractViolation, not as std::length_error/std::bad_alloc
-  // escaping from an absurd reserve. Each column costs ≥ 21 payload bytes
-  // (name length, type tag, three section counts).
-  HYFD_CHECK(num_columns <= reader.remaining() / 21,
+  // escaping from an absurd reserve. Each column costs ≥ 8 payload bytes
+  // (name length and dictionary entry count).
+  HYFD_CHECK(num_columns <= reader.remaining() / 8,
              "table_io: column count exceeds the payload size");
 
   std::vector<std::string> names;
-  std::vector<ColumnType> types;
   std::vector<std::vector<std::string>> dictionaries;
-  std::vector<std::vector<ColumnSegment::RawSpelling>> raw_spellings;
-  std::vector<std::vector<ColumnSegment::VariantRow>> variant_rows;
   names.reserve(num_columns);
-  types.reserve(num_columns);
   dictionaries.reserve(num_columns);
-  raw_spellings.reserve(num_columns);
-  variant_rows.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
     names.push_back(reader.ReadString());
-    const uint8_t type = reader.ReadU8();
-    HYFD_CHECK(type <= static_cast<uint8_t>(ColumnType::kDate),
-               "table_io: unknown column type tag");
-    types.push_back(static_cast<ColumnType>(type));
     const uint32_t dict_size = reader.ReadU32();
     HYFD_CHECK(dict_size < kNullCode,
                "table_io: dictionary size collides with the NULL code");
@@ -305,40 +260,18 @@ Relation ParseTable(const std::string& bytes, uint64_t* source_fingerprint) {
       dictionary.push_back(reader.ReadString());
     }
     dictionaries.push_back(std::move(dictionary));
-    const uint32_t spelling_count = reader.ReadU32();
-    HYFD_CHECK(spelling_count <= reader.remaining() / 8,
-               "table_io: raw-spelling count exceeds the payload size");
-    std::vector<ColumnSegment::RawSpelling> spellings;
-    spellings.reserve(spelling_count);
-    for (uint32_t i = 0; i < spelling_count; ++i) {
-      const uint32_t code = reader.ReadU32();
-      spellings.emplace_back(code, reader.ReadString());
-    }
-    raw_spellings.push_back(std::move(spellings));
-    const uint64_t variant_count = reader.ReadU64();
-    HYFD_CHECK(variant_count <= reader.remaining() / 12,
-               "table_io: variant-row count exceeds the payload size");
-    std::vector<ColumnSegment::VariantRow> variants;
-    variants.reserve(variant_count);
-    for (uint64_t i = 0; i < variant_count; ++i) {
-      const uint64_t row = reader.ReadU64();
-      variants.emplace_back(row, reader.ReadString());
-    }
-    variant_rows.push_back(std::move(variants));
   }
 
   std::vector<ColumnSegment> segments;
   segments.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
     std::vector<uint32_t> codes = reader.ReadU32Vector(num_rows);
-    // FromParts re-validates everything the format promises: canonical
-    // forms, typed sorted-unique dictionary, codes in range, every entry
-    // referenced, well-formed raw spellings. A dictionary/code-count
-    // mismatch surfaces here (or as a truncation above) before any Relation
-    // exists.
-    segments.push_back(ColumnSegment::FromParts(
-        types[c], std::move(dictionaries[c]), std::move(codes),
-        std::move(raw_spellings[c]), std::move(variant_rows[c])));
+    // FromParts re-validates everything the format promises: sorted-unique
+    // dictionary, codes in range, every entry referenced. A dictionary/code-
+    // count mismatch surfaces here (or as a truncation above) before any
+    // Relation exists.
+    segments.push_back(
+        ColumnSegment::FromParts(std::move(dictionaries[c]), std::move(codes)));
   }
   HYFD_CHECK(reader.AtEnd(),
              "table_io: trailing bytes after the last code vector");

@@ -22,35 +22,28 @@ namespace hyfd {
 ///                                      or a caller-chosen provenance key)
 ///   offset 32  payload:
 ///     u32 column count, u64 row count
-///     per column: name (u32 length + bytes), type (u8),
-///                 dictionary (u32 entry count, then u32 length + bytes each),
-///                 raw spellings (u32 count, then u32 code + string each):
-///                   the spelling that created a numeric code when it
-///                   differs from the canonical form ("07" for entry "7"),
-///                 variant rows (u64 count, then u64 row + string each):
-///                   rows whose raw spelling was numerically merged onto
-///                   another spelling's code
+///     per column: name (u32 length + bytes),
+///                 dictionary (u32 entry count, then u32 length + bytes each)
 ///     per column: codes (u32 × row count; kNullCode marks NULL)
 ///
-/// The raw-spelling sections (new in format v2) preserve lexeme identity
-/// across the cache: a numeric column widened to string by rows appended
-/// *after* a reload must split exactly as the CSV-parsed relation would.
-/// Both sections are empty for non-numeric columns and for numeric columns
-/// whose spellings are all canonical — the overwhelmingly common case.
+/// A column is untyped: a dictionary entry is the exact lexeme read, and two
+/// cells are one value iff their bytes are equal. Format v3 dropped v2's
+/// per-column type tag and its raw-spelling sections; the loader refuses
+/// any other version by its number.
 ///
-/// Dictionaries are stored in canonical layout — typed sorted order, every
-/// entry referenced — which the writer produces on the fly (the in-memory
-/// relation is not mutated) and the loader verifies. Any structural
-/// violation — bad magic, unknown version, checksum mismatch, truncation,
-/// trailing bytes, dictionary/code-count mismatch, out-of-range code,
-/// non-canonical or unsorted dictionary, malformed raw spellings — throws
+/// Dictionaries are stored in canonical layout — byte-wise sorted order,
+/// every entry referenced — which the writer produces on the fly (the
+/// in-memory relation is not mutated) and the loader verifies. Any
+/// structural violation — bad magic, unknown version, checksum mismatch,
+/// truncation, trailing bytes, dictionary/code-count mismatch, out-of-range
+/// code, unsorted or duplicate dictionary, unreferenced entry — throws
 /// ContractViolation before any Relation is returned; a partially-parsed
 /// table can never escape. Counts are bounded against the payload size
 /// before any allocation, so a crafted file with an internally-consistent
 /// checksum still fails with ContractViolation instead of an allocation
 /// failure. Cache files are published atomically (temp file + rename), so
 /// concurrent writers never expose a torn file.
-inline constexpr uint32_t kTableFormatVersion = 2;
+inline constexpr uint32_t kTableFormatVersion = 3;
 inline constexpr size_t kTableMagicBytes = 8;
 inline constexpr size_t kTableChecksumOffset = 16;
 inline constexpr size_t kTableSourceFingerprintOffset = 24;

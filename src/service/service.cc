@@ -17,7 +17,7 @@ namespace {
 
 /// Admission estimate for one ingested cell: dictionary code + PLI slot +
 /// compressed record + value-index entries, plus twice the lexeme (segment
-/// dictionary + canonical copy). Deliberately generous — admission refuses
+/// dictionary + encode index). Deliberately generous — admission refuses
 /// work the budget could not absorb; it is not an accountant.
 constexpr size_t kBytesPerCell = 64;
 

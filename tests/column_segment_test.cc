@@ -2,144 +2,68 @@
 
 #include <algorithm>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "core/hyfd.h"
 #include "data/relation.h"
 #include "data/schema.h"
+#include "fd/reference.h"
 #include "gtest/gtest.h"
 #include "pli/pli_builder.h"
+#include "test_util.h"
 #include "util/check.h"
 
 namespace hyfd {
 namespace {
 
-// ---- Type inference -------------------------------------------------------
-
-TEST(ColumnTypeTest, LexemeClassification) {
-  EXPECT_EQ(LexemeType("7"), ColumnType::kInt);
-  EXPECT_EQ(LexemeType("-42"), ColumnType::kInt);
-  EXPECT_EQ(LexemeType("2.5"), ColumnType::kDouble);
-  EXPECT_EQ(LexemeType("1e3"), ColumnType::kDouble);
-  EXPECT_EQ(LexemeType("2024-02-29"), ColumnType::kDate);
-  EXPECT_EQ(LexemeType("hello"), ColumnType::kString);
-  EXPECT_EQ(LexemeType(""), ColumnType::kString);
-  EXPECT_EQ(LexemeType("7a"), ColumnType::kString);
-  EXPECT_EQ(LexemeType("nan"), ColumnType::kString);  // non-finite
-  EXPECT_EQ(LexemeType("inf"), ColumnType::kString);
-}
-
-TEST(ColumnTypeTest, HugeIntegersStayStrings) {
-  // 2^53 + 1 would not survive an int→double widening exactly.
-  EXPECT_EQ(LexemeType("9007199254740993"), ColumnType::kString);
-  EXPECT_EQ(LexemeType("9007199254740992"), ColumnType::kInt);
-  EXPECT_EQ(LexemeType("-9007199254740993"), ColumnType::kString);
-}
-
-TEST(ColumnTypeTest, Int64OverflowingIntegersStayStrings) {
-  // Integer lexemes too large for int64 must not fall through to the double
-  // parse: 2^64 and 2^64 + 1 render to the same double, and conflating
-  // 20-digit ids while 19-digit ids stay distinct would be inconsistent with
-  // the ±2^53 exactness guard.
-  EXPECT_EQ(LexemeType("18446744073709551616"), ColumnType::kString);
-  EXPECT_EQ(LexemeType("-99999999999999999999"), ColumnType::kString);
-  ColumnSegment s;
-  s.Append("18446744073709551616");
-  s.Append("18446744073709551617");
-  EXPECT_EQ(s.type(), ColumnType::kString);
-  EXPECT_NE(s.code(0), s.code(1));
-  EXPECT_EQ(s.DistinctCount(), 2u);
-}
-
-TEST(ColumnTypeTest, WideningLattice) {
-  EXPECT_EQ(WidenType(ColumnType::kInt, ColumnType::kDouble),
-            ColumnType::kDouble);
-  EXPECT_EQ(WidenType(ColumnType::kInt, ColumnType::kDate),
-            ColumnType::kString);
-  EXPECT_EQ(WidenType(ColumnType::kDate, ColumnType::kDate),
-            ColumnType::kDate);
-  EXPECT_EQ(WidenType(ColumnType::kDouble, ColumnType::kString),
-            ColumnType::kString);
-}
-
 // ---- Value identity -------------------------------------------------------
 
-TEST(ColumnSegmentTest, IntColumnComparesByValueNotLexeme) {
-  ColumnSegment s;
-  s.Append("07");
-  s.Append("7");
-  s.Append("8");
-  EXPECT_EQ(s.type(), ColumnType::kInt);
-  EXPECT_EQ(s.code(0), s.code(1));  // "07" and "7" are one value
-  EXPECT_NE(s.code(0), s.code(2));
-  EXPECT_EQ(s.Value(0), "7");  // canonical rendering
-  EXPECT_EQ(s.DistinctCount(), 2u);
-}
-
-TEST(ColumnSegmentTest, DoubleCanonicalization) {
-  ColumnSegment s;
-  s.Append("2.50");
-  s.Append("2.5");
-  s.Append("-0.0");
-  s.Append("0");
-  EXPECT_EQ(s.type(), ColumnType::kDouble);
-  EXPECT_EQ(s.code(0), s.code(1));
-  EXPECT_EQ(s.code(2), s.code(3));  // -0.0 folds to 0
-  EXPECT_EQ(s.Value(0), "2.5");
-  EXPECT_EQ(s.Value(2), "0");
-}
-
-TEST(ColumnSegmentTest, MixedLexemesFallBackToString) {
-  ColumnSegment s;
-  s.Append("7");
-  s.Append("x");
-  EXPECT_EQ(s.type(), ColumnType::kString);
-  // Demotion keeps the already-assigned canonical lexemes distinct.
-  EXPECT_NE(s.code(0), s.code(1));
-  s.Append("07");
-  // In a string column "07" and "7" are different values again — the lexeme
-  // IS the value once no numeric interpretation holds column-wide.
-  EXPECT_NE(s.code(2), s.code(0));
-  EXPECT_EQ(s.DistinctCount(), 3u);
-}
-
-TEST(ColumnSegmentTest, StringWideningSplitsNumericallyMergedSpellings) {
-  // The adversarial order: "07" and "7" merge while the column is still an
-  // int column, and only then does a string lexeme widen it. The widening
-  // must split them back apart — string identity is lexeme identity no
-  // matter when the first non-numeric value arrived.
-  ColumnSegment s;
-  s.Append("07");
-  s.Append("7");
-  EXPECT_EQ(s.code(0), s.code(1));
-  const uint64_t epoch_before = s.identity_epoch();
-  s.Append("x");
-  EXPECT_EQ(s.type(), ColumnType::kString);
-  EXPECT_NE(s.code(0), s.code(1));
-  EXPECT_EQ(s.Value(0), "07");
-  EXPECT_EQ(s.Value(1), "7");
-  EXPECT_EQ(s.DistinctCount(), 3u);
-  // Codes of existing rows were rewritten: derived state must see the epoch.
-  EXPECT_GT(s.identity_epoch(), epoch_before);
-  s.CheckInvariants();
-  // Either spelling re-appended lands on its own code.
-  s.Append("07");
-  s.Append("7");
-  EXPECT_EQ(s.code(3), s.code(0));
-  EXPECT_EQ(s.code(4), s.code(1));
-  s.CheckInvariants();
+// A cell's identity is its lexeme: spellings that name one number or one
+// date are still distinct values, and every cell reads back the bytes that
+// were appended.
+TEST(ColumnSegmentTest, EverySpellingIsItsOwnValue) {
+  const std::vector<std::pair<std::string, std::string>> respellings = {
+      {"07", "7"},     {"2.50", "2.5"},  {"-0", "0"},
+      {"1e3", "1000"}, {"1.0", "1"},     {"-0.0", "0.0"},
+      {"+5", "5"},     {"0x10", "16"},   {"18446744073709551616",
+                                          "18446744073709551617"},
+      {"2024-01-31", "2024-1-31"},
+  };
+  for (const auto& [a, b] : respellings) {
+    ColumnSegment s;
+    s.Append(a);
+    s.Append(b);
+    s.Append(a);
+    EXPECT_NE(s.code(0), s.code(1)) << a << " vs " << b;
+    EXPECT_EQ(s.code(0), s.code(2)) << a;
+    EXPECT_EQ(s.Value(0), a);
+    EXPECT_EQ(s.Value(1), b);
+    EXPECT_EQ(s.DistinctCount(), 2u) << a << " vs " << b;
+    s.CheckInvariants();
+  }
+  // Numeric, date and free-text lexemes share one column without any
+  // rewriting of earlier cells.
+  ColumnSegment mixed;
+  for (const char* lexeme : {"7", "x", "07", "2024-02-29", "nan", "", "7"}) {
+    mixed.Append(lexeme);
+  }
+  EXPECT_EQ(mixed.DistinctCount(), 6u);
+  EXPECT_EQ(mixed.code(0), mixed.code(6));
+  EXPECT_EQ(mixed.Value(2), "07");
+  EXPECT_EQ(mixed.Value(5), "");
+  EXPECT_FALSE(mixed.IsNull(5));
 }
 
 TEST(ColumnSegmentTest, StringIdentityIsAppendOrderIndependent) {
-  // Five pairwise-distinct lexemes that partially merge under numeric
-  // interpretation: every append order must end in the same (all-distinct)
-  // string identity with each row reading back its original lexeme.
+  // Five pairwise-distinct lexemes, three of them spellings of the number 7:
+  // every append order ends with each row reading back its own lexeme.
   std::vector<std::string> perm = {"07", "7", "x", "007", "2.50"};
   std::sort(perm.begin(), perm.end());
   do {
     ColumnSegment s;
     for (const std::string& lexeme : perm) s.Append(lexeme);
-    EXPECT_EQ(s.type(), ColumnType::kString);
     for (size_t r = 0; r < perm.size(); ++r) {
       EXPECT_EQ(s.Value(r), perm[r]) << "row " << r;
     }
@@ -148,62 +72,102 @@ TEST(ColumnSegmentTest, StringIdentityIsAppendOrderIndependent) {
   } while (std::next_permutation(perm.begin(), perm.end()));
 }
 
-TEST(ColumnSegmentTest, DoubleMergedSpellingsSplitOnStringWidening) {
-  ColumnSegment s;
-  s.Append("07");   // int
-  s.Append("7.0");  // widens to double, merges with the value 7
-  s.Append("7");    // still the same double value
-  EXPECT_EQ(s.type(), ColumnType::kDouble);
-  EXPECT_EQ(s.code(0), s.code(1));
-  EXPECT_EQ(s.code(1), s.code(2));
-  s.Append("n/a");  // widens to string: three distinct lexemes again
-  EXPECT_EQ(s.type(), ColumnType::kString);
-  EXPECT_EQ(s.Value(0), "07");
-  EXPECT_EQ(s.Value(1), "7.0");
-  EXPECT_EQ(s.Value(2), "7");
-  EXPECT_EQ(s.DistinctCount(), 4u);
-  s.CheckInvariants();
+// Property: random Append/AppendNull/Set/SetNull/Resize sequences over
+// numeric, date and free-text lexemes never change the code of a row the
+// operation did not write, and the segment always equals a plain model of
+// the lexemes (equal codes iff equal lexemes, exact bytes read back).
+TEST(ColumnSegmentTest, NoMutationRecodesAnotherRow) {
+  const std::vector<std::string> lexemes = {
+      "7",   "07",  "007", "7.0",  "7.00", "1e3",  "1000", "-0",
+      "0",   "0.0", "2.5", "2.50", "inf",  "nan",  "x",    "n/a",
+      "",    "2024-01-31",     "2024-13-01",       "9007199254740993",
+      "9007199254740992",      "18446744073709551616"};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    ColumnSegment s;
+    std::vector<std::optional<std::string>> model;
+    for (int step = 0; step < 200; ++step) {
+      const std::vector<uint32_t> before = s.codes();
+      size_t written = before.size();  // the row an op wrote, if any
+      const std::string& lexeme = lexemes[rng() % lexemes.size()];
+      const uint64_t op = rng() % 10;
+      if (op < 4 || model.empty()) {
+        s.Append(lexeme);
+        model.emplace_back(lexeme);
+      } else if (op < 5) {
+        s.AppendNull();
+        model.emplace_back();
+      } else if (op < 8) {
+        written = rng() % model.size();
+        s.Set(written, lexeme);
+        model[written] = lexeme;
+      } else if (op < 9) {
+        written = rng() % model.size();
+        s.SetNull(written);
+        model[written].reset();
+      } else {
+        const size_t n = rng() % (model.size() + 4);
+        s.Resize(n);
+        model.resize(n);
+      }
+      ASSERT_EQ(s.size(), model.size()) << "seed " << seed << " step " << step;
+      for (size_t r = 0; r < std::min(before.size(), s.size()); ++r) {
+        if (r != written) {
+          ASSERT_EQ(s.code(r), before[r])
+              << "seed " << seed << " step " << step << " row " << r;
+        }
+      }
+      for (size_t r = 0; r < model.size(); ++r) {
+        ASSERT_EQ(s.IsNull(r), !model[r].has_value());
+        if (model[r].has_value()) {
+          ASSERT_EQ(s.Value(r), *model[r]);
+        }
+        for (size_t q = 0; q < r; ++q) {
+          if (model[r].has_value() && model[q].has_value()) {
+            ASSERT_EQ(s.code(r) == s.code(q), *model[r] == *model[q])
+                << "rows " << q << ", " << r;
+          }
+        }
+      }
+      s.CheckInvariants();
+    }
+  }
 }
 
-TEST(ColumnSegmentTest, RerenderedIntSpellingReturnsOnStringWidening) {
-  ColumnSegment s;
-  s.Append("1000000000000000");
-  s.Append("0.5");  // int → double: the canonical rendering changes
-  EXPECT_EQ(s.Value(0), "1e+15");
-  const uint64_t epoch_before = s.identity_epoch();
-  s.Append("x");  // double → string: the original spelling returns
-  EXPECT_EQ(s.Value(0), "1000000000000000");
-  EXPECT_EQ(s.Value(1), "0.5");
-  EXPECT_EQ(s.DistinctCount(), 3u);
-  // No spellings were merged, so no codes were rewritten: no epoch bump.
-  EXPECT_EQ(s.identity_epoch(), epoch_before);
-  s.CheckInvariants();
-}
-
-TEST(ColumnSegmentTest, WideningKeepsCodesStable) {
-  ColumnSegment s;
-  s.Append("1000000000000000");  // int canonical
-  const uint32_t code_before = s.code(0);
-  s.Append("0.5");  // widens the column to double
-  EXPECT_EQ(s.type(), ColumnType::kDouble);
-  EXPECT_EQ(s.code(0), code_before);
-  // The canonical rendering changed with the widening...
-  EXPECT_EQ(s.Value(0), "1e+15");
-  // ...but re-appending the original lexeme still hits the same code.
-  s.Append("1000000000000000");
-  EXPECT_EQ(s.code(2), code_before);
-  s.CheckInvariants();
-}
-
-TEST(ColumnSegmentTest, DateColumn) {
-  ColumnSegment s;
-  s.Append("2024-01-31");
-  s.Append("2023-12-01");
-  EXPECT_EQ(s.type(), ColumnType::kDate);
-  s.Append("2024-13-01");  // invalid month → demotes to string
-  EXPECT_EQ(s.type(), ColumnType::kString);
-  EXPECT_EQ(s.DistinctCount(), 3u);
-  s.CheckInvariants();
+// LiveRows() renumbers the live codes in place of re-appending each value;
+// it must still equal a copy built by Append()ing the live values.
+TEST(ColumnSegmentTest, LiveRowsEqualsAnAppendBuiltCopy) {
+  std::mt19937_64 rng(2718);
+  for (int trial = 0; trial < 200; ++trial) {
+    ColumnSegment s;
+    const size_t rows = rng() % 40;
+    for (size_t r = 0; r < rows; ++r) {
+      if (rng() % 6 == 0) {
+        s.AppendNull();
+      } else {
+        s.Append("v" + std::to_string(rng() % 9));
+      }
+    }
+    if (trial % 3 == 0) s.Normalize();
+    std::vector<uint8_t> live(rows);
+    for (uint8_t& l : live) l = static_cast<uint8_t>(rng() % 3 != 0);
+    ColumnSegment expected;
+    for (size_t r = 0; r < rows; ++r) {
+      if (live[r] == 0) continue;
+      if (s.IsNull(r)) {
+        expected.AppendNull();
+      } else {
+        expected.Append(s.Value(r));
+      }
+    }
+    const ColumnSegment copy = s.LiveRows(live);
+    ASSERT_EQ(copy.dictionary(), expected.dictionary()) << "trial " << trial;
+    ASSERT_EQ(copy.codes(), expected.codes()) << "trial " << trial;
+    EXPECT_EQ(copy.sorted(), expected.sorted()) << "trial " << trial;
+    EXPECT_EQ(copy.FoldFingerprint(17), expected.FoldFingerprint(17));
+    EXPECT_EQ(s.FoldLiveFingerprint(17, live), expected.FoldFingerprint(17));
+    copy.CheckInvariants();
+  }
 }
 
 // ---- NULL handling --------------------------------------------------------
@@ -244,19 +208,21 @@ TEST(ColumnSegmentTest, NullsRoundTripUnderBothSemantics) {
 
 TEST(ColumnSegmentTest, NormalizeSortsAndCompacts) {
   ColumnSegment s;
-  s.Append("10");
   s.Append("2");
   s.Append("10");
-  EXPECT_TRUE(TypedLess(ColumnType::kInt, "2", "10"));  // numeric order
-  s.Set(0, "3");  // orphans "10"? no — row 2 still references it
-  s.Set(2, "3");  // now "10" is orphaned
+  s.Append("9");
+  s.Append("2");
+  s.Set(0, "3");  // orphans "2"? no — row 3 still references it
+  s.Set(3, "3");  // now "2" is orphaned
   EXPECT_FALSE(s.sorted());
   s.Normalize();
   EXPECT_TRUE(s.sorted());
-  EXPECT_EQ(s.dictionary(), (std::vector<std::string>{"2", "3"}));
+  // Byte order, not numeric order: "10" < "3" < "9".
+  EXPECT_EQ(s.dictionary(), (std::vector<std::string>{"10", "3", "9"}));
   EXPECT_EQ(s.Value(0), "3");
-  EXPECT_EQ(s.Value(1), "2");
-  EXPECT_EQ(s.Value(2), "3");
+  EXPECT_EQ(s.Value(1), "10");
+  EXPECT_EQ(s.Value(2), "9");
+  EXPECT_EQ(s.Value(3), "3");
   s.CheckInvariants();
 }
 
@@ -289,14 +255,6 @@ TEST(ColumnSegmentAuditTest, OutOfRangeCodeFires) {
   EXPECT_THROW(s.CheckInvariants(), ContractViolation);
 }
 
-TEST(ColumnSegmentAuditTest, NonCanonicalDictionaryEntryFires) {
-  ColumnSegment s;
-  s.Append("7");
-  s.Append("9");
-  s.CorruptDictionaryForTest(0, "07");  // not canonical for an int column
-  EXPECT_THROW(s.CheckInvariants(), ContractViolation);
-}
-
 TEST(ColumnSegmentAuditTest, DuplicateDictionaryEntryFires) {
   ColumnSegment s;
   s.Append("a");
@@ -326,86 +284,67 @@ TEST(ColumnSegmentAuditTest, UnreferencedEntryUnderSortedClaimFires) {
 // ---- FromParts validation -------------------------------------------------
 
 TEST(ColumnSegmentFromPartsTest, AcceptsCanonicalParts) {
-  ColumnSegment s = ColumnSegment::FromParts(ColumnType::kInt, {"2", "10"},
-                                             {1, 0, kNullCode, 1});
+  ColumnSegment s =
+      ColumnSegment::FromParts({"10", "2"}, {1, 0, kNullCode, 1});
   EXPECT_EQ(s.size(), 4u);
-  EXPECT_EQ(s.Value(0), "10");
+  EXPECT_EQ(s.Value(0), "2");
   EXPECT_TRUE(s.IsNull(2));
   EXPECT_TRUE(s.sorted());
+  s.CheckInvariants();
+  // Appending after a load builds the encode index and finds loaded values.
+  s.Append("10");
+  EXPECT_EQ(s.code(4), 0u);
   s.CheckInvariants();
 }
 
 TEST(ColumnSegmentFromPartsTest, RejectsBadParts) {
   // Out-of-range code.
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kString, {"a"}, {0, 1}),
-               ContractViolation);
-  // Unsorted dictionary (numeric order for ints: "10" < "2" is wrong).
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kInt, {"10", "2"}, {0, 1}),
-      ContractViolation);
-  // Non-canonical entry.
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kInt, {"07"}, {0}),
+  EXPECT_THROW(ColumnSegment::FromParts({"a"}, {0, 1}), ContractViolation);
+  // Unsorted dictionary (byte order: "2" < "10" is wrong).
+  EXPECT_THROW(ColumnSegment::FromParts({"2", "10"}, {0, 1}),
                ContractViolation);
   // Unreferenced entry (canonical layout stores no dead values).
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kString, {"a", "b"}, {0}),
-               ContractViolation);
+  EXPECT_THROW(ColumnSegment::FromParts({"a", "b"}, {0}), ContractViolation);
   // Duplicate entry.
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kString, {"a", "a"}, {0, 1}),
-      ContractViolation);
-}
-
-TEST(ColumnSegmentFromPartsTest, RawSpellingsRoundTripAndMisusesFire) {
-  // A well-formed raw-spelling state: the int value 7 was spelled "07"
-  // (creating spelling) and "7" (variant at row 1).
-  ColumnSegment ok = ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0, 0},
-                                              {{0, "07"}}, {{1, "7"}});
-  ok.CheckInvariants();
-  ok.Append("x");  // widening recovers both spellings
-  EXPECT_EQ(ok.Value(0), "07");
-  EXPECT_EQ(ok.Value(1), "7");
-  EXPECT_NE(ok.code(0), ok.code(1));
-
-  // Raw spelling equal to the canonical form (must be omitted instead).
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0}, {{0, "7"}}),
-      ContractViolation);
-  // Raw spelling canonicalizing to a different value than its entry.
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0}, {{0, "08"}}),
-      ContractViolation);
-  // Raw-spelling code out of dictionary range.
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0}, {{3, "07"}}),
-      ContractViolation);
-  // Raw spellings are only meaningful while the column is numeric.
-  EXPECT_THROW(
-      ColumnSegment::FromParts(ColumnType::kString, {"a"}, {0}, {{0, "b"}}),
-      ContractViolation);
-  // Variant row out of range.
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0}, {},
-                                        {{5, "07"}}),
-               ContractViolation);
-  // Variant row pointing at a NULL cell.
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0, kNullCode},
-                                        {}, {{1, "07"}}),
-               ContractViolation);
-  // Variant row equal to its code's creating spelling (not a variant).
-  EXPECT_THROW(ColumnSegment::FromParts(ColumnType::kInt, {"7"}, {0}, {},
-                                        {{0, "7"}}),
+  EXPECT_THROW(ColumnSegment::FromParts({"a", "a"}, {0, 1}),
                ContractViolation);
 }
 
 // ---- Relation-level behaviour on the new substrate ------------------------
 
-TEST(RelationSegmentTest, TypedValueIdentityFlowsIntoPlis) {
+TEST(RelationSegmentTest, LexemeIdentityFlowsIntoPlis) {
   Relation r = Relation::FromStringRows(
       Schema({"n", "tag"}),
-      {{"07", "x"}, {"7", "y"}, {"8", "x"}});
-  // "07" and "7" are one value in the int column, so rows 0 and 1 cluster.
+      {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"7", "z"}});
+  // "07" and "7" are two values, so only rows 1 and 3 cluster.
   Pli pli = BuildColumnPli(r, 0);
   ASSERT_EQ(pli.clusters().size(), 1u);
-  EXPECT_EQ(pli.clusters()[0], (std::vector<RecordId>{0, 1}));
+  EXPECT_EQ(pli.clusters()[0], (std::vector<RecordId>{1, 3}));
+}
+
+// Two rows that differ only by a numeric respelling disagree on that
+// column, so the FD that respelling keeps alive is reported — by HyFD and by
+// brute force alike.
+TEST(RelationSegmentTest, NumericRespellingSeparatesRowsForHyFd) {
+  const Schema schema({"n", "d", "tag"});
+  Relation r = Relation::FromStringRows(
+      schema, {{"07", "2.50", "x"},
+               {"7", "2.5", "y"},
+               {"8", "3", "x"},
+               {"9", "3", "x"}});
+  const FDSet hyfd = DiscoverFds(r);
+  testing::ExpectSameFds(DiscoverFdsBruteForce(r), hyfd, "respelling");
+  // Were "07" = "7" and "2.50" = "2.5", rows 0 and 1 would refute n -> tag
+  // and d -> tag.
+  const std::vector<std::string> fds = hyfd.ToStrings(schema.names());
+  for (const char* fd : {"[n] -> d", "[n] -> tag", "[d] -> tag"}) {
+    EXPECT_NE(std::find(fds.begin(), fds.end(), fd), fds.end()) << fd;
+  }
+  for (int threads : {1, 4}) {
+    HyFdConfig config;
+    config.num_threads = threads;
+    EXPECT_EQ(DiscoverFds(r, config), hyfd) << threads << " threads";
+  }
 }
 
 TEST(RelationSegmentTest, NormalizeBumpsVersionAndPreservesContent) {

@@ -271,33 +271,6 @@ TEST(IncrementalEdgeTest, SampledPairBreaksConfirmedFds) {
   testing::ExpectSameFds(DiscoverFds(r), got, "sampled pair");
 }
 
-TEST(IncrementalEdgeTest, StringWideningBatchReseedsTheSession) {
-  // Seed with an int column where "07" and "7" share one code; a batch cell
-  // that widens the column to string splits them retroactively (the rows
-  // stop agreeing on column a). Clusters keyed by the old codes cannot be
-  // grown in place — the session must notice the IdentityEpoch move and
-  // rebuild its derived state from scratch.
-  Relation r = Relation::FromStringRows(
-      Schema({"a", "b"}), {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"8", "y"}});
-  IncrementalHyFd session(r);
-  session.ApplyBatchStrings({{"n/a", "x"}});
-  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
-  EXPECT_EQ(session.report().result_count, session.fds().size());
-  Relation grown = Relation::FromStringRows(
-      Schema({"a", "b"}),
-      {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"8", "y"}, {"n/a", "x"}});
-  testing::ExpectSameFds(DiscoverFds(grown), session.fds(), "after widening");
-  EXPECT_EQ(session.relation().DistinctCount(0), 4u);  // 07, 7, 8, n/a
-
-  // An ordinary follow-up batch grows in place again (no further epoch move)
-  // and stays differentially correct on the reseeded state.
-  session.ApplyBatchStrings({{"8", "y"}});
-  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 0u);
-  grown.AppendRow({std::string("8"), std::string("y")});
-  testing::ExpectSameFds(DiscoverFds(grown), session.fds(),
-                         "batch after reseed");
-}
-
 TEST(IncrementalEdgeTest, WidthMismatchRejectsWholeBatch) {
   Relation r = testing::RandomRelation(3, 20, 16, 3);
   IncrementalHyFd session(r);
@@ -336,7 +309,6 @@ TEST(IncrementalStatsTest, CountersAndReportTrackTheBatch) {
   session.ApplyBatch(Slice(full, 80, 100));
   const RunReport& report = session.report();
   EXPECT_EQ(report.FindCounter("incremental.batch_rows"), 20u);
-  EXPECT_EQ(report.FindCounter("incremental.reseeded"), 0u);
   // Low-domain columns guarantee value collisions, so the batch must have
   // touched clusters and re-proven inherited FDs via the restricted path.
   EXPECT_GT(session.last_batch_stats().touched_clusters, 0u);
@@ -636,64 +608,6 @@ TEST(IncrementalUccTest, TinyTablesAndDuplicatesMatchHyUcc) {
   }
 }
 
-// The session's reads against LiveRelation()'s — UCCs against HyUcc on the
-// copy, the in-place live fingerprint against the copy's — over the type and
-// spelling corners of the copy. The copy keeps the session's column types, so
-// the two agree at every step, including after the row that widened a string
-// column is deleted.
-TEST(IncrementalFingerprintTest, LiveFingerprintMatchesCopyAcrossCorners) {
-  const std::optional<std::string> null;
-  for (NullSemantics nulls :
-       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
-    IncrementalConfig config;
-    config.null_semantics = nulls;
-    const auto check = [&](const IncrementalHyFd& session,
-                           const std::string& step) {
-      ExpectLiveReadsMatch(session, nulls, step);
-    };
-
-    // Column a: "07"/"7" spellings of one int value; column c: NULL except
-    // in the row deleted below.
-    IncrementalHyFd session(
-        Relation::FromRows(Schema({"a", "b", "c"}),
-                           {{"07", "x", null},
-                            {"7", "y", null},
-                            {"8", "x", "5"},
-                            {"9", "y", null}}),
-        config);
-    check(session, "seed");
-    session.DeleteRows({RecordId{2}});
-    check(session, "all-NULL live column");
-    // A numeric column widened to string by a row deleted again: the copy
-    // keeps b's string type.
-    session.ApplyBatch({{"10", "1.50", null}, {"11", "n/a", null}});
-    session.DeleteRows({RecordId{5}});
-    check(session, "widening row deleted");
-    // Widening a to string splits "07" from "7": the session reseeds and
-    // compacts. Deleting the widening row leaves an int-looking string
-    // column, which a copy retyped from its values would make int again,
-    // merging the spellings the session keeps apart.
-    session.ApplyBatch({{"n/a", "z", null}});
-    EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
-    check(session, "reseed");
-    // Compacted ids: 0 "07", 1 "7", 2 "9", 3 "10", 4 "n/a".
-    session.DeleteRows({RecordId{2}});
-    check(session, "int spellings in a string column");
-    session.DeleteRows({RecordId{4}});
-    check(session, "raw spellings");
-    const Relation copy = session.LiveRelation();
-    EXPECT_EQ(copy.segment(0).type(), ColumnType::kString);
-    EXPECT_EQ(copy.DistinctCount(0), 3u) << "\"07\" and \"7\" merged";
-    std::vector<RecordId> all;
-    for (RecordId r = 0; r < session.relation().num_rows(); ++r) {
-      if (session.IsRowLive(r)) all.push_back(r);
-    }
-    session.DeleteRows(all);
-    EXPECT_EQ(session.num_live_rows(), 0u);
-    check(session, "zero live rows");
-  }
-}
-
 /// One ApplyMixed call of a fixed schedule.
 struct FixedStep {
   std::vector<Row> inserts;
@@ -702,51 +616,83 @@ struct FixedStep {
 
 /// Seeds a session with `seed_rows` and applies `steps` in order. After the
 /// seed and after every step the FD set must equal from-scratch HyFD and the
-/// brute-force oracle on the live rows, under both NULL semantics.
+/// brute-force oracle on the live rows, under both NULL semantics and at 1
+/// and 4 threads, and every row id ever issued must still name the row it
+/// was issued for (ids never move; inserts take the next ids in order).
 void RunFixedSchedule(const std::vector<Row>& seed_rows,
                       const std::vector<FixedStep>& steps,
                       const std::string& context) {
   const Schema schema = Schema::Generic(static_cast<int>(seed_rows[0].size()));
-  for (NullSemantics nulls :
-       {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
-    IncrementalConfig config;
-    config.null_semantics = nulls;
-    HyFdConfig scratch_config;
-    scratch_config.null_semantics = nulls;
-    IncrementalHyFd session(Relation::FromRows(schema, seed_rows), config);
-    std::vector<std::pair<RecordId, Row>> live;
-    for (size_t r = 0; r < seed_rows.size(); ++r) {
-      live.emplace_back(static_cast<RecordId>(r), seed_rows[r]);
-    }
-    const std::string label =
-        context + (nulls == NullSemantics::kNullEqualsNull ? " null==null"
-                                                           : " null!=null");
-    const auto check = [&](const std::string& step_context) {
-      std::vector<Row> rows;
-      for (const auto& [id, row] : live) rows.push_back(row);
-      const Relation model = Relation::FromRows(schema, rows);
-      testing::ExpectSameFds(DiscoverFds(model, scratch_config), session.fds(),
-                             step_context);
-      testing::ExpectSameFds(DiscoverFdsBruteForce(model, nulls),
-                             session.fds(), step_context + " vs oracle");
-      ExpectLiveReadsMatch(session, nulls, step_context);
-    };
-    check(label + " seed");
-    for (size_t s = 0; s < steps.size(); ++s) {
-      const RecordId base = static_cast<RecordId>(session.relation().num_rows());
-      session.ApplyMixed(steps[s].inserts, steps[s].deletes, {});
-      for (RecordId id : steps[s].deletes) {
-        live.erase(std::find_if(live.begin(), live.end(),
-                                [&](const auto& entry) {
-                                  return entry.first == id;
-                                }));
+  for (int threads : {1, 4}) {
+    for (NullSemantics nulls :
+         {NullSemantics::kNullEqualsNull, NullSemantics::kNullUnequal}) {
+      IncrementalConfig config;
+      config.null_semantics = nulls;
+      config.num_threads = threads;
+      HyFdConfig scratch_config;
+      scratch_config.null_semantics = nulls;
+      IncrementalHyFd session(Relation::FromRows(schema, seed_rows), config);
+      std::vector<Row> by_id = seed_rows;
+      std::vector<uint8_t> alive(seed_rows.size(), 1);
+      const std::string label =
+          context +
+          (nulls == NullSemantics::kNullEqualsNull ? " null==null"
+                                                   : " null!=null") +
+          " threads=" + std::to_string(threads);
+      const auto check = [&](const std::string& step_context) {
+        std::vector<Row> rows;
+        for (size_t id = 0; id < by_id.size(); ++id) {
+          if (alive[id] != 0) rows.push_back(by_id[id]);
+        }
+        const Relation model = Relation::FromRows(schema, rows);
+        testing::ExpectSameFds(DiscoverFds(model, scratch_config),
+                               session.fds(), step_context);
+        testing::ExpectSameFds(DiscoverFdsBruteForce(model, nulls),
+                               session.fds(), step_context + " vs oracle");
+        ExpectLiveReadsMatch(session, nulls, step_context);
+        ASSERT_EQ(session.relation().num_rows(), by_id.size()) << step_context;
+        for (size_t id = 0; id < by_id.size(); ++id) {
+          EXPECT_EQ(session.IsRowLive(static_cast<RecordId>(id)),
+                    alive[id] != 0)
+              << step_context << " id " << id;
+          EXPECT_EQ(RowOf(session.relation(), id), by_id[id])
+              << step_context << " id " << id;
+        }
+      };
+      check(label + " seed");
+      for (size_t s = 0; s < steps.size(); ++s) {
+        session.ApplyMixed(steps[s].inserts, steps[s].deletes, {});
+        for (RecordId id : steps[s].deletes) alive[id] = 0;
+        for (const Row& row : steps[s].inserts) {
+          by_id.push_back(row);
+          alive.push_back(1);
+        }
+        check(label + " step " + std::to_string(s + 1));
       }
-      for (size_t i = 0; i < steps[s].inserts.size(); ++i) {
-        live.emplace_back(base + static_cast<RecordId>(i), steps[s].inserts[i]);
-      }
-      check(label + " step " + std::to_string(s + 1));
     }
   }
+}
+
+// Spellings of one number or date are distinct values: "07" and "7" seed
+// the session as two values, and later cells such as "n/a", "1.50", "1.5"
+// and "7.0" only add values. Every batch grows in place — row ids never move
+// — and equals from-scratch discovery, through deletes, a step to zero live
+// rows and the refill after it.
+TEST(IncrementalCrudTest, RespellingLadderGrowsInPlace) {
+  const std::optional<std::string> null;
+  RunFixedSchedule({{"07", "x", null},
+                    {"7", "y", null},
+                    {"8", "x", "5"},
+                    {"9", "y", null}},
+                   {{{}, {2}},
+                    {{{"10", "1.50", null}, {"11", "n/a", null}}, {}},
+                    {{}, {5}},
+                    {{{"n/a", "z", null}}, {3}},
+                    {{{"07", "y", "1.5"}, {"7.0", "1.5", null}}, {6}},
+                    {{{"7", "1.50", "5"}}, {1}},
+                    {{}, {0, 4, 7, 8, 9}},
+                    {{{"007", "1.50", "5"}, {"7", "1.5", null}}, {}}},
+                   "respellings");
 }
 
 // Deleting row 1 demotes one of the two slots in columns a, b and c, and d's
@@ -935,7 +881,7 @@ TEST(IncrementalCrudTest, DeleteRepairIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Seed/reseed stats attribution (the last_batch_stats() regression).
+// Seed stats attribution (the last_batch_stats() regression).
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalStatsTest, SeedDiscoveryAttributionIsVisible) {
@@ -946,57 +892,6 @@ TEST(IncrementalStatsTest, SeedDiscoveryAttributionIsVisible) {
   EXPECT_GT(session.last_batch_stats().validations, 0u);
   EXPECT_GT(session.last_batch_stats().comparisons, 0u);
   EXPECT_EQ(session.report().result_count, session.fds().size());
-}
-
-TEST(IncrementalStatsTest, ReseedBatchReportsOnlyItsOwnDiscovery) {
-  // A widening batch triggers Reseed() mid-ApplyBatch. The reported counters
-  // must describe the fresh full discovery alone — not the in-flight batch
-  // counters stacked on top — so they must equal a fresh session seeded on
-  // the same final relation (discovery is deterministic serially).
-  Relation r = Relation::FromStringRows(
-      Schema({"a", "b", "c"}),
-      {{"07", "x", "p"}, {"7", "y", "q"}, {"8", "x", "p"}, {"9", "y", "q"}});
-  IncrementalHyFd session(r);
-  session.ApplyBatchStrings({{"n/a", "x", "q"}});
-  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
-  EXPECT_EQ(session.report().FindCounter("incremental.batch_rows"), 1u);
-
-  Relation grown = Relation::FromStringRows(
-      Schema({"a", "b", "c"}), {{"07", "x", "p"},
-                                {"7", "y", "q"},
-                                {"8", "x", "p"},
-                                {"9", "y", "q"},
-                                {"n/a", "x", "q"}});
-  IncrementalHyFd fresh(grown);
-  EXPECT_EQ(session.last_batch_stats().validations,
-            fresh.last_batch_stats().validations);
-  EXPECT_EQ(session.last_batch_stats().comparisons,
-            fresh.last_batch_stats().comparisons);
-  testing::ExpectSameFds(fresh.fds(), session.fds(), "reseed vs fresh");
-}
-
-TEST(IncrementalCrudTest, ReseedAfterDeletesCompactsToLiveRows) {
-  // Tombstone a row, then widen a column: the reseed path must rebuild from
-  // the *live* rows only (never resurrect the dead one), compacting the
-  // relation and re-anchoring ids.
-  Relation r = Relation::FromStringRows(
-      Schema({"a", "b"}), {{"07", "x"}, {"7", "y"}, {"8", "x"}, {"9", "y"}});
-  IncrementalHyFd session(r);
-  session.DeleteRows({RecordId{2}});
-  session.ApplyBatchStrings({{"n/a", "z"}});
-  EXPECT_EQ(session.report().FindCounter("incremental.reseeded"), 1u);
-  EXPECT_EQ(session.num_live_rows(), 4u);
-  EXPECT_EQ(session.relation().num_rows(), 4u);  // compacted: tombstone gone
-  Relation expected = Relation::FromStringRows(
-      Schema({"a", "b"}), {{"07", "x"}, {"7", "y"}, {"9", "y"}, {"n/a", "z"}});
-  testing::ExpectSameFds(DiscoverFds(expected), session.fds(),
-                         "reseed after delete");
-  // The compacted session keeps working differentially.
-  const FDSet& after = session.DeleteRows({RecordId{1}});
-  Relation smaller = Relation::FromStringRows(
-      Schema({"a", "b"}), {{"07", "x"}, {"9", "y"}, {"n/a", "z"}});
-  testing::ExpectSameFds(DiscoverFds(smaller), after,
-                         "delete after reseed");
 }
 
 }  // namespace
