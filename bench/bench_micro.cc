@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/hyfd.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
@@ -396,14 +398,81 @@ BENCHMARK(BM_RefinesGeneralKernel)->Arg(10000)->Arg(100000);
 // level: pivot = the LHS attribute of lowest rank, the others ascending.
 // Shared groups the LHSs into one trie per (pivot, first other); PerJob runs
 // the same walk with one single-leaf trie per LHS.
+struct LevelLhs {
+  int pivot;
+  std::vector<int> others;
+  std::vector<int> rhs;
+};
+
+/// `lhs` split as the Validator plans it: the pivot is the attribute of
+/// lowest rank, the others ascend.
+LevelLhs PlanLhs(const PreprocessedData& data, const AttributeSet& lhs,
+                 std::vector<int> rhs) {
+  LevelLhs entry{lhs.First(), {}, std::move(rhs)};
+  for (int a = lhs.First(); a != AttributeSet::kNpos; a = lhs.NextAfter(a)) {
+    if (data.rank[static_cast<size_t>(a)] <
+        data.rank[static_cast<size_t>(entry.pivot)]) {
+      entry.pivot = a;
+    }
+  }
+  for (int a = lhs.First(); a != AttributeSet::kNpos; a = lhs.NextAfter(a)) {
+    if (a != entry.pivot) entry.others.push_back(a);
+  }
+  return entry;
+}
+
+/// Runs a level of `lhss` (sorted by (pivot, others)) as jobs of consecutive
+/// LHSs; `shared` joins the LHSs with equal (pivot, first other) into one
+/// trie. With `touched`, each job visits its pivot's touched clusters and
+/// carries `first_new_record`. Returns the rows the walks kept.
+size_t RunLevel(const PreprocessedData& data, const std::vector<LevelLhs>& lhss,
+                bool shared, const std::vector<std::vector<uint32_t>>* touched,
+                RecordId first_new_record, RefineArena* arena,
+                RefineTaskOut* out) {
+  size_t root_rows = 0;
+  std::vector<RefineLeaf> leaves;
+  for (size_t i = 0; i < lhss.size();) {
+    size_t j = i + 1;
+    while (shared && j < lhss.size() && lhss[j].pivot == lhss[i].pivot &&
+           lhss[j].others[0] == lhss[i].others[0]) {
+      ++j;
+    }
+    leaves.clear();
+    for (size_t k = i; k < j; ++k) {
+      RefineLeaf& leaf = leaves.emplace_back();
+      leaf.others = lhss[k].others.data();
+      leaf.num_others = lhss[k].others.size();
+      leaf.rhs_attrs = lhss[k].rhs.data();
+      leaf.num_rhs = lhss[k].rhs.size();
+    }
+    const auto pivot = static_cast<size_t>(lhss[i].pivot);
+    RefineJob job;
+    job.records = &data.records;
+    job.clusters = &data.plis[pivot].clusters();
+    job.visit = touched != nullptr ? &(*touched)[pivot] : nullptr;
+    job.leaves = leaves.data();
+    job.num_leaves = leaves.size();
+    job.other_code_bound = data.num_records;
+    job.first_new_record = first_new_record;
+    const size_t num_visit =
+        job.visit != nullptr ? job.visit->size() : job.clusters->size();
+    RunRefineTask(job, 0, num_visit, 0, 0, arena, out);
+    root_rows += out->root_rows;
+    i = j;
+  }
+  return root_rows;
+}
+
+void SortLevel(std::vector<LevelLhs>* lhss) {
+  std::sort(lhss->begin(), lhss->end(),
+            [](const LevelLhs& x, const LevelLhs& y) {
+              return std::tie(x.pivot, x.others) < std::tie(y.pivot, y.others);
+            });
+}
+
 struct RefineLevelFixture {
-  struct Lhs {
-    int pivot;
-    std::vector<int> others;
-    std::vector<int> rhs;
-  };
   PreprocessedData data;
-  std::vector<Lhs> lhss;  ///< sorted by (pivot, others)
+  std::vector<LevelLhs> lhss;  ///< sorted by (pivot, others)
 
   explicit RefineLevelFixture(size_t rows)
       : data(Preprocess(GenerateFdReduced(rows, 10, 16, /*seed=*/5))) {
@@ -411,56 +480,15 @@ struct RefineLevelFixture {
     for (int a = 0; a < m; ++a) {
       for (int b = a + 1; b < m; ++b) {
         for (int c = b + 1; c < m; ++c) {
-          std::vector<int> lhs = {a, b, c};
-          Lhs& entry = lhss.emplace_back();
-          entry.pivot = *std::min_element(
-              lhs.begin(), lhs.end(), [&](int x, int y) {
-                return data.rank[static_cast<size_t>(x)] <
-                       data.rank[static_cast<size_t>(y)];
-              });
-          for (int attr : lhs) {
-            if (attr != entry.pivot) entry.others.push_back(attr);
-          }
+          std::vector<int> rhs;
           for (int attr = 0; attr < m; ++attr) {
-            if (std::find(lhs.begin(), lhs.end(), attr) == lhs.end()) {
-              entry.rhs.push_back(attr);
-            }
+            if (attr != a && attr != b && attr != c) rhs.push_back(attr);
           }
+          lhss.push_back(PlanLhs(data, AttributeSet(m, {a, b, c}), rhs));
         }
       }
     }
-    std::sort(lhss.begin(), lhss.end(), [](const Lhs& x, const Lhs& y) {
-      return std::tie(x.pivot, x.others) < std::tie(y.pivot, y.others);
-    });
-  }
-
-  /// Runs the level as jobs of consecutive LHSs; `shared` joins the LHSs
-  /// with equal (pivot, first other) into one trie.
-  void Run(bool shared, RefineArena* arena, RefineTaskOut* out) const {
-    std::vector<RefineLeaf> leaves;
-    for (size_t i = 0; i < lhss.size();) {
-      size_t j = i + 1;
-      while (shared && j < lhss.size() && lhss[j].pivot == lhss[i].pivot &&
-             lhss[j].others[0] == lhss[i].others[0]) {
-        ++j;
-      }
-      leaves.clear();
-      for (size_t k = i; k < j; ++k) {
-        RefineLeaf& leaf = leaves.emplace_back();
-        leaf.others = lhss[k].others.data();
-        leaf.num_others = lhss[k].others.size();
-        leaf.rhs_attrs = lhss[k].rhs.data();
-        leaf.num_rhs = lhss[k].rhs.size();
-      }
-      RefineJob job;
-      job.records = &data.records;
-      job.clusters = &data.plis[static_cast<size_t>(lhss[i].pivot)].clusters();
-      job.leaves = leaves.data();
-      job.num_leaves = leaves.size();
-      job.other_code_bound = data.num_records;
-      RunRefineTask(job, 0, job.clusters->size(), 0, 0, arena, out);
-      i = j;
-    }
+    SortLevel(&lhss);
   }
 };
 
@@ -469,7 +497,7 @@ void BM_RefineLevelShared(benchmark::State& state) {
   RefineArena arena;
   RefineTaskOut out;
   for (auto _ : state) {
-    f.Run(/*shared=*/true, &arena, &out);
+    RunLevel(f.data, f.lhss, /*shared=*/true, nullptr, 0, &arena, &out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
@@ -482,13 +510,67 @@ void BM_RefineLevelPerJob(benchmark::State& state) {
   RefineArena arena;
   RefineTaskOut out;
   for (auto _ : state) {
-    f.Run(/*shared=*/false, &arena, &out);
+    RunLevel(f.data, f.lhss, /*shared=*/false, nullptr, 0, &arena, &out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(f.lhss.size()));
 }
 BENCHMARK(BM_RefineLevelPerJob)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+// ---- One restricted level: the batch filter --------------------------------
+// An adult stand-in of 20,000 rows plus one 60-row batch (ids 20,000 and
+// up). The level of the old rows' minimal FDs with the most FDs (LHS size
+// ≥ 2) is re-checked as a session's restricted jobs do: one trie per (pivot,
+// first other) over the pivot clusters the batch touched. Arg 1 sets
+// first_new_record, so the walks keep only rows that can pair with a batch
+// row; Arg 0 leaves it 0 and walks every row of the touched clusters.
+struct RestrictedLevelFixture {
+  static constexpr size_t kOldRows = 20000;
+  static constexpr size_t kBatchRows = 60;
+  PreprocessedData data;
+  std::vector<LevelLhs> lhss;  ///< sorted by (pivot, others)
+  std::vector<std::vector<uint32_t>> touched;
+
+  RestrictedLevelFixture() {
+    const Relation all = MakeDataset("adult", kOldRows + kBatchRows);
+    data = Preprocess(all);
+    const FDSet old_fds = DiscoverFds(all.HeadRows(kOldRows));
+    std::vector<size_t> per_level(static_cast<size_t>(data.num_attributes) + 1);
+    for (const FD& fd : old_fds) ++per_level[static_cast<size_t>(fd.lhs.Count())];
+    const auto level = std::max_element(per_level.begin() + 2, per_level.end()) -
+                       per_level.begin();
+    std::map<AttributeSet, std::vector<int>> rhs_of;
+    for (const FD& fd : old_fds) {
+      if (fd.lhs.Count() == level) rhs_of[fd.lhs].push_back(fd.rhs);
+    }
+    for (const auto& [lhs, rhs] : rhs_of) lhss.push_back(PlanLhs(data, lhs, rhs));
+    SortLevel(&lhss);
+    for (const Pli& pli : data.plis) {
+      std::vector<uint32_t>& list = touched.emplace_back();
+      for (uint32_t ci = 0; ci < pli.clusters().size(); ++ci) {
+        if (pli.clusters()[ci].back() >= kOldRows) list.push_back(ci);
+      }
+    }
+  }
+};
+
+void BM_RefineLevelRestricted(benchmark::State& state) {
+  static const RestrictedLevelFixture f;
+  const RecordId first_new =
+      state.range(0) != 0 ? RestrictedLevelFixture::kOldRows : 0;
+  RefineArena arena;
+  RefineTaskOut out;
+  size_t root_rows = 0;
+  for (auto _ : state) {
+    root_rows = RunLevel(f.data, f.lhss, /*shared=*/true, &f.touched,
+                         first_new, &arena, &out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["root_rows"] = static_cast<double>(root_rows);
+  state.counters["lhss"] = static_cast<double>(f.lhss.size());
+}
+BENCHMARK(BM_RefineLevelRestricted)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 void BM_FdTreeAddAndLookup(benchmark::State& state) {
   const int m = 32;

@@ -462,9 +462,13 @@ const FDSet& IncrementalHyFd::ApplyMixed(
 
   fds_ = tree_.ToFdSet();
   if (!dead.empty()) {
+    // Both sets are in canonical order: one merge walk counts the FDs that
+    // are new to the cover.
     size_t generalized = 0;
+    auto before = fds_before.begin();
     for (const FD& fd : fds_) {
-      if (!fds_before.Contains(fd)) ++generalized;
+      while (before != fds_before.end() && *before < fd) ++before;
+      if (before == fds_before.end() || fd < *before) ++generalized;
     }
     metrics_.Set("incremental.fds_generalized", generalized);
   }

@@ -20,15 +20,19 @@ inline uint64_t WitnessPos(size_t cluster_index, size_t record_index) {
 /// deterministic and independent of any hash function — and rows keep their
 /// order within a group. Rows carrying kUniqueCluster leave the grouping
 /// (they cannot collide with anything), and so do singleton subgroups when
-/// `drop_singletons` (they cannot hold a pair).
-template <typename CodeAt>
+/// `drop_singletons` (they cannot hold a pair). With `kBatchOnly`, so do the
+/// subgroups without a position ≥ `batch_begin` (no batch row): positions
+/// ascend within each group, so its batch rows are its tail.
+template <bool kBatchOnly, typename CodeAt>
 void SplitGroups(const CodeAt& code_at, size_t code_bound,
                  const std::vector<uint32_t>& idx,
                  const std::vector<uint32_t>& offsets, bool drop_singletons,
-                 RefineArena* arena, std::vector<uint32_t>* out_idx,
+                 uint32_t batch_begin, RefineArena* arena,
+                 std::vector<uint32_t>* out_idx,
                  std::vector<uint32_t>* out_offsets) {
   auto& sub_of = arena->scratch_group;  // subgroup id per position
   auto& hist = arena->hist;
+  auto& has_batch = arena->sub_has_batch;
   out_idx->resize(idx.size());
   sub_of.resize(idx.size());
   out_offsets->clear();
@@ -61,11 +65,20 @@ void SplitGroups(const CodeAt& code_at, size_t code_bound,
       sub_of[p] = sid;
       ++hist[sid];
     }
+    if constexpr (kBatchOnly) {
+      has_batch.assign(hist.size(), 0);
+      const auto tail = std::lower_bound(idx.begin() + begin,
+                                         idx.begin() + end, batch_begin);
+      for (auto p = static_cast<uint32_t>(tail - idx.begin()); p < end; ++p) {
+        if (sub_of[p] != UINT32_MAX) has_batch[sub_of[p]] = 1;
+      }
+    }
     // Turn counts into scatter offsets; emit the new group boundaries.
     uint32_t off = write_base;
-    for (uint32_t& slot : hist) {
+    for (size_t sid = 0; sid < hist.size(); ++sid) {
+      uint32_t& slot = hist[sid];
       const uint32_t count = slot;
-      if (drop_singletons && count < 2) {
+      if ((drop_singletons && count < 2) || (kBatchOnly && !has_batch[sid])) {
         slot = UINT32_MAX;
         continue;
       }
@@ -96,6 +109,7 @@ size_t RefineArena::MemoryBytes() const {
                  scratch_group.capacity() * sizeof(uint32_t) +
                  hist.capacity() * sizeof(uint32_t) +
                  leaf_alive.capacity() * sizeof(size_t) +
+                 sub_has_batch.capacity() * sizeof(uint8_t) +
                  gathered.capacity() * sizeof(ClusterId) +
                  reps.capacity() * sizeof(RecordId) +
                  rep_rhs.capacity() * sizeof(ClusterId) +
@@ -127,9 +141,10 @@ size_t GroupRowsByCodes(const CompressedRecords& records, const int* attrs,
   // One refinement round per grouping attribute.
   for (size_t round = 0; round < num_attrs; ++round) {
     const int attr = attrs[round];
-    SplitGroups([&](uint32_t i) { return records.Cluster(rows[i], attr); },
-                code_bound, gi, go, /*drop_singletons=*/false, arena,
-                &arena->scratch_idx, &arena->scratch_offsets);
+    SplitGroups</*kBatchOnly=*/false>(
+        [&](uint32_t i) { return records.Cluster(rows[i], attr); },
+        code_bound, gi, go, /*drop_singletons=*/false, /*batch_begin=*/0,
+        arena, &arena->scratch_idx, &arena->scratch_offsets);
     gi.swap(arena->scratch_idx);
     go.swap(arena->scratch_offsets);
   }
@@ -139,24 +154,44 @@ size_t GroupRowsByCodes(const CompressedRecords& records, const int* attrs,
 
 namespace {
 
+/// Position of the cluster's first batch row (record id ≥
+/// `first_new_record`); clusters ascend, so the batch rows are its tail.
+/// 0 when the job carries no batch: every row is walked.
+uint32_t FirstBatchPos(const std::vector<RecordId>& cluster,
+                       RecordId first_new_record) {
+  if (first_new_record == 0) return 0;
+  return static_cast<uint32_t>(
+      std::lower_bound(cluster.begin(), cluster.end(), first_new_record) -
+      cluster.begin());
+}
+
 /// Compare-to-first shape (no non-pivot LHS attributes): every record of a
 /// cluster checks its RHS codes against the cluster's first record. Records
 /// are independent, so this is the one shape a giant cluster may split into
 /// record ranges across workers.
 void RunCompareToFirst(const RefineJob& job, size_t cluster_begin,
                        size_t cluster_end, uint32_t rec_begin, uint32_t rec_end,
-                       RefineLeafOut* out) {
+                       RefineTaskOut* task_out) {
   const CompressedRecords& records = *job.records;
   const RefineLeaf& leaf = job.leaves[0];
+  RefineLeafOut* out = &task_out->leaves[0];
   size_t remaining = leaf.num_rhs;
   for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
     const auto& cluster =
         (*job.clusters)[job.visit != nullptr ? (*job.visit)[ci] : ci];
     if (cluster.size() < 2) continue;  // tombstoned empty slot
-    const ClusterId* first = records.Record(cluster[0]);
-    const size_t begin = rec_end > 0 ? std::max<size_t>(rec_begin, 1) : 1;
+    // Old rows agree with the (old) first row on every RHS, so only a
+    // batch row can move a witness.
+    const size_t start =
+        std::max<size_t>(FirstBatchPos(cluster, job.first_new_record), 1);
+    const size_t begin =
+        rec_end > 0 ? std::max<size_t>(rec_begin, start) : start;
     const size_t end = rec_end > 0 ? rec_end : cluster.size();
-    for (size_t i = begin; i < end; ++i) {
+    if (begin >= end) continue;
+    task_out->root_rows += end - begin;
+    if (remaining == 0) continue;  // past an early exit: counting only
+    const ClusterId* first = records.Record(cluster[0]);
+    for (size_t i = begin; i < end && remaining > 0; ++i) {
       const ClusterId* rec = records.Record(cluster[i]);
       for (size_t j = 0; j < leaf.num_rhs; ++j) {
         if (out->witnesses[j].pos != kNoWitnessPos) continue;
@@ -165,7 +200,8 @@ void RunCompareToFirst(const RefineJob& job, size_t cluster_begin,
           out->witnesses[j] = {WitnessPos(ci, i), cluster[0], cluster[i]};
           if (--remaining == 0) {
             out->complete = false;  // nothing left alive: stop scanning
-            return;
+            if (job.visit == nullptr) return;
+            break;
           }
         }
       }
@@ -224,14 +260,16 @@ class TrieWalk {
     for (size_t ci = cluster_begin; ci < cluster_end; ++ci) {
       cluster_ = &(*job_.clusters)[job_.visit != nullptr ? (*job_.visit)[ci]
                                                          : ci];
-      const auto n = static_cast<uint32_t>(cluster_->size());
-      if (n < 2) continue;  // tombstoned empty slot
+      if (cluster_->size() < 2) continue;  // tombstoned empty slot
       ci_ = ci;
+      FillRoot();
+      const auto root_size =
+          static_cast<uint32_t>(arena_->depth_idx[0].size());
+      out_->root_rows += root_size;
+      // Past an early exit only the count goes on.
+      if (live_leaves == 0 || root_size < 2) continue;
       Gather();
-      auto& root_idx = arena_->depth_idx[0];
-      root_idx.resize(n);
-      std::iota(root_idx.begin(), root_idx.end(), uint32_t{0});
-      arena_->depth_offsets[0].assign({0, n});
+      arena_->depth_offsets[0].assign({0, root_size});
       Descend(0, 0, job_.num_leaves);
       // A leaf whose every RHS died by the end of this cluster can gain
       // nothing from later clusters: it stops, and its partial partition
@@ -244,12 +282,44 @@ class TrieWalk {
           --live_leaves;
         }
       }
-      if (live_leaves == 0) return;
+      if (live_leaves == 0 && job_.visit == nullptr) return;
     }
   }
 
  private:
-  /// Copies the cluster's codes of every split attribute into contiguous
+  /// Fills the root group with the cluster's positions: all of them, or in
+  /// a batch job only the rows that can pair with a batch row, those whose
+  /// code in the trie's first non-pivot attribute a batch row of the
+  /// cluster also carries. Every leaf groups by that attribute first, so
+  /// any other row lands in batch-free groups only.
+  void FillRoot() {
+    const std::vector<RecordId>& cluster = *cluster_;
+    const auto n = static_cast<uint32_t>(cluster.size());
+    auto& root = arena_->depth_idx[0];
+    batch_begin_ = FirstBatchPos(cluster, job_.first_new_record);
+    if (batch_begin_ == 0) {
+      root.resize(n);
+      std::iota(root.begin(), root.end(), uint32_t{0});
+      return;
+    }
+    root.clear();
+    const int attr = job_.leaves[0].others[0];
+    uint64_t* const code_epoch = arena_->code_epoch.data();
+    const uint64_t ep = ++arena_->epoch;
+    for (uint32_t i = batch_begin_; i < n; ++i) {
+      const ClusterId code = records_.Record(cluster[i])[attr];
+      HYFD_DCHECK(code == kUniqueCluster ||
+                      static_cast<size_t>(code) < job_.other_code_bound,
+                  "RunRefineTask: cluster code exceeds other_code_bound");
+      if (code != kUniqueCluster) code_epoch[code] = ep;
+    }
+    for (uint32_t i = 0; i < n; ++i) {
+      const ClusterId code = records_.Record(cluster[i])[attr];
+      if (code != kUniqueCluster && code_epoch[code] == ep) root.push_back(i);
+    }
+  }
+
+  /// Copies the root rows' codes of every split attribute into contiguous
   /// columns once, so split rounds index small arrays by position instead
   /// of reading row-major records scattered over the whole relation.
   void Gather() {
@@ -257,11 +327,16 @@ class TrieWalk {
     const size_t n = cluster_->size();
     auto& gathered = arena_->gathered;
     gathered.resize(attrs_.size() * n);
-    for (size_t i = 0; i < n; ++i) {
+    const auto copy = [&](uint32_t i) {
       const ClusterId* rec = records_.Record((*cluster_)[i]);
       for (size_t s = 0; s < attrs_.size(); ++s) {
         gathered[s * n + i] = rec[attrs_[s]];
       }
+    };
+    if (batch_begin_ == 0) {
+      for (uint32_t i = 0; i < n; ++i) copy(i);
+    } else {
+      for (uint32_t i : arena_->depth_idx[0]) copy(i);
     }
   }
 
@@ -292,11 +367,21 @@ class TrieWalk {
       }
       if (k < j && !AllDead(k, j)) {
         const ClusterId* column = Column(attr);
-        SplitGroups([column](uint32_t p) { return column[p]; },
-                    job_.other_code_bound, arena_->depth_idx[depth],
-                    arena_->depth_offsets[depth], /*drop_singletons=*/true,
-                    arena_, &arena_->depth_idx[depth + 1],
-                    &arena_->depth_offsets[depth + 1]);
+        const auto code_at = [column](uint32_t p) { return column[p]; };
+        // A cluster of only batch rows (batch_begin_ 0) needs no filter.
+        if (batch_begin_ > 0) {
+          SplitGroups</*kBatchOnly=*/true>(
+              code_at, job_.other_code_bound, arena_->depth_idx[depth],
+              arena_->depth_offsets[depth], /*drop_singletons=*/true,
+              batch_begin_, arena_, &arena_->depth_idx[depth + 1],
+              &arena_->depth_offsets[depth + 1]);
+        } else {
+          SplitGroups</*kBatchOnly=*/false>(
+              code_at, job_.other_code_bound, arena_->depth_idx[depth],
+              arena_->depth_offsets[depth], /*drop_singletons=*/true,
+              /*batch_begin=*/0, arena_, &arena_->depth_idx[depth + 1],
+              &arena_->depth_offsets[depth + 1]);
+        }
         if (!arena_->depth_idx[depth + 1].empty()) Descend(depth + 1, k, j);
       }
       i = j;
@@ -424,6 +509,8 @@ class TrieWalk {
   std::vector<int> attrs_;
   const std::vector<RecordId>* cluster_ = nullptr;
   size_t ci_ = 0;
+  /// The current cluster's first batch row (FirstBatchPos).
+  uint32_t batch_begin_ = 0;
 };
 
 }  // namespace
@@ -432,9 +519,12 @@ void RunRefineTask(const RefineJob& job, size_t cluster_begin,
                    size_t cluster_end, uint32_t rec_begin, uint32_t rec_end,
                    RefineArena* arena, RefineTaskOut* out) {
   out->leaves.resize(job.num_leaves);
+  out->root_rows = 0;
   for (size_t k = 0; k < job.num_leaves; ++k) {
     RefineLeafOut& leaf_out = out->leaves[k];
     HYFD_DCHECK(job.leaves[k].num_rhs > 0, "RunRefineTask: leaf without RHS");
+    HYFD_DCHECK(!job.leaves[k].collect || job.first_new_record == 0,
+                "RunRefineTask: a batch-filtered walk cannot collect");
     leaf_out.witnesses.assign(job.leaves[k].num_rhs, RefineWitness{});
     leaf_out.collected.clear();
     leaf_out.complete = true;
@@ -444,18 +534,26 @@ void RunRefineTask(const RefineJob& job, size_t cluster_begin,
     HYFD_DCHECK(job.num_leaves == 1,
                 "RunRefineTask: a compare-to-first job has one leaf");
     RunCompareToFirst(job, cluster_begin, cluster_end, rec_begin, rec_end,
-                      &out->leaves[0]);
+                      out);
     return;
   }
   HYFD_DCHECK(rec_end == 0,
               "RunRefineTask: record-range splits require the "
               "compare-to-first shape");
+  HYFD_DCHECK(job.first_new_record == 0 ||
+                  std::all_of(job.leaves, job.leaves + job.num_leaves,
+                              [&](const RefineLeaf& leaf) {
+                                return leaf.others[0] == job.leaves[0].others[0];
+                              }),
+              "RunRefineTask: a batch job's leaves share their first "
+              "non-pivot attribute");
   TrieWalk(job, arena, out).Run(cluster_begin, cluster_end);
 }
 
 void MergeTaskOut(RefineTaskOut* into, RefineTaskOut&& from) {
   HYFD_DCHECK(into->leaves.size() == from.leaves.size(),
               "MergeTaskOut: outputs of different jobs");
+  into->root_rows += from.root_rows;
   for (size_t k = 0; k < into->leaves.size(); ++k) {
     RefineLeafOut& to = into->leaves[k];
     RefineLeafOut& add = from.leaves[k];

@@ -81,6 +81,8 @@ class RefineArena {
   std::vector<std::vector<uint32_t>> depth_offsets;
   /// Per leaf: RHSs still without a witness in the running task.
   std::vector<size_t> leaf_alive;
+  /// Batch-filtered splits: per subgroup, whether it holds a batch row.
+  std::vector<uint8_t> sub_has_batch;
   /// The current pivot cluster's codes of every attribute a split round
   /// groups by, one contiguous column per attribute.
   std::vector<ClusterId> gathered;
@@ -135,6 +137,21 @@ struct RefineJob {
   /// Exclusive upper bound on the cluster codes of every `others` attribute
   /// (max stripped-cluster count); sizes the arena's dense code table.
   size_t other_code_bound = 0;
+  /// Restricted (incremental) jobs: the first record id of the current
+  /// batch, so every cluster's batch rows are its tail. The caller promises
+  /// that no two rows below it violate any leaf's lhs -> rhs — each was
+  /// proven before the batch, and deletes only remove pairs — so the only
+  /// groups that can hold a violation are those holding a batch row, and
+  /// the walk keeps no other:
+  ///   - the root keeps the rows whose code in the trie's first non-pivot
+  ///     attribute a batch row of the cluster also carries (every leaf of a
+  ///     batch job must share that attribute, as the Validator's tries do);
+  ///   - every split drops the groups without a batch row;
+  ///   - compare-to-first starts at the cluster's first batch row.
+  /// Positions and representatives do not move, so witnesses equal those of
+  /// the full walk. 0 = no promise: every row is walked. Never combined
+  /// with `collect` (a filtered partition is partial).
+  RecordId first_new_record = 0;
 };
 
 /// What one task found for one leaf.
@@ -155,6 +172,11 @@ struct RefineLeafOut {
 /// job): one cell per leaf.
 struct RefineTaskOut {
   std::vector<RefineLeafOut> leaves;
+  /// Rows the task's clusters put into a walk: each root after the batch
+  /// filter, or the records the compare-to-first shape checks. A job with a
+  /// visit list counts every cluster of the range, also those after an early
+  /// exit, so the sum over its tasks does not depend on how it was split.
+  size_t root_rows = 0;
 };
 
 /// Runs one task of `job` over clusters [cluster_begin, cluster_end) of the
@@ -173,8 +195,9 @@ void RunRefineTask(const RefineJob& job, size_t cluster_begin,
                    RefineArena* arena, RefineTaskOut* out);
 
 /// Merges `from` into `into`, leaf by leaf: per-RHS minimum witness
-/// position, collected clusters appended in call order. Call in task order
-/// so collected cluster order stays deterministic.
+/// position, collected clusters appended in call order; root rows are
+/// summed. Call in task order so collected cluster order stays
+/// deterministic.
 void MergeTaskOut(RefineTaskOut* into, RefineTaskOut&& from);
 
 /// Groups the `n` rows of `rows` by their cluster-code tuple over `attrs`

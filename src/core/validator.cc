@@ -222,6 +222,7 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
 
   // Bind each trie's job. The unit and trie vectors are final, so pointers
   // into their storage stay valid through execution.
+  size_t restricted_rows = 0;
   for (Trie& trie : tries) {
     RefineJob& job = trie.job;
     job.records = &data_->records;
@@ -272,11 +273,14 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
     if (head.restricted) {
       // Restricted mode scans only the pivot clusters the batch touched; any
       // newly-violating pair shares its pivot cluster with a new row, so no
-      // violation hides in an untouched cluster (see ClusterDelta).
+      // violation hides in an untouched cluster, and inside one it walks
+      // only groups holding a new row (see ClusterDelta).
       job.visit = &delta_->touched[static_cast<size_t>(head.pivot)];
+      job.first_new_record = delta_->first_new_record;
       for (uint32_t ci : *job.visit) {
         trie.mass += pivot_pli.clusters()[ci].size();
       }
+      restricted_rows += trie.mass;
     } else {
       trie.mass = pivot_pli.NumNonUniqueRecords();
     }
@@ -365,6 +369,7 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
   // valid_rhss AND the suggestion pairs are bit-identical no matter how the
   // trie was split.
   std::vector<RefineLeafOut> results(units.size());
+  size_t restricted_rows_kept = 0;
   for (const Trie& trie : tries) {
     RefineTaskOut merged;
     if (trie.num_tasks == 0) {
@@ -379,9 +384,17 @@ void Validator::ValidateLevel(const std::vector<FDTree::LevelEntry>& level,
         MergeTaskOut(&merged, std::move(outs[trie.first_task + t]));
       }
     }
+    if (trie.job.visit != nullptr) {  // a restricted trie
+      restricted_rows_kept += merged.root_rows;
+    }
     for (size_t k = 0; k < trie.units.size(); ++k) {
       results[trie.units[k]] = std::move(merged.leaves[k]);
     }
+  }
+  if (delta_ != nullptr && metrics_ != nullptr) {
+    metrics_->GetCounter("validator.restricted_rows")->Add(restricted_rows);
+    metrics_->GetCounter("validator.restricted_rows_kept")
+        ->Add(restricted_rows_kept);
   }
   // Outcomes and cache warm-up Puts in level order, serially.
   for (size_t ui = 0; ui < units.size(); ++ui) {

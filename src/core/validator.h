@@ -46,9 +46,15 @@ class Validator {
   /// of the stripped clusters of π_attr that contain at least one record id
   /// ≥ `first_new_record`. Soundness of re-validating a previously-proven FD
   /// over touched pivot clusters only: a pair that *newly* violates lhs → rhs
-  /// must involve a new row (old-old pairs are unchanged), and both members
-  /// of a violating pair share the pivot cluster — so that cluster is
-  /// touched.
+  /// must involve a new row (old-old pairs are unchanged, and deletes only
+  /// remove pairs), and both members of a violating pair share the pivot
+  /// cluster — so that cluster is touched.
+  ///
+  /// `first_new_record` buys the same inside each touched cluster: no two
+  /// rows below it violate a proven FD, so a restricted walk keeps only the
+  /// LHS groups that hold a new row (RefineJob::first_new_record). Its cost
+  /// then tracks the rows that can pair with the batch, not the clusters'
+  /// sizes. 0 is valid and filters nothing.
   struct ClusterDelta {
     RecordId first_new_record = 0;
     std::vector<std::vector<uint32_t>> touched;
@@ -80,7 +86,11 @@ class Validator {
 
   size_t total_validations() const { return total_validations_; }
   /// Candidate (lhs → rhs) checks served by the restricted touched-clusters
-  /// scan instead of a full pass (incremental mode only).
+  /// scan instead of a full pass (incremental mode only). The registry gets
+  /// two row counters per level in incremental mode:
+  /// `validator.restricted_rows` (Σ visited cluster sizes of restricted
+  /// jobs) and `validator.restricted_rows_kept` (rows that entered their
+  /// walks after the batch filter); both are thread-count invariant.
   size_t restricted_validations() const { return restricted_validations_; }
   /// Previously-confirmed FDs the current batch invalidated.
   size_t delta_invalidated() const { return delta_invalidated_; }

@@ -39,6 +39,8 @@ class FDSet {
   auto end() const { return fds_.end(); }
   const std::vector<FD>& fds() const { return fds_; }
 
+  /// True iff the set holds `fd` (linear scan; meant for tests and small
+  /// sets, not for inner loops — diff two sets with one merge walk).
   bool Contains(const FD& fd) const;
   /// True iff the set holds `fd` or any generalization of it (linear scan;
   /// meant for tests and small sets, not for inner loops).

@@ -406,6 +406,41 @@ std::vector<LeafSpec> RandomFamily(int m, int pivot, std::mt19937_64& rng) {
   return family;
 }
 
+/// `r` with a batch that breaks FDs its old rows keep: each cell of the rows
+/// ≥ `first_new` takes, with probability 1/3, the value (or NULL) of the
+/// same column in a random row, so batch rows share codes with old rows.
+Relation PerturbBatch(const Relation& r, size_t first_new, std::mt19937_64& rng) {
+  std::vector<std::vector<std::optional<std::string>>> rows(r.num_rows());
+  for (size_t row = 0; row < r.num_rows(); ++row) {
+    for (int c = 0; c < r.num_columns(); ++c) {
+      size_t from = row;
+      if (row >= first_new && rng() % 3 == 0) from = rng() % r.num_rows();
+      rows[row].push_back(r.IsNull(from, c)
+                              ? std::nullopt
+                              : std::optional<std::string>(r.Value(from, c)));
+    }
+  }
+  return Relation::FromRows(r.schema(), rows);
+}
+
+/// True iff no two rows below `first_new` violate (pivot ∪ others) -> rhs
+/// under the kernel's rule: rows sharing every LHS code (none of them
+/// kUniqueCluster) must share a non-unique RHS code.
+bool HoldsOnOldRows(const PreprocessedData& data, int pivot,
+                    const std::vector<int>& others, int rhs,
+                    RecordId first_new) {
+  std::map<std::vector<ClusterId>, ClusterId> rhs_of;
+  for (RecordId row = 0; row < first_new; ++row) {
+    std::vector<ClusterId> key{data.records.Cluster(row, pivot)};
+    for (int attr : others) key.push_back(data.records.Cluster(row, attr));
+    if (std::count(key.begin(), key.end(), kUniqueCluster) > 0) continue;
+    const ClusterId code = data.records.Cluster(row, rhs);
+    const auto [it, fresh] = rhs_of.emplace(key, code);
+    if (!fresh && (code == kUniqueCluster || it->second != code)) return false;
+  }
+  return true;
+}
+
 TEST(RefineTrieTest, MatchesPerLhsOracleOverShapesVisitListsAndSplits) {
   size_t alive_leaves = 0;
   size_t dead_leaves = 0;
@@ -551,6 +586,169 @@ TEST(RefineTrieTest, MatchesPerLhsOracleOverShapesVisitListsAndSplits) {
   EXPECT_GT(dead_leaves, 0u);
   EXPECT_GT(collected_partitions, 0u);
   EXPECT_GT(shared_prefixes, 0u);
+
+  // Batch jobs: restricted jobs whose first_new_record marks the tail
+  // rows as the batch, over leaves whose FDs every pair of old rows keeps.
+  // The filtered walk must equal the unfiltered oracle, and its root-row
+  // count must not depend on how the job is split.
+  size_t batch_witnesses = 0;
+  size_t batch_alive = 0;
+  size_t old_only_groups = 0;
+  size_t dropped_root_rows = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const int m = 7;
+    const size_t n = seed % 3 == 0 ? 400 : 300;
+    const auto first_new = static_cast<RecordId>(n - n / 6);
+    std::mt19937_64 rng(seed * 104729);
+    // Planted FDs give the old rows long LHS groups that keep their RHS;
+    // NULLs put kUniqueCluster codes in play.
+    GeneratorConfig gen;
+    gen.rows = n;
+    gen.seed = seed;
+    gen.columns = {ColumnSpec{.cardinality = 5},
+                   ColumnSpec{.cardinality = 4, .null_rate = 0.05},
+                   ColumnSpec{.cardinality = 3 + seed % 3},
+                   ColumnSpec{.cardinality = 40, .sources = {0, 1}},
+                   ColumnSpec{.cardinality = 40, .sources = {1, 2}},
+                   ColumnSpec{.cardinality = 40, .sources = {0, 2}},
+                   ColumnSpec{.cardinality = 6, .null_rate = 0.05}};
+    Relation r = PerturbBatch(Generate(gen), first_new, rng);
+    PreprocessedData data = Preprocess(
+        r, seed % 2 == 0 ? NullSemantics::kNullEqualsNull
+                         : NullSemantics::kNullUnequal);
+    for (int pivot = 0; pivot < m; ++pivot) {
+      const auto& clusters = data.plis[static_cast<size_t>(pivot)].clusters();
+      if (clusters.empty()) continue;
+      // Keep each leaf's RHSs that hold on the old rows; drop empty leaves.
+      std::vector<LeafSpec> family;
+      for (LeafSpec& spec : RandomFamily(m, pivot, rng)) {
+        std::erase_if(spec.rhs, [&](int rhs) {
+          return !HoldsOnOldRows(data, pivot, spec.others, rhs, first_new);
+        });
+        if (!spec.rhs.empty()) family.push_back(std::move(spec));
+      }
+      LeafSpec first_only;
+      for (int a = 0; a < m; ++a) {
+        if (a != pivot && HoldsOnOldRows(data, pivot, {}, a, first_new)) {
+          first_only.rhs.push_back(a);
+        }
+      }
+      // Random touched lists, so some visited clusters hold no batch row.
+      std::vector<uint32_t> touched;
+      for (uint32_t ci = 0; ci < clusters.size(); ++ci) {
+        if (rng() % 3 != 0) touched.push_back(ci);
+      }
+      // One job per first non-pivot attribute, as the Validator's tries
+      // are keyed, plus the compare-to-first leaf.
+      std::vector<std::vector<LeafSpec>> jobs;
+      for (LeafSpec& spec : family) {
+        if (jobs.empty() || jobs.back()[0].others[0] != spec.others[0]) {
+          jobs.emplace_back();
+        }
+        jobs.back().push_back(std::move(spec));
+      }
+      if (!first_only.rhs.empty()) jobs.push_back({first_only});
+      for (const std::vector<LeafSpec>& chosen : jobs) {
+        const bool trie = !chosen[0].others.empty();
+        std::vector<RefineLeaf> leaves;
+        for (const LeafSpec& spec : chosen) {
+          RefineLeaf& leaf = leaves.emplace_back();
+          leaf.others = spec.others.data();
+          leaf.num_others = spec.others.size();
+          leaf.rhs_attrs = spec.rhs.data();
+          leaf.num_rhs = spec.rhs.size();
+        }
+        RefineJob job;
+        job.records = &data.records;
+        job.clusters = &clusters;
+        job.visit = &touched;
+        job.leaves = leaves.data();
+        job.num_leaves = leaves.size();
+        job.other_code_bound = data.num_records;
+        job.first_new_record = first_new;
+        RefineJob unfiltered = job;
+        unfiltered.first_new_record = 0;
+        const size_t num_visit = touched.size();
+        const std::string context =
+            "seed " + std::to_string(seed) + " pivot " +
+            std::to_string(pivot) + " batch" +
+            (trie ? " trie" : " compare-to-first");
+        RefineArena arena;
+        for (size_t b = 0; b < num_visit; ++b) {
+          for (size_t e = b + 1; e <= num_visit; ++e) {
+            RefineTaskOut out;
+            RunRefineTask(job, b, e, 0, 0, &arena, &out);
+            RefineTaskOut full;
+            RunRefineTask(unfiltered, b, e, 0, 0, &arena, &full);
+            EXPECT_LE(out.root_rows, full.root_rows) << context;
+            for (size_t k = 0; k < leaves.size(); ++k) {
+              const RefineLeafOut want = OracleLeaf(job, leaves[k], b, e, 0, 0);
+              ExpectSameLeafOut(want, out.leaves[k],
+                                context + " range [" + std::to_string(b) +
+                                    ", " + std::to_string(e) + ") leaf " +
+                                    std::to_string(k));
+              if (b == 0 && e == num_visit) {
+                for (const RefineWitness& w : want.witnesses) {
+                  ++(w.pos == kNoWitnessPos ? batch_alive : batch_witnesses);
+                }
+              }
+            }
+            if (b == 0 && e == num_visit) {
+              dropped_root_rows += full.root_rows - out.root_rows;
+            }
+          }
+        }
+        // Single-cluster tasks sum to the whole range's root rows.
+        RefineTaskOut whole;
+        RunRefineTask(job, 0, num_visit, 0, 0, &arena, &whole);
+        size_t summed = 0;
+        for (size_t ci = 0; ci < num_visit; ++ci) {
+          RefineTaskOut part;
+          RunRefineTask(job, ci, ci + 1, 0, 0, &arena, &part);
+          summed += part.root_rows;
+          // Groups of ≥ 2 old rows only: what the filter exists to skip.
+          const auto& cluster = clusters[touched[ci]];
+          for (const RefineLeaf& leaf : leaves) {
+            const size_t groups = GroupRowsByCodes(
+                data.records, leaf.others, leaf.num_others, cluster.data(),
+                cluster.size(), data.num_records, &arena);
+            for (size_t g = 0; g < groups; ++g) {
+              const uint32_t last = arena.grouped_idx[arena.group_offsets[g + 1] - 1];
+              if (arena.group_offsets[g + 1] - arena.group_offsets[g] >= 2 &&
+                  cluster[last] < first_new) {
+                ++old_only_groups;
+              }
+            }
+          }
+        }
+        EXPECT_EQ(whole.root_rows, summed) << context;
+        if (trie) continue;
+        for (size_t ci = 0; ci < num_visit; ++ci) {
+          const auto size = static_cast<uint32_t>(clusters[touched[ci]].size());
+          RefineTaskOut cluster_out;
+          RunRefineTask(job, ci, ci + 1, 0, 0, &arena, &cluster_out);
+          size_t range_rows = 0;
+          for (uint32_t rb = 0; rb < size; rb += 7) {
+            const uint32_t re = std::min(size, rb + 7);
+            RefineTaskOut out;
+            RunRefineTask(job, ci, ci + 1, rb, re, &arena, &out);
+            range_rows += out.root_rows;
+            ExpectSameLeafOut(OracleLeaf(job, leaves[0], ci, ci + 1, rb, re),
+                              out.leaves[0],
+                              context + " records [" + std::to_string(rb) +
+                                  ", " + std::to_string(re) + ")");
+          }
+          EXPECT_EQ(cluster_out.root_rows, range_rows) << context;
+        }
+      }
+    }
+  }
+  // Not vacuous: batch rows break some kept FDs and not others, the filter
+  // drops rows, and old-only groups exist for it to skip.
+  EXPECT_GT(batch_witnesses, 0u);
+  EXPECT_GT(batch_alive, 0u);
+  EXPECT_GT(dropped_root_rows, 0u);
+  EXPECT_GT(old_only_groups, 0u);
 }
 
 // ---- Validator vs legacy oracle -------------------------------------------
@@ -688,6 +886,13 @@ TEST(RefineKernelDifferentialTest, RestrictedModeMatchesFullRediscovery) {
                         ", rows=" + std::to_string(to));
       EXPECT_GT(session.report().FindCounter("incremental.fds_revalidated"), 0u)
           << "batch never exercised the restricted path";
+      // The restricted walks keep only rows that can pair with a new row.
+      const uint64_t rows =
+          session.report().FindCounter("validator.restricted_rows").value();
+      const uint64_t kept =
+          session.report().FindCounter("validator.restricted_rows_kept").value();
+      EXPECT_GT(rows, 0u);
+      EXPECT_LT(kept, rows);
     }
   }
 }
