@@ -9,12 +9,14 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/hyfd.h"
+#include "core/incremental.h"
 #include "core/inductor.h"
 #include "core/preprocessor.h"
 #include "core/refine_kernel.h"
@@ -86,21 +88,22 @@ void BM_Match(benchmark::State& state) {
 BENCHMARK(BM_Match)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
 /// The agree-word kernel (AgreeWord, one call per 64 attributes) into a
-/// reused scratch set — no allocation.
-void BM_MatchInto(benchmark::State& state) {
+/// reused word buffer — no allocation.
+void BM_AgreeWords(benchmark::State& state) {
   const int cols = static_cast<int>(state.range(0));
   Relation r = BenchRelation(4096, cols, 16);
   PreprocessedData data = Preprocess(r);
-  AttributeSet scratch;
+  std::vector<uint64_t> words(AttributeSet(cols).num_words());
   RecordId i = 0;
   for (auto _ : state) {
-    data.records.MatchInto(i, (i + 1) % 4096, &scratch);
-    benchmark::DoNotOptimize(scratch);
+    data.records.AgreeWords(i, (i + 1) % 4096, words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
     i = (i + 1) % 4096;
   }
   state.SetItemsProcessed(state.iterations() * cols);
 }
-BENCHMARK(BM_MatchInto)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_AgreeWords)->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
 /// One first sampling phase (cluster sortings, window runs, negative-cover
 /// probes) on fd-reduced 100k×12, domain 16, threshold 0.001 — the
@@ -571,6 +574,63 @@ void BM_RefineLevelRestricted(benchmark::State& state) {
   state.counters["lhss"] = static_cast<double>(f.lhss.size());
 }
 BENCHMARK(BM_RefineLevelRestricted)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
+
+// ---- One CRUD batch: the session path --------------------------------------
+// An IncrementalHyFd over an adult stand-in of 20,000 rows × 14 columns at 1
+// thread. Each iteration applies one ApplyMixed batch of 20 deletes, 20
+// updates and 20 inserts (victims drawn from the live rows, new versions
+// from rows past the seed), so the live count stays at 20,000: 100 batches
+// in all, the same sequence every run.
+void BM_ApplyMixedBatch(benchmark::State& state) {
+  using Cells = std::vector<std::optional<std::string>>;
+  constexpr size_t kBaseRows = 20000;
+  constexpr size_t kChurn = 20;
+  const size_t batches = static_cast<size_t>(state.max_iterations);
+  const Relation all = MakeDataset("adult", kBaseRows + batches * 2 * kChurn);
+  const auto row_of = [&](size_t r) {
+    Cells row(static_cast<size_t>(all.num_columns()));
+    for (int c = 0; c < all.num_columns(); ++c) {
+      if (!all.IsNull(r, c)) row[static_cast<size_t>(c)] = all.Value(r, c);
+    }
+    return row;
+  };
+  IncrementalHyFd session(all.HeadRows(kBaseRows));
+  std::mt19937_64 rng(29);
+  std::vector<RecordId> live(kBaseRows);
+  for (size_t i = 0; i < kBaseRows; ++i) live[i] = static_cast<RecordId>(i);
+  const auto take_victim = [&] {
+    const size_t k = rng() % live.size();
+    const RecordId id = live[k];
+    live[k] = live.back();
+    live.pop_back();
+    return id;
+  };
+  RecordId next_id = static_cast<RecordId>(kBaseRows);
+  size_t next_row = kBaseRows;
+  size_t comparisons = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<RecordId> deletes;
+    std::vector<std::pair<RecordId, Cells>> updates;
+    std::vector<Cells> inserts;
+    for (size_t i = 0; i < kChurn; ++i) deletes.push_back(take_victim());
+    for (size_t i = 0; i < kChurn; ++i) {
+      updates.emplace_back(take_victim(), row_of(next_row++));
+    }
+    for (size_t i = 0; i < kChurn; ++i) inserts.push_back(row_of(next_row++));
+    // Inserts take the first new ids, the updates' new versions the next.
+    for (size_t i = 0; i < 2 * kChurn; ++i) live.push_back(next_id++);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(session.ApplyMixed(inserts, deletes, updates));
+    comparisons += session.last_batch_stats().comparisons;
+  }
+  state.counters["comparisons"] = benchmark::Counter(
+      static_cast<double>(comparisons), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ApplyMixedBatch)
+    ->Iterations(100)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FdTreeAddAndLookup(benchmark::State& state) {
   const int m = 32;

@@ -22,7 +22,8 @@ constexpr double kCompactThreshold = 0.3;
 IncrementalHyFd::IncrementalHyFd(Relation relation, IncrementalConfig config)
     : config_(config),
       relation_(std::move(relation)),
-      tree_(relation_.num_columns()) {
+      tree_(relation_.num_columns()),
+      negative_cover_(relation_.num_columns()) {
   HYFD_CHECK(relation_.num_columns() > 0,
              "IncrementalHyFd: relation must have at least one column");
   HYFD_AUDIT_ONLY(relation_.CheckInvariants());
@@ -57,38 +58,33 @@ void IncrementalHyFd::Seed() {
   data_ = Preprocess(relation_, config_.null_semantics);
   report_.AddPhase("preprocess", timer.ElapsedSeconds());
   tree_ = FDTree(relation_.num_columns());
-  negative_cover_.clear();
   // A fresh Inductor seeds the fresh tree with the most general FDs ∅ → A.
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
 
   // The hybrid loop of HyFd::Discover, minus the memory guardian (a pruned
   // tree would silently break the incremental equivalence guarantee, so the
-  // session never prunes). Phase 1 records every sampled agree set with its
-  // witnessing pair; the Validator stamps `confirmed` on everything it
-  // proves, which is exactly the seed state ApplyBatch needs.
+  // session never prunes). The Sampler's cover keeps every sampled agree set
+  // with its witnessing pair and becomes the session's; the Validator stamps
+  // `confirmed` on everything it proves, which is exactly the seed state
+  // ApplyBatch needs.
   Sampler sampler(&data_, config_.efficiency_threshold,
                   SamplingStrategy::kClusterWindowing, pool_.get(), &metrics_);
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
                       pool_.get(), /*cache=*/nullptr, &metrics_);
-  const auto sample = [&](RecordPairs suggestions) {
-    std::vector<AttributeSet> batch;
-    for (SampledNonFd& found : sampler.RunWithWitnesses(suggestions)) {
-      negative_cover_.emplace(found.agree, std::make_pair(found.a, found.b));
-      batch.push_back(std::move(found.agree));
-    }
-    return batch;
-  };
-  HybridLoopResult loop =
-      RunHybridLoop(sample, inductor_.get(), &validator, &tree_, &report_);
+  HybridLoopResult loop = RunHybridLoop(
+      [&](RecordPairs suggestions) { return sampler.Run(suggestions); },
+      inductor_.get(), &validator, &tree_, &report_);
   metrics_.Set("incremental.phase_switches",
                static_cast<uint64_t>(loop.phase_switches));
   metrics_.Set("incremental.validations", validator.total_validations());
   metrics_.Add("incremental.comparisons", sampler.total_comparisons());
+  negative_cover_ = std::move(sampler).TakeNegativeCover();
   // Fold the final pass's violation suggestions into the witnessed cover.
   // The tree is already settled (any agree set these pairs produce can only
   // restate known constraints), but the extra witnesses keep more of the
   // cover alive across future deletes.
   MatchPairs(std::move(loop.last.comparison_suggestions));
+  HYFD_AUDIT_ONLY(negative_cover_.CheckInvariants(data_.records, &live_));
 
   // The Validator confirmed every node it settled; make the seed state
   // explicit (and audited) regardless of the path that produced it.
@@ -215,16 +211,8 @@ std::vector<AttributeSet> IncrementalHyFd::MatchPairs(
     std::vector<std::pair<RecordId, RecordId>> pairs) {
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  std::vector<AttributeSet> new_non_fds;
-  AttributeSet agree(data_.num_attributes);
   metrics_.Add("incremental.comparisons", pairs.size());
-  for (const auto& [a, b] : pairs) {
-    data_.records.MatchInto(a, b, &agree);
-    if (negative_cover_.emplace(agree, std::make_pair(a, b)).second) {
-      new_non_fds.push_back(agree);
-    }
-  }
-  return new_non_fds;
+  return negative_cover_.Match(data_.records, pairs);
 }
 
 const FDSet& IncrementalHyFd::ApplyBatch(
@@ -442,12 +430,10 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   Validator validator(&data_, &tree_, config_.efficiency_threshold,
                       pool_.get(), /*cache=*/nullptr, &metrics_);
   validator.set_delta(&delta);
-  const auto match = [&](RecordPairs suggestions) {
-    return MatchPairs(std::move(suggestions));
-  };
-  HybridLoopResult loop =
-      RunHybridLoop(match, inductor_.get(), &validator, &tree_, &report_,
-                    LoopMemory{}, std::move(pairs));
+  HybridLoopResult loop = RunHybridLoop(
+      [&](RecordPairs found) { return MatchPairs(std::move(found)); },
+      inductor_.get(), &validator, &tree_, &report_, LoopMemory{},
+      std::move(pairs));
   metrics_.Set("incremental.phase_switches",
                static_cast<uint64_t>(loop.phase_switches));
   metrics_.Set("incremental.validations", validator.total_validations());
@@ -459,6 +445,7 @@ const FDSet& IncrementalHyFd::ApplyMixed(
   // (tree no-op — the loop is settled — but richer witnesses survive more
   // future deletes).
   MatchPairs(std::move(loop.last.comparison_suggestions));
+  HYFD_AUDIT_ONLY(negative_cover_.CheckInvariants(data_.records, &live_));
 
   fds_ = tree_.ToFdSet();
   if (!dead.empty()) {
@@ -546,15 +533,10 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   // Drop every agree set whose witnessing pair lost a row: the set may have
   // no other live witness, and a stale entry would wrongly pin all FDs it
   // once refuted (unsound); dropping a still-true set merely costs the
-  // Validator one full re-check (the sound direction).
-  for (auto it = negative_cover_.begin(); it != negative_cover_.end();) {
-    const auto& [a, b] = it->second;
-    if (live_[a] == 0 || live_[b] == 0) {
-      it = negative_cover_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Validator one full re-check (the sound direction). The survivors come
+  // back in canonical order, so the rebuilt tree never depends on the
+  // cover's slot order.
+  std::vector<AttributeSet> kept = negative_cover_.RetainLive(live_);
 
   // Rebuild the candidate tree as the minimal cover of the surviving
   // constraints. This must happen on *every* delete batch — violations the
@@ -565,18 +547,6 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   FDTree old_tree = std::move(tree_);
   tree_ = FDTree(data_.num_attributes);
   inductor_ = std::make_unique<Inductor>(&tree_, &metrics_);
-  std::vector<AttributeSet> kept;
-  kept.reserve(negative_cover_.size());
-  for (const auto& [agree, witness] : negative_cover_) kept.push_back(agree);
-  // Canonical order (as Sampler::Run emits) so the rebuilt tree never
-  // depends on hash-map iteration order.
-  std::sort(kept.begin(), kept.end(),
-            [](const AttributeSet& a, const AttributeSet& b) {
-              const int ca = a.Count();
-              const int cb = b.Count();
-              if (ca != cb) return ca > cb;
-              return a < b;
-            });
   inductor_->Update(std::move(kept));
 
   // Transfer proofs: an FD with a confirmed generalization in the old tree
@@ -587,7 +557,10 @@ void IncrementalHyFd::RepairCoverAfterDeletes() {
   tree_.ConfirmFrom(old_tree);
   metrics_.Set("incremental.generalization_candidates",
                tree_.CountFds() - tree_.CountConfirmedFds());
-  HYFD_AUDIT_ONLY(tree_.CheckInvariants());
+  HYFD_AUDIT_ONLY({
+    tree_.CheckInvariants();
+    negative_cover_.CheckInvariants(data_.records, &live_);
+  });
 }
 
 const FDSet& IncrementalHyFd::ApplyBatchStrings(

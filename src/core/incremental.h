@@ -6,13 +6,13 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/hybrid_loop.h"
 #include "core/inductor.h"
+#include "core/negative_cover.h"
 #include "core/preprocessor.h"
 #include "core/validator.h"
 #include "data/relation.h"
@@ -84,10 +84,12 @@ struct IncrementalBatchStats {
 /// its clusters (Pli::RemoveRows — lone survivors are demoted to implicit
 /// singletons, emptied slots linger until compaction), the compressed
 /// records wipe the dead cells, and row ids are never reused. Deletes can
-/// make previously-false FDs *valid*, so the session keeps a *witnessed*
-/// negative cover — every agree set remembers the record pair that produced
-/// it — and on a delete batch drops the entries whose witness died, rebuilds
-/// the candidate tree from the surviving agree sets, and transfers proofs
+/// make previously-false FDs *valid*, so the session keeps the *witnessed*
+/// negative cover its seeding Sampler built (NegativeCover: every agree set
+/// with the record pair that first produced it), matches each batch's pairs
+/// through it, and on a delete batch drops the entries whose witness died
+/// (NegativeCover::RetainLive), rebuilds the candidate tree from the
+/// surviving agree sets, and transfers proofs
 /// via FDTree::ConfirmFrom (a confirmed FD survives deletion; only
 /// insert-touched clusters need re-checking). The stored-but-unconfirmed
 /// remainder are exactly the generalization candidates; the normal
@@ -232,9 +234,9 @@ class IncrementalHyFd {
   /// touched-cluster delta.
   void GrowDerivedState(size_t old_n, size_t new_n,
                         Validator::ClusterDelta* delta);
-  /// Matches record pairs (deduplicated) against the compressed records and
-  /// returns the agree sets not yet in the session's negative cover; fresh
-  /// ones are recorded in the cover with their witnessing pair.
+  /// Sorts and deduplicates `pairs`, counts them, and matches them through
+  /// the negative cover's pair loop; returns the fresh agree sets in pair
+  /// order (each now in the cover, witnessed by its pair).
   std::vector<AttributeSet> MatchPairs(
       std::vector<std::pair<RecordId, RecordId>> pairs);
   /// Zeroes the registry and opens a fresh report with its phases at 0 s.
@@ -250,16 +252,16 @@ class IncrementalHyFd {
   /// general FDs ∅ → A; persistent across the batches that follow.
   std::unique_ptr<Inductor> inductor_;
   std::unique_ptr<ThreadPool> pool_;
-  /// The witnessed negative cover: every agree set ever observed, mapped to
-  /// the record pair that witnessed it. Duplicates are sound but wasted
-  /// work, so batches only forward fresh sets to the Inductor. On deletes,
-  /// entries whose witness died are dropped (the agree set may no longer
-  /// have any live witness — keeping it would wrongly pin FDs above it),
-  /// and the candidate tree is rebuilt from the survivors; an agree set's
-  /// identity depends only on its records' values, so entries with live
-  /// witnesses stay valid verbatim.
-  std::unordered_map<AttributeSet, std::pair<RecordId, RecordId>>
-      negative_cover_;
+  /// The witnessed negative cover: every agree set ever observed, with the
+  /// record pair that witnessed it — taken over from the seeding Sampler,
+  /// then grown by every batch's pair matching. Duplicates are sound but
+  /// wasted work, so batches only forward fresh sets to the Inductor. On
+  /// deletes, entries whose witness died are dropped (the agree set may no
+  /// longer have any live witness — keeping it would wrongly pin FDs above
+  /// it), and the candidate tree is rebuilt from the survivors; an agree
+  /// set's identity depends only on its records' values, so entries with
+  /// live witnesses stay valid verbatim.
+  NegativeCover negative_cover_;
   /// One live row per value, so a new row finds its cluster through that
   /// row's compressed cell (kUniqueCluster: the value is a singleton so
   /// far). value_rows_[c][code] is a live row carrying `code` in column c,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <type_traits>
-#include <unordered_map>
 
 #include "util/check.h"
 
@@ -17,18 +15,6 @@ constexpr size_t kMinParallelPairs = 2048;
 
 /// Pairs claimed per atomic fetch in a parallel window run.
 constexpr size_t kPairGrain = 512;
-
-/// Calls `fn` with std::integral_constant<size_t, 1> for one-word agree sets
-/// (at most 64 attributes), else with <size_t, 0>: the pair loop's word
-/// count then comes from the cover at run time.
-template <typename Fn>
-void WithWordCount(size_t num_words, Fn&& fn) {
-  if (num_words == 1) {
-    fn(std::integral_constant<size_t, 1>{});
-  } else {
-    fn(std::integral_constant<size_t, 0>{});
-  }
-}
 
 /// A cluster's records with their packed sort keys.
 using KeyedRecords = std::vector<std::pair<uint64_t, RecordId>>;
@@ -73,42 +59,7 @@ Sampler::Sampler(const PreprocessedData* data, double efficiency_threshold,
       threshold_(efficiency_threshold),
       pool_(pool),
       metrics_(metrics),
-      non_fds_(AttributeSet(data->records.num_attributes()).num_words()) {}
-
-template <size_t kWords, typename PairAt, typename OnMiss>
-void Sampler::MatchPairs(size_t count, PairAt&& pair_at,
-                         OnMiss&& on_miss) const {
-  const CompressedRecords& records = data_->records;
-  uint64_t word = 0;
-  std::vector<uint64_t> wide(kWords == 0 ? non_fds_.num_words() : 0);
-  uint64_t* agree = kWords == 0 ? wide.data() : &word;
-  for (size_t k = 0; k < count; ++k) {
-    const auto [a, b] = pair_at(k);
-    records.AgreeWords(a, b, agree);
-    if (!non_fds_.Contains<kWords>(agree)) on_miss(agree, k, a, b);
-  }
-}
-
-template <typename PairAt>
-void Sampler::MatchSerial(size_t count, PairAt&& pair_at,
-                          std::vector<SampledNonFd>* new_non_fds) {
-  total_comparisons_ += count;
-  WithWordCount(non_fds_.num_words(), [&](auto words) {
-    constexpr size_t kWords = decltype(words)::value;
-    MatchPairs<kWords>(
-        count, pair_at,
-        [&](const uint64_t* agree, size_t, RecordId a, RecordId b) {
-          non_fds_.Insert<kWords>(agree);
-          new_non_fds->push_back({ToAgreeSet(agree), a, b});
-        });
-  });
-}
-
-AttributeSet Sampler::ToAgreeSet(const uint64_t* words) const {
-  AttributeSet agree(data_->records.num_attributes());
-  std::copy_n(words, agree.num_words(), agree.MutableWords());
-  return agree;
-}
+      cover_(data->records.num_attributes()) {}
 
 void Sampler::SortClustersOfAttribute(int attr) {
   const int m = static_cast<int>(data_->by_rank.size());
@@ -158,7 +109,8 @@ void Sampler::InitializeClusterSortings() {
   }
 }
 
-void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds) {
+void Sampler::RunWindow(Efficiency* eff,
+                        std::vector<AttributeSet>* new_non_fds) {
   const auto& clusters = sorted_clusters_[static_cast<size_t>(eff->attribute)];
   const size_t w = eff->window;
   if (metrics_ != nullptr) metrics_->GetCounter("sampler.windows")->Add(1);
@@ -187,82 +139,79 @@ void Sampler::RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds)
     return std::make_pair(cluster[i], cluster[i + w - 1]);
   };
 
+  const CompressedRecords& records = data_->records;
+  const size_t new_before = new_non_fds->size();
+  total_comparisons_ += total_pairs;
+  eff->comps += total_pairs;
   if (pool_ == nullptr || total_pairs < kMinParallelPairs) {
-    const size_t new_before = new_non_fds->size();
     for (uint32_t c : eligible) {
       const auto& cluster = clusters[c];
-      MatchSerial(cluster.size() - w + 1,
-                  [&](size_t i) { return window_pair(cluster, i); },
-                  new_non_fds);
+      cover_.Match(records, cluster.size() - w + 1,
+                   [&](size_t i) { return window_pair(cluster, i); },
+                   new_non_fds);
     }
-    eff->comps += total_pairs;
     eff->results += new_non_fds->size() - new_before;
     return;
   }
 
   first_pair.push_back(total_pairs);
 
-  // Parallel path: nothing writes the negative cover while the pool runs,
-  // so workers probe it without locks. An agree set the cover lacks goes
-  // into the worker's own fresh map, which keeps the smallest global pair
-  // index per set — the pair the serial path matches first.
-  struct Witness {
-    size_t pair;
-    RecordId a;
-    RecordId b;
+  // Parallel path: nothing writes the cover while the pool runs, so workers
+  // probe it without locks. Each worker keeps its first miss on each agree
+  // set — global pair index and pair — deduplicated in its own table. All
+  // ranges come from one atomic counter, so a worker's ranges only go up:
+  // its first miss on a set is its smallest index for it.
+  using IndexedPair = std::pair<size_t, std::pair<RecordId, RecordId>>;
+  struct Misses {
+    NegativeCover seen;
+    std::vector<IndexedPair> first;
   };
-  using FreshMap = std::unordered_map<AttributeSet, Witness>;
-  auto keep_first = [](FreshMap* fresh, AttributeSet agree,
-                       const Witness& found) {
-    auto [it, inserted] = fresh->try_emplace(std::move(agree), found);
-    if (!inserted && found.pair < it->second.pair) it->second = found;
-  };
-  std::vector<FreshMap> fresh(pool_->num_threads());
-  WithWordCount(non_fds_.num_words(), [&](auto words) {
-    constexpr size_t kWords = decltype(words)::value;
-    pool_->ParallelForRanges(
-        total_pairs, kPairGrain, [&](size_t begin, size_t end) {
-          const int wid = ThreadPool::CurrentWorkerIndex();
-          HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
-          FreshMap* mine = &fresh[static_cast<size_t>(wid)];
-          size_t k = static_cast<size_t>(
-                         std::upper_bound(first_pair.begin(),
-                                          first_pair.end(), begin) -
-                         first_pair.begin()) -
-                     1;
-          for (size_t p = begin; p < end; ++k) {
-            const auto& cluster = clusters[eligible[k]];
-            const size_t offset = p - first_pair[k];
-            const size_t stop = std::min(end, first_pair[k + 1]);
-            MatchPairs<kWords>(
-                stop - p,
-                [&](size_t j) { return window_pair(cluster, offset + j); },
-                [&](const uint64_t* agree, size_t j, RecordId a, RecordId b) {
-                  keep_first(mine, ToAgreeSet(agree), {p + j, a, b});
-                });
-            p = stop;
-          }
-        });
-  });
+  std::vector<Misses> misses(pool_->num_threads(),
+                             {NegativeCover(records.num_attributes()), {}});
+  pool_->ParallelForRanges(
+      total_pairs, kPairGrain, [&](size_t begin, size_t end) {
+        const int wid = ThreadPool::CurrentWorkerIndex();
+        HYFD_DCHECK(wid >= 0, "Sampler window task off the pool");
+        Misses& mine = misses[static_cast<size_t>(wid)];
+        HYFD_DCHECK(mine.first.empty() || mine.first.back().first < begin,
+                    "Sampler: a worker's pair indices went down");
+        size_t k = static_cast<size_t>(std::upper_bound(first_pair.begin(),
+                                                        first_pair.end(),
+                                                        begin) -
+                                       first_pair.begin()) -
+                   1;
+        for (size_t p = begin; p < end; ++k) {
+          const auto& cluster = clusters[eligible[k]];
+          const size_t offset = p - first_pair[k];
+          const size_t stop = std::min(end, first_pair[k + 1]);
+          cover_.ForEachMiss(
+              records, stop - p,
+              [&](size_t j) { return window_pair(cluster, offset + j); },
+              [&](const uint64_t* agree, size_t j, RecordId a, RecordId b) {
+                if (mine.seen.Insert(agree, a, b)) {
+                  mine.first.push_back({p + j, {a, b}});
+                }
+              });
+          p = stop;
+        }
+      });
 
-  // Merge on the calling thread: union the fresh maps (smallest pair index
-  // wins), then publish the union into the cover. Comparison and result
-  // counts equal the serial path's; the batch is canonically re-sorted in
-  // Run().
-  FreshMap& merged = fresh[0];
-  for (size_t t = 1; t < fresh.size(); ++t) {
-    for (auto& [agree, found] : fresh[t]) keep_first(&merged, agree, found);
+  // Replay on the calling thread: the union of the first misses, by
+  // ascending index, through the serial pair loop. The globally first pair
+  // of each agree set is some worker's first miss on it, so it reaches the
+  // cover first: cover, witnesses and match order are the serial path's.
+  // The replayed pairs were counted above, with the window's.
+  std::vector<IndexedPair> replay;
+  for (const Misses& worker : misses) {
+    replay.insert(replay.end(), worker.first.begin(), worker.first.end());
   }
-  for (const auto& [agree, found] : merged) {
-    non_fds_.Insert(agree.Words());
-    new_non_fds->push_back({agree, found.a, found.b});
-  }
-  total_comparisons_ += total_pairs;
-  eff->comps += total_pairs;
-  eff->results += merged.size();
+  std::sort(replay.begin(), replay.end());
+  cover_.Match(records, replay.size(),
+               [&](size_t i) { return replay[i].second; }, new_non_fds);
+  eff->results += new_non_fds->size() - new_before;
 }
 
-void Sampler::RunProgressive(std::vector<SampledNonFd>* new_non_fds) {
+void Sampler::RunProgressive(std::vector<AttributeSet>* new_non_fds) {
   while (true) {
     Efficiency* best = nullptr;
     for (auto& eff : efficiencies_) {
@@ -275,7 +224,7 @@ void Sampler::RunProgressive(std::vector<SampledNonFd>* new_non_fds) {
   }
 }
 
-void Sampler::RunRandom(std::vector<SampledNonFd>* new_non_fds) {
+void Sampler::RunRandom(std::vector<AttributeSet>* new_non_fds) {
   const size_t n = data_->num_records;
   if (n < 2) return;
   constexpr size_t kBatch = 1000;
@@ -283,39 +232,30 @@ void Sampler::RunRandom(std::vector<SampledNonFd>* new_non_fds) {
   std::vector<std::pair<RecordId, RecordId>> batch;
   while (true) {
     size_t new_before = new_non_fds->size();
-    size_t comps_before = total_comparisons_;
     batch.clear();
     for (size_t i = 0; i < kBatch; ++i) {
       RecordId a = pick(rng_);
       RecordId b = pick(rng_);
       if (a != b) batch.emplace_back(a, b);
     }
-    MatchSerial(batch.size(), [&](size_t k) { return batch[k]; }, new_non_fds);
+    total_comparisons_ += batch.size();
+    cover_.Match(data_->records, batch.size(),
+                 [&](size_t k) { return batch[k]; }, new_non_fds);
     // Efficiency over the comparisons actually performed: a == b draws are
     // skipped above, and on small relations they are a sizable share of the
     // batch — dividing by kBatch would deflate the ratio and terminate
     // sampling early exactly where samples are cheapest.
-    size_t performed = total_comparisons_ - comps_before;
-    if (performed == 0) break;
+    if (batch.empty()) break;
     double efficiency =
         static_cast<double>(new_non_fds->size() - new_before) /
-        static_cast<double>(performed);
+        static_cast<double>(batch.size());
     if (efficiency < threshold_) break;
   }
 }
 
 std::vector<AttributeSet> Sampler::Run(
     const std::vector<std::pair<RecordId, RecordId>>& suggestions) {
-  std::vector<SampledNonFd> found = RunWithWitnesses(suggestions);
   std::vector<AttributeSet> new_non_fds;
-  new_non_fds.reserve(found.size());
-  for (SampledNonFd& f : found) new_non_fds.push_back(std::move(f.agree));
-  return new_non_fds;
-}
-
-std::vector<SampledNonFd> Sampler::RunWithWitnesses(
-    const std::vector<std::pair<RecordId, RecordId>>& suggestions) {
-  std::vector<SampledNonFd> new_non_fds;
   const size_t comparisons_before = total_comparisons_;
   if (!initialized_) {
     initialized_ = true;
@@ -340,8 +280,9 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     metrics_->GetCounter("sampler.phases")->Add(1);
     metrics_->GetCounter("sampler.suggestions_replayed")->Add(suggestions.size());
   }
-  MatchSerial(suggestions.size(), [&](size_t k) { return suggestions[k]; },
-              &new_non_fds);
+  total_comparisons_ += suggestions.size();
+  cover_.Match(data_->records, suggestions.size(),
+               [&](size_t k) { return suggestions[k]; }, &new_non_fds);
 
   if (strategy_ == SamplingStrategy::kClusterWindowing) {
     RunProgressive(&new_non_fds);
@@ -352,17 +293,12 @@ std::vector<SampledNonFd> Sampler::RunWithWitnesses(
     metrics_->GetCounter("sampler.comparisons")
         ->Add(total_comparisons_ - comparisons_before);
   }
-  // Canonical batch order: descending bit count (the Inductor specializes
-  // longest-first anyway), ties lexicographic. Parallel window runs append
-  // in hash-map order, so this sort is what makes the returned agree-set batch
-  // — and hence the induced FDTree — bit-identical for any thread count.
+  // Canonical batch order (NegativeCover::CanonicalLess): the Inductor
+  // specializes longest-first anyway, and the batch reads the same however
+  // its sets were found.
   std::sort(new_non_fds.begin(), new_non_fds.end(),
-            [](const SampledNonFd& a, const SampledNonFd& b) {
-              const int ca = a.agree.Count();
-              const int cb = b.agree.Count();
-              if (ca != cb) return ca > cb;
-              return a.agree < b.agree;
-            });
+            NegativeCover::CanonicalLess);
+  HYFD_AUDIT_ONLY(cover_.CheckInvariants(data_->records));
   return new_non_fds;
 }
 

@@ -6,9 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/negative_cover.h"
 #include "core/preprocessor.h"
 #include "util/attribute_set.h"
-#include "util/flat_word_set.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -22,18 +22,6 @@ enum class SamplingStrategy {
   kRandomPairs,
 };
 
-/// A freshly discovered non-FD agree set together with the record pair that
-/// witnessed it. The incremental session keys its witnessed negative cover on
-/// these: when a witness row dies (DeleteRows/UpdateRows) the agree set can
-/// no longer be trusted and is dropped from the cover. The witness is the
-/// first pair in serial traversal order that produced the agree set, so
-/// witnesses are bit-identical for any thread count, like the batch itself.
-struct SampledNonFd {
-  AttributeSet agree;
-  RecordId a = 0;
-  RecordId b = 0;
-};
-
 /// HyFD's Sampler component (paper §6, Algorithm 2).
 ///
 /// Compares carefully chosen record pairs on the compressed records and
@@ -44,22 +32,24 @@ struct SampledNonFd {
 /// efficiency threshold halves on every re-entry. Only the ranked attributes
 /// (PreprocessedData::by_rank) are windowed; agree sets span every column.
 ///
-/// Every pair — window runs, replayed suggestions, random pairs — goes
-/// through one pair loop: the agree set is computed as raw words
-/// (CompressedRecords::AgreeWords) and probed in the negative cover, a flat
-/// table keyed by those words (FlatWordSet). Only a pair whose agree set the
-/// cover lacks builds an AttributeSet.
+/// The Sampler owns the negative cover (NegativeCover) and only chooses
+/// pairs: every pair — window runs, replayed suggestions, random pairs —
+/// goes through the cover's one pair loop, which computes the agree set as
+/// raw words, probes the cover, and builds an AttributeSet only on a miss.
+/// The cover keeps each agree set's witness, the first pair in serial match
+/// order that produced it.
 ///
 /// With a ThreadPool attached, Phase 1 runs parallel end-to-end (paper
 /// §10.4): cluster sortings are built concurrently per attribute, each
 /// window run partitions its pair space across workers. During a window run
-/// the negative cover is read-only, so workers probe it without locks and
-/// collect unknown agree sets in their own fresh maps; the calling thread
-/// merges those into the cover once the run returns. The result is
-/// deterministic: the returned non-FD batch (canonically sorted) and its
-/// witnesses, total_comparisons(), num_non_fds(), NegativeCoverBytes() and
-/// every per-window efficiency value are bit-identical for any thread
-/// count, including none.
+/// the cover is read-only, so workers probe it without locks; each keeps
+/// the pair index of its first miss on each agree set. The calling thread
+/// then replays the sorted union of those indices through the serial loop,
+/// so the globally first pair of each set wins. The result is
+/// deterministic: the returned non-FD batch (canonically sorted), the
+/// cover's entries and witnesses, total_comparisons(), num_non_fds(),
+/// NegativeCoverBytes() and every per-window efficiency value are
+/// bit-identical for any thread count, including none.
 class Sampler {
  public:
   /// A non-null `metrics` registry receives window/phase counters — updated
@@ -77,20 +67,20 @@ class Sampler {
   std::vector<AttributeSet> Run(
       const std::vector<std::pair<RecordId, RecordId>>& suggestions);
 
-  /// Same phase as Run(), but keeps the witnessing record pair of every
-  /// newly discovered agree set (IncrementalHyFd's witnessed negative
-  /// cover). The agree-set batch and all counters are identical to Run()'s.
-  std::vector<SampledNonFd> RunWithWitnesses(
-      const std::vector<std::pair<RecordId, RecordId>>& suggestions);
-
   size_t total_comparisons() const { return total_comparisons_; }
-  size_t num_non_fds() const { return non_fds_.size(); }
+  size_t num_non_fds() const { return cover_.size(); }
   double current_threshold() const { return threshold_; }
 
   /// Bytes allocated by the negative cover (Table 3 accounting): its slots'
-  /// key words and occupancy bytes. Constant time; moves only when the
-  /// table rehashes.
-  size_t NegativeCoverBytes() const { return non_fds_.MemoryBytes(); }
+  /// key words and witness pairs. Constant time; moves only when the table
+  /// rehashes.
+  size_t NegativeCoverBytes() const { return cover_.MemoryBytes(); }
+
+  /// Every agree set sampled so far, with its witness.
+  const NegativeCover& negative_cover() const { return cover_; }
+  /// Hands the cover to its next owner (the incremental session keeps its
+  /// seeding Sampler's cover); the Sampler is spent.
+  NegativeCover TakeNegativeCover() && { return std::move(cover_); }
 
  private:
   struct Efficiency {
@@ -107,30 +97,14 @@ class Sampler {
     }
   };
 
-  /// The pair loop: matches the `count` pairs `pair_at(k)`, k < count,
-  /// against the negative cover with `kWords`-word agree sets (0: the
-  /// record width's word count, read at run time) and calls
-  /// `on_miss(words, k, a, b)` for each pair whose agree set the cover lacks.
-  template <size_t kWords, typename PairAt, typename OnMiss>
-  void MatchPairs(size_t count, PairAt&& pair_at, OnMiss&& on_miss) const;
-
-  /// The serial form of the pair loop: each new agree set goes into the
-  /// cover at once and into `new_non_fds` with its pair.
-  template <typename PairAt>
-  void MatchSerial(size_t count, PairAt&& pair_at,
-                   std::vector<SampledNonFd>* new_non_fds);
-
-  /// The agree set whose raw words are `words`.
-  AttributeSet ToAgreeSet(const uint64_t* words) const;
-
   /// Slides the current window of `eff` over its attribute's sorted clusters
   /// (Algorithm 2, runWindow), across the pool when one is attached.
-  void RunWindow(Efficiency* eff, std::vector<SampledNonFd>* new_non_fds);
+  void RunWindow(Efficiency* eff, std::vector<AttributeSet>* new_non_fds);
 
   void InitializeClusterSortings();
   void SortClustersOfAttribute(int attr);
-  void RunProgressive(std::vector<SampledNonFd>* new_non_fds);
-  void RunRandom(std::vector<SampledNonFd>* new_non_fds);
+  void RunProgressive(std::vector<AttributeSet>* new_non_fds);
+  void RunRandom(std::vector<AttributeSet>* new_non_fds);
 
   const PreprocessedData* data_;
   SamplingStrategy strategy_;
@@ -139,9 +113,9 @@ class Sampler {
   MetricsRegistry* metrics_;
   bool initialized_ = false;
 
-  /// The negative cover, keyed by agree-set words. Written only by the
-  /// calling thread, never during a parallel window run.
-  FlatWordSet non_fds_;
+  /// Written only by the calling thread, never during a parallel window
+  /// run.
+  NegativeCover cover_;
   /// Per attribute: that PLI's clusters with records sorted by the
   /// neighbor-attribute keys (paper Figure 3.1).
   std::vector<std::vector<std::vector<RecordId>>> sorted_clusters_;

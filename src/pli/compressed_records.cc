@@ -67,7 +67,7 @@ void CompressedRecords::CheckInvariants(const std::vector<Pli>& plis) const {
 
 AttributeSet CompressedRecords::Match(RecordId a, RecordId b) const {
   AttributeSet agree(num_attributes_);
-  MatchInto(a, b, &agree);
+  AgreeWords(a, b, agree.MutableWords());
   return agree;
 }
 

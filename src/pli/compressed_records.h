@@ -73,18 +73,10 @@ class CompressedRecords {
   /// cluster id.
   AttributeSet Match(RecordId a, RecordId b) const;
 
-  /// Match() into a caller-owned bitset (no per-pair allocation). `agree`
-  /// is resized on shape mismatch; every word is overwritten, so no Clear()
-  /// is needed.
-  void MatchInto(RecordId a, RecordId b, AttributeSet* agree) const {
-    if (agree->size() != num_attributes_) *agree = AttributeSet(num_attributes_);
-    AgreeWords(a, b, agree->MutableWords());
-  }
-
   /// The agree set of records `a`, `b` as raw AttributeSet words: writes
   /// ceil(num_attributes() / 64) words to `out`, one AgreeWord() per word,
-  /// with the bits past num_attributes() zero. The Sampler's pair loop keys
-  /// its negative cover on these words directly.
+  /// with the bits past num_attributes() zero. Every word is overwritten.
+  /// The negative cover's pair loop keys on these words directly.
   void AgreeWords(RecordId a, RecordId b, uint64_t* out) const {
     const ClusterId* ra = Record(a);
     const ClusterId* rb = Record(b);

@@ -6,8 +6,9 @@
 //    algorithm seams (Pli construction, cache insert/evict, Inductor /
 //    Validator phase boundaries);
 //  * negative tests proving each deep audit (Pli, FDTree, PliCache,
-//    Relation, AttributeSet) can actually fire. CheckInvariants() is
-//    callable from any build, so these run in the plain CI job too.
+//    Relation, AttributeSet, NegativeCover) can actually fire.
+//    CheckInvariants() is callable from any build, so these run in the
+//    plain CI job too.
 
 #include <memory>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "baselines/registry.h"
 #include "core/hyfd.h"
 #include "core/hyucc.h"
+#include "core/negative_cover.h"
 #include "core/preprocessor.h"
 #include "data/generators.h"
 #include "fd/fd_tree.h"
@@ -435,6 +437,52 @@ TEST(FdTreeAuditTest, ConfirmedWithoutStoredFdFires) {
   // A `confirmed` bit with no matching stored FD breaks confirmed ⊆ fds.
   tree.root()->confirmed.Set(1);
   EXPECT_THROW(tree.CheckInvariants(), ContractViolation);
+}
+
+// ---------------------------------------------------------------------------
+// NegativeCover: every entry's witness pair re-matches to its agree set.
+// ---------------------------------------------------------------------------
+
+/// Rows 0 and 1 agree on {0, 1}; rows 0 and 2 on {1}; row 3 agrees with no
+/// other row on column 2.
+PreprocessedData CoverAuditData() {
+  return Preprocess(Relation::FromStringRows(
+      Schema::Generic(3),
+      {{"a", "x", "1"}, {"a", "x", "2"}, {"b", "x", "3"}, {"c", "y", "4"}}));
+}
+
+TEST(NegativeCoverAuditTest, WrongWitnessFires) {
+  PreprocessedData data = CoverAuditData();
+  NegativeCover cover(3);
+  EXPECT_EQ(cover.Match(data.records, {{0, 1}, {0, 2}}).size(), 2u);
+  EXPECT_NO_THROW(cover.CheckInvariants(data.records));
+  // {0} has no witness in these rows; (0, 2) agrees on {1} only.
+  const AttributeSet only_first(3, {0});
+  ASSERT_TRUE(cover.Insert(only_first.Words(), 0, 2));
+  EXPECT_THROW(cover.CheckInvariants(data.records), ContractViolation);
+}
+
+TEST(NegativeCoverAuditTest, DeadWitnessLeftAfterDeleteFires) {
+  PreprocessedData data = CoverAuditData();
+  NegativeCover cover(3);
+  cover.Match(data.records, {{0, 1}, {0, 2}, {2, 3}});
+  std::vector<uint8_t> live = {1, 1, 1, 1};
+  EXPECT_NO_THROW(cover.CheckInvariants(data.records, &live));
+  // Row 1 dies: its wiped cells agree with nothing, so the entry {0, 1} it
+  // witnessed no longer re-matches until a retain step drops it.
+  data.records.RemoveRows({1});
+  live[1] = 0;
+  EXPECT_THROW(cover.CheckInvariants(data.records), ContractViolation);
+  const std::vector<AttributeSet> kept = cover.RetainLive(live);
+  EXPECT_EQ(kept, (std::vector<AttributeSet>{AttributeSet(3, {1}),
+                                             AttributeSet(3)}));
+  EXPECT_NO_THROW(cover.CheckInvariants(data.records, &live));
+  // Row 3 dies too: ∅, witnessed by (2, 3), still re-matches — a dead row
+  // agrees with nothing — so only the live mask catches it.
+  data.records.RemoveRows({3});
+  live[3] = 0;
+  EXPECT_NO_THROW(cover.CheckInvariants(data.records));
+  EXPECT_THROW(cover.CheckInvariants(data.records, &live), ContractViolation);
 }
 
 TEST(AuditHooksTest, ConstructorSeamFiresOnlyInAuditBuilds) {

@@ -302,17 +302,33 @@ TEST(IncrementalEdgeTest, BatchScheduleOrderInvariance) {
 }
 
 TEST(IncrementalStatsTest, CountersAndReportTrackTheBatch) {
-  Relation full = testing::RandomRelation(5, 100, 18, 3);
+  // Domains up to 10 over 5 columns: the minimal FDs include multi-attribute
+  // LHSs that the batch leaves intact, so re-proving them takes restricted
+  // tries over the touched clusters rather than a level-0 constant check.
+  Relation full = testing::RandomRelation(5, 100, 27, 10);
   IncrementalHyFd session(full.HeadRows(80));
   EXPECT_EQ(session.report().algorithm, "hyfd_incremental");
+  const FDSet before = session.fds();
 
   session.ApplyBatch(Slice(full, 80, 100));
   const RunReport& report = session.report();
   EXPECT_EQ(report.FindCounter("incremental.batch_rows"), 20u);
-  // Low-domain columns guarantee value collisions, so the batch must have
-  // touched clusters and re-proven inherited FDs via the restricted path.
+  size_t inherited_multi = 0;
+  for (const FD& fd : session.fds()) {
+    if (fd.lhs.Count() >= 2 && before.Contains(fd)) ++inherited_multi;
+  }
+  ASSERT_GT(inherited_multi, 0u) << "no multi-attribute FD survived the batch";
+  // Value collisions make the batch touch clusters, and the inherited FDs
+  // are re-proven via the restricted path, whose walks keep some — not all
+  // — of the touched clusters' rows: only those that can pair with a batch
+  // row.
   EXPECT_GT(session.last_batch_stats().touched_clusters, 0u);
   EXPECT_GT(report.FindCounter("incremental.fds_revalidated"), 0u);
+  const uint64_t rows = report.FindCounter("validator.restricted_rows").value();
+  const uint64_t kept =
+      report.FindCounter("validator.restricted_rows_kept").value();
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, rows);
   EXPECT_EQ(report.rows, 100u);
   EXPECT_EQ(report.result_count, session.fds().size());
   EXPECT_TRUE(RunReport::ValidateJsonSchema(report.ToJson()).empty());

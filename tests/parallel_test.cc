@@ -113,10 +113,11 @@ TEST(ParallelStressTest, SamplerBatchIdenticalWithPool) {
   EXPECT_EQ(serial.NegativeCoverBytes(), parallel.NegativeCoverBytes());
 }
 
-/// Every sampling phase of one Sampler, witnesses included, plus its final
-/// counters.
+/// Every sampling phase of one Sampler — its batch and the cover's entries
+/// with their witnesses after it — plus its final counters.
 struct SamplerTrace {
-  std::vector<std::vector<SampledNonFd>> phases;
+  std::vector<std::vector<AttributeSet>> phases;
+  std::vector<std::vector<NegativeCover::Entry>> covers;
   size_t comparisons = 0;
   size_t non_fds = 0;
   size_t cover_bytes = 0;
@@ -139,7 +140,8 @@ SamplerTrace TraceSampler(
                   pool.get(), &metrics);
   SamplerTrace trace;
   for (const auto& phase : suggestions) {
-    trace.phases.push_back(sampler.RunWithWitnesses(phase));
+    trace.phases.push_back(sampler.Run(phase));
+    trace.covers.push_back(sampler.negative_cover().Entries());
   }
   trace.comparisons = sampler.total_comparisons();
   trace.non_fds = sampler.num_non_fds();
@@ -155,9 +157,11 @@ void ExpectSameTrace(const SamplerTrace& expected, const SamplerTrace& actual,
   EXPECT_EQ(expected.cover_bytes, actual.cover_bytes) << label;
   testing::ExpectSameCounters(expected.counters, actual.counters, label);
   ASSERT_EQ(expected.phases.size(), actual.phases.size()) << label;
+  ASSERT_EQ(expected.covers.size(), actual.covers.size()) << label;
   for (size_t p = 0; p < expected.phases.size(); ++p) {
-    const auto& want = expected.phases[p];
-    const auto& got = actual.phases[p];
+    EXPECT_EQ(expected.phases[p], actual.phases[p]) << label << ", phase " << p;
+    const auto& want = expected.covers[p];
+    const auto& got = actual.covers[p];
     ASSERT_EQ(want.size(), got.size()) << label << ", phase " << p;
     for (size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(want[i].agree, got[i].agree) << label << ", phase " << p;
@@ -224,7 +228,7 @@ TEST(ParallelDeterminismTest, WordSeamWidthsIdenticalAcrossThreadCounts) {
         Preprocess(SeamRelation(cols, 3000, static_cast<uint64_t>(cols)));
     SamplerTrace serial = TraceSampler(data, 0.01, 1, phases);
     ASSERT_FALSE(serial.phases.front().empty()) << cols;
-    ASSERT_EQ(serial.phases.front().front().agree.size(), cols);
+    ASSERT_EQ(serial.phases.front().front().size(), cols);
     ExpectSameTrace(serial, TraceSampler(data, 0.01, 4, phases),
                     std::to_string(cols) + " columns @ 4 threads");
   }

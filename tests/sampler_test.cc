@@ -4,17 +4,17 @@
 #include <random>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/negative_cover.h"
 #include "core/preprocessor.h"
 #include "data/datasets.h"
 #include "data/generators.h"
 #include "fd/reference.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
-#include "util/flat_word_set.h"
 #include "util/thread_pool.h"
 
 namespace hyfd {
@@ -156,18 +156,23 @@ TEST(SamplerTest, NoViolationsOnUniqueData) {
   EXPECT_EQ(sampler.total_comparisons(), 0u);
 }
 
+/// Bytes of one cover slot: a `words`-word key and a witness pair.
+size_t CoverSlotBytes(size_t words) {
+  return words * sizeof(uint64_t) + 2 * sizeof(RecordId);
+}
+
 /// The cover's allocation after `n` one-at-a-time inserts of `words`-word
 /// keys: no slots while empty, else the smallest power of two >= 16 that is
-/// at least twice `n`, each slot one key plus one occupancy byte.
+/// at least twice `n`.
 size_t ExpectedCoverBytes(size_t n, size_t words) {
   if (n == 0) return 0;
   size_t slots = 16;
   while (slots < 2 * n) slots *= 2;
-  return slots * (words * sizeof(uint64_t) + 1);
+  return slots * CoverSlotBytes(words);
 }
 
 TEST(SamplerTest, NegativeCoverBytesEqualsTableSlots) {
-  // The figure is the flat table's slot and occupancy bytes, derived here
+  // The figure is the flat table's key and witness bytes, derived here
   // from the agree-set count alone, so it moves only when the table
   // rehashes, and it is the same at 1 and 4 threads. The registry's natural
   // widths include multi-word agree sets (uniprot); the duplicate-heavy
@@ -201,13 +206,29 @@ TEST(SamplerTest, NegativeCoverBytesEqualsTableSlots) {
   }
 }
 
-TEST(FlatWordSetTest, MatchesUnorderedSetMirrorAcrossRehashes) {
-  // Random inserts and probes against a std::unordered_set mirror, through
-  // rehashes from 16 up to 8192 slots. The keys include the empty set (the
-  // word 0), the full set (the all-ones word at width 64), sparse sets,
-  // small counters (whose low bits alone differ) and dense random words;
-  // widths 65-200 give multi-word keys. Narrow keys also take the
-  // compile-time one-word probes the Sampler uses.
+/// The mirror's entries in the cover's canonical order.
+std::vector<NegativeCover::Entry> MirrorEntries(
+    const std::unordered_map<AttributeSet, std::pair<RecordId, RecordId>>&
+        mirror) {
+  std::vector<NegativeCover::Entry> entries;
+  for (const auto& [agree, witness] : mirror) {
+    entries.push_back({agree, witness.first, witness.second});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const NegativeCover::Entry& x, const NegativeCover::Entry& y) {
+              return NegativeCover::CanonicalLess(x.agree, y.agree);
+            });
+  return entries;
+}
+
+TEST(NegativeCoverTest, MatchesUnorderedMapMirrorAcrossRehashesAndRetain) {
+  // Random inserts and probes against a std::unordered_map mirror (agree set
+  // -> first witness), through rehashes from 16 up to 8192 slots, then a
+  // retain step over a random live mask, then more inserts. The keys include
+  // the empty set (the word 0), the full set (the all-ones word at width
+  // 64), sparse sets, small counters (whose low bits alone differ) and dense
+  // random words; widths 65-200 give multi-word keys.
+  constexpr RecordId kRows = 1000;
   for (int width : {1, 7, 12, 63, 64, 65, 100, 128, 129, 200}) {
     std::mt19937_64 rng(static_cast<uint64_t>(width));
     std::vector<AttributeSet> pool = {AttributeSet(width),
@@ -227,44 +248,70 @@ TEST(FlatWordSetTest, MatchesUnorderedSetMirrorAcrossRehashes) {
       }
       pool.push_back(std::move(key));
     }
-    FlatWordSet set(AttributeSet(width).num_words());
-    std::unordered_set<AttributeSet> mirror;
-    const size_t slot_bytes = set.num_words() * sizeof(uint64_t) + 1;
-    const bool one_word = set.num_words() == 1;
-    EXPECT_EQ(set.MemoryBytes(), 0u);
+    NegativeCover cover(width);
+    std::unordered_map<AttributeSet, std::pair<RecordId, RecordId>> mirror;
+    const size_t slot_bytes = CoverSlotBytes(cover.num_words());
+    EXPECT_EQ(cover.MemoryBytes(), 0u);
     int rehashes = 0;
-    for (int op = 0; op < 12000; ++op) {
-      const AttributeSet& key = pool[rng() % pool.size()];
-      const bool compile_time = one_word && rng() % 2 == 0;
-      const size_t before = set.capacity();
-      const bool present = mirror.count(key) != 0;
-      ASSERT_EQ(compile_time ? set.Contains<1>(key.Words())
-                             : set.Contains(key.Words()),
-                present)
-          << "width " << width << ", op " << op;
-      if (rng() % 2 == 0) {
-        const bool inserted = compile_time ? set.Insert<1>(key.Words())
-                                           : set.Insert(key.Words());
-        ASSERT_EQ(inserted, mirror.insert(key).second)
+    const auto random_ops = [&](int ops) {
+      for (int op = 0; op < ops; ++op) {
+        const AttributeSet& key = pool[rng() % pool.size()];
+        const size_t before = cover.capacity();
+        ASSERT_EQ(cover.Contains(key.Words()), mirror.count(key) != 0)
             << "width " << width << ", op " << op;
+        if (rng() % 2 == 0) {
+          const RecordId a = static_cast<RecordId>(rng() % kRows);
+          const RecordId b = static_cast<RecordId>(rng() % kRows);
+          // The first witness stays: a repeated insert changes nothing.
+          ASSERT_EQ(cover.Insert(key.Words(), a, b),
+                    mirror.try_emplace(key, a, b).second)
+              << "width " << width << ", op " << op;
+        }
+        ASSERT_EQ(cover.size(), mirror.size());
+        const size_t slots = cover.capacity();
+        EXPECT_EQ(cover.MemoryBytes(), slots * slot_bytes);
+        EXPECT_LE(2 * cover.size(), slots);
+        EXPECT_EQ(slots & (slots - 1), 0u) << "not a power of two: " << slots;
+        if (slots != before) {
+          // A rehash: only an insert that pushed the load past one half.
+          EXPECT_GT(2 * cover.size(), before) << "width " << width;
+          EXPECT_EQ(slots, before == 0 ? 16 : 2 * before);
+          ++rehashes;
+        }
       }
-      ASSERT_EQ(set.size(), mirror.size());
-      const size_t slots = set.capacity();
-      EXPECT_EQ(set.MemoryBytes(), slots * slot_bytes);
-      EXPECT_LE(2 * set.size(), slots);
-      EXPECT_EQ(slots & (slots - 1), 0u) << "not a power of two: " << slots;
-      if (slots != before) {
-        // A rehash: only an insert that pushed the load past one half.
-        EXPECT_GT(2 * set.size(), before) << "width " << width;
-        EXPECT_EQ(slots, before == 0 ? 16 : 2 * before);
-        ++rehashes;
-      }
-    }
+    };
+    random_ops(12000);
     if (width >= 12) {
       EXPECT_GE(rehashes, 8) << "width " << width;
     }
+    ASSERT_EQ(cover.Entries(), MirrorEntries(mirror)) << "width " << width;
+
+    // Retain: about a tenth of the rows die; the entries witnessed by any of
+    // them leave, the slot count stays, and the survivors come back in
+    // canonical order.
+    std::vector<uint8_t> live(kRows);
+    for (uint8_t& l : live) l = rng() % 10 != 0 ? 1 : 0;
+    const size_t slots = cover.capacity();
+    const size_t before_retain = cover.size();
+    std::vector<AttributeSet> kept = cover.RetainLive(live);
+    for (auto it = mirror.begin(); it != mirror.end();) {
+      const auto [a, b] = it->second;
+      it = live[a] != 0 && live[b] != 0 ? std::next(it) : mirror.erase(it);
+    }
+    if (width >= 12) {
+      EXPECT_LT(mirror.size(), before_retain) << "width " << width;
+    }
+    const std::vector<NegativeCover::Entry> want = MirrorEntries(mirror);
+    ASSERT_EQ(cover.Entries(), want) << "width " << width;
+    ASSERT_EQ(kept.size(), want.size());
+    for (size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(kept[i], want[i].agree);
+    EXPECT_EQ(cover.capacity(), slots);
+    EXPECT_EQ(cover.size(), mirror.size());
+
+    random_ops(3000);
+    ASSERT_EQ(cover.Entries(), MirrorEntries(mirror)) << "width " << width;
     for (const AttributeSet& key : pool) {
-      EXPECT_EQ(set.Contains(key.Words()), mirror.count(key) != 0)
+      EXPECT_EQ(cover.Contains(key.Words()), mirror.count(key) != 0)
           << "width " << width << ", key " << key.ToString();
     }
   }
